@@ -144,6 +144,6 @@ def element_from_json(data) -> AlgebraElement:
     try:
         shape = AlgebraShape(tuple(data["shape"]))
         blocks = tuple(linalg.matrix_from_json(b) for b in data["blocks"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed element encoding: missing or bad field {exc}") from exc
     return AlgebraElement(shape, blocks)

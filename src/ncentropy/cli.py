@@ -50,6 +50,17 @@ def _load_json(path: str):
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _trial_count(text: str) -> int:
+    """argparse type for ``--trials``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_trial_count, default=200)
     p.add_argument("--seed", type=int, default=int(os.environ.get("NCE_SEED", "42")))
     p.add_argument("--tol", type=float, default=1e-9)
     add_bits(p)

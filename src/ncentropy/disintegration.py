@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_TOL, max_abs, partial_trace_right
-from .morphism import Morphism, _segments, pullback
+from .morphism import Morphism, _pullback_with_blocks, _segments
 from .state import State
 
 FACTOR_TOL = 1e-8  # default tolerance for the factorization test, scaled per block
@@ -121,12 +121,13 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
     """
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the codomain of the morphism")
-    pulled = pullback(f, omega)
+    pulled, conjugated = _pullback_with_blocks(f, omega)
     q, sigmas = pulled.weights, pulled.densities
     tau: dict = {}
-    for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
+    for x, (p, rho, m) in enumerate(zip(omega.weights, omega.densities, conjugated)):
         weighted = p * rho
-        m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
+        if m is None:
+            m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
         eff = tol * max_abs(weighted)
         segs = _segments(f, x)
         for i, (y, off, copies, n) in enumerate(segs):

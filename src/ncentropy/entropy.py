@@ -36,12 +36,8 @@ def shannon(p) -> float:
     return _plogp(np.clip(p, 0.0, None))
 
 
-def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
-    """Entropy of a density matrix: the Shannon entropy of its spectrum."""
-    rho = as_matrix(rho)
-    if not is_hermitian(rho, tol):
-        raise NotDensity("density must be Hermitian")
-    vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+def _spectrum_entropy(vals: np.ndarray, tol: float) -> float:
+    """Entropy from the ascending eigenvalues of a density's Hermitian part."""
     if vals[0] < -tol:
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
     if abs(vals.sum() - 1.0) > tol:
@@ -49,12 +45,27 @@ def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
     return _plogp(np.clip(vals, 0.0, None))
 
 
+def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
+    """Entropy of a density matrix: the Shannon entropy of its spectrum."""
+    rho = as_matrix(rho)
+    if not is_hermitian(rho, tol):
+        raise NotDensity("density must be Hermitian")
+    return _spectrum_entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2), tol)
+
+
 def segal(omega: State, tol: float = DEFAULT_TOL) -> float:
-    """Block-weight Shannon entropy plus the weighted block entropies."""
+    """Block-weight Shannon entropy plus the weighted block entropies.
+
+    Each block entropy comes from the spectrum ``omega.spectra`` kept when
+    the state was validated, checked at ``tol`` exactly as ``von_neumann``
+    checks a raw matrix, so no density is decomposed again.
+    """
     total = _plogp(omega.weights)
-    for p, rho in zip(omega.weights, omega.densities):
+    for p, (deviation, vals) in zip(omega.weights, omega.spectra):
         if p > 0.0:
-            total += p * von_neumann(rho, tol)
+            if deviation > tol:
+                raise NotDensity("density must be Hermitian")
+            total += p * _spectrum_entropy(vals, tol)
     return total
 
 

@@ -45,7 +45,9 @@ class Morphism:
                 f"multiplicity matrix of shape {c.shape} does not match "
                 f"{len(self.codomain)} codomain x {len(self.domain)} domain blocks"
             )
-        if np.any(c != np.floor(c)) or np.any(c < 0):
+        if not (np.issubdtype(c.dtype, np.integer) or np.issubdtype(c.dtype, np.floating)):
+            raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
+        if not np.all(np.isfinite(c)) or np.any(c != np.floor(c)) or np.any(c < 0):
             raise ShapeMismatch("multiplicities must be nonnegative integers")
         c = c.astype(np.int64)
         n = np.asarray(self.domain.blocks, dtype=np.int64)
@@ -100,14 +102,25 @@ def pullback(f: Morphism, omega: State) -> State:
     the partial trace over the multiplicity index of the matching
     diagonal segment of ``U_x^dag (p_x rho_x) U_x``.
     """
+    return _pullback_with_blocks(f, omega)[0]
+
+
+def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
+    """``pullback`` plus the canonical-layout blocks ``U_x^dag (p_x rho_x) U_x`` it traced.
+
+    The block of a codomain block of weight zero is ``None``.
+    """
     if omega.shape != f.codomain:
         raise ShapeMismatch(f"state on {omega.shape.blocks} pulled through morphism with codomain {f.codomain.blocks}")
     accum = [np.zeros((n, n), dtype=np.complex128) for n in f.domain.blocks]
+    blocks = []
     for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
         if p <= 0.0:
+            blocks.append(None)
             continue
         u = f.unitaries[x]
         m = u.conj().T @ (p * rho) @ u
+        blocks.append(m)
         for y, offset, copies, n in _segments(f, x):
             seg = m[offset : offset + copies * n, offset : offset + copies * n]
             accum[y] += linalg.partial_trace_left(seg, copies, n)
@@ -119,7 +132,7 @@ def pullback(f: Morphism, omega: State) -> State:
             densities.append((sigma + sigma.conj().T) / 2)
         else:
             densities.append(maximally_mixed_density(n))
-    return State(f.domain, weights / weights.sum(), tuple(densities))
+    return State(f.domain, weights / weights.sum(), tuple(densities)), blocks
 
 
 def identity_morphism(shape: AlgebraShape) -> Morphism:
@@ -317,7 +330,7 @@ def morphism_from_json(data) -> Morphism:
         codomain = AlgebraShape(tuple(data["codomain"]))
         c = np.asarray(data["multiplicities"])
         raw = data.get("unitaries")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed morphism encoding: missing or bad field {exc}") from exc
     if raw is None:
         unitaries = tuple(np.eye(m, dtype=np.complex128) for m in codomain.blocks)

@@ -4,11 +4,17 @@ A state is a probability weight per block together with a density
 matrix per block; it acts on an element by ``sum_x p_x tr(rho_x a_x)``.
 Blocks of weight zero carry a placeholder density (maximally mixed by
 convention) that no operation ever reads.
+
+Validating a density takes its spectrum, so a ``State`` keeps what
+validation computed: per block, the Hermitian deviation of ``rho`` and the
+ascending eigenvalues of ``(rho + rho^dag)/2``.  ``support_rank``, and the
+Segal entropy in ``entropy``, read those values instead of decomposing the
+density again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,30 +28,44 @@ from .linalg import DEFAULT_TOL, as_matrix, max_abs
 SupportProjection = AlgebraElement
 
 
-def _check_density(rho: np.ndarray, tol: float):
+def _check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+    """Raise NotDensity unless ``rho`` is a density within ``tol``.
+
+    Returns the Hermitian deviation ``max |rho - rho^dag|`` and the
+    ascending eigenvalues of ``(rho + rho^dag)/2``.
+    """
     if rho.shape[0] != rho.shape[1]:
         raise NotDensity(f"density must be square, got {rho.shape}")
-    if max_abs(rho - rho.conj().T) > tol:
-        raise NotDensity(f"density deviates from Hermitian by {max_abs(rho - rho.conj().T):.3e}")
+    deviation = max_abs(rho - rho.conj().T)
+    if deviation > tol:
+        raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
     vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if vals[0] < -tol:
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
     if abs(np.trace(rho).real - 1.0) > tol:
         raise NotDensity(f"density trace {np.trace(rho).real:.12g} != 1 within {tol:.3e}")
+    return deviation, vals
 
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Block weights plus one density matrix per block."""
+    """Block weights plus one density matrix per block.
+
+    ``spectra`` holds, per block, the ``(deviation, eigenvalues)`` pair that
+    validating its density returned (see ``_check_density``).
+    """
 
     shape: AlgebraShape
     weights: np.ndarray
     densities: tuple[np.ndarray, ...]
+    spectra: tuple[tuple[float, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(self.shape),):
             raise ShapeMismatch(f"expected {len(self.shape)} weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise NotProbabilityVector("weights must be finite")
         if np.min(w) < -DEFAULT_TOL:
             raise NotProbabilityVector(f"weight {np.min(w):.3e} is negative")
         if abs(w.sum() - 1.0) > DEFAULT_TOL:
@@ -54,12 +74,14 @@ class State:
         mats = tuple(as_matrix(r) for r in self.densities)
         if len(mats) != len(self.shape):
             raise ShapeMismatch(f"expected {len(self.shape)} densities, got {len(mats)}")
+        spectra = []
         for m, rho in zip(self.shape.blocks, mats):
             if rho.shape != (m, m):
                 raise ShapeMismatch(f"density of shape {rho.shape} does not match block dimension {m}")
-            _check_density(rho, DEFAULT_TOL)
+            spectra.append(_check_density(rho, DEFAULT_TOL))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "densities", mats)
+        object.__setattr__(self, "spectra", tuple(spectra))
 
 
 def maximally_mixed_density(n: int) -> np.ndarray:
@@ -121,9 +143,9 @@ def support(omega: State, tol: float = DEFAULT_TOL) -> SupportProjection:
 
 def support_rank(omega: State, tol: float = DEFAULT_TOL) -> int:
     rank = 0
-    for p, rho in zip(omega.weights, omega.densities):
+    for p, (_, vals) in zip(omega.weights, omega.spectra):
         if p > tol:
-            rank += int(np.sum(np.linalg.eigvalsh(rho) > tol))
+            rank += int(np.sum(vals > tol))
     return rank
 
 
@@ -182,6 +204,6 @@ def state_from_json(data) -> State:
         shape = AlgebraShape(tuple(data["shape"]))
         weights = np.asarray(data["weights"], dtype=np.float64)
         densities = tuple(linalg.matrix_from_json(r) for r in data["densities"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed state encoding: missing or bad field {exc}") from exc
     return State(shape, weights, densities)

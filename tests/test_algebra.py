@@ -117,3 +117,5 @@ def test_element_json_round_trip():
     back = element_from_json(element_to_json(a))
     assert back.shape == shape
     assert all(max_abs(p - q) < 1e-15 for p, q in zip(back.blocks, a.blocks))
+    with pytest.raises(ShapeMismatch):
+        element_from_json({"shape": ["a"], "blocks": [[[[1, 0]]]]})

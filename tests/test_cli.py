@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from ncentropy import cli
 from ncentropy.morphism import extensionally_equal, morphism_from_json
@@ -176,3 +177,43 @@ def test_verify_seed_env_default(capsys, monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["verify"])
     assert args.seed == 123
+
+
+_STATE = {"shape": [1, 1], "weights": [0.5, 0.5], "densities": [[[[1, 0]]], [[[1, 0]]]]}
+_MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries": None}
+
+
+@pytest.mark.parametrize(
+    "command, payload, error",
+    [
+        ("entropy", {**_STATE, "weights": [float("nan"), 1.0]}, "NotProbabilityVector"),
+        ("entropy", {**_STATE, "weights": [float("inf"), 0.0]}, "NotProbabilityVector"),
+        ("entropy", {**_STATE, "weights": ["a", 0.5]}, "ShapeMismatch"),
+        ("entropy", {**_STATE, "shape": ["a", 1]}, "ShapeMismatch"),
+        ("change", {**_MORPHISM, "multiplicities": [["a"]]}, "ShapeMismatch"),
+        ("change", {**_MORPHISM, "domain": ["a"]}, "ShapeMismatch"),
+        ("change", {**_MORPHISM, "codomain": ["a"]}, "ShapeMismatch"),
+    ],
+    ids=["nan-weight", "inf-weight", "text-weight", "text-shape", "text-multiplicity", "text-domain", "text-codomain"],
+)
+def test_malformed_values_exit_2(tmp_path, capsys, command, payload, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if command == "entropy":
+        argv = ["entropy", str(bad)]
+    else:
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"shape": [2], "weights": [1.0], "densities": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}))
+        argv = ["change", str(bad), str(state)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and error in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(capsys, trials):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--suite", "coboundary", "--trials", trials])
+    assert exit_info.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err

@@ -143,3 +143,24 @@ def test_inconsistent_witness_rejected():
     )
     with pytest.raises(InconsistentData):
         disintegration_entropy(INCLUSION, omega, doctored)
+
+
+def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
+    # M_2 into M_4 (two copies) and M_2 (one copy); the second block has weight zero
+    f = Morphism(
+        AlgebraShape((2,)),
+        AlgebraShape((4, 2)),
+        np.array([[2], [1]]),
+        (sample_unitary(4, Seed(23)), np.eye(2)),
+    )
+    u = f.unitaries[0]
+    inner = np.diag([0.4, 0.1, 0.4, 0.1]).astype(complex)
+    omega = State(f.codomain, [1.0, 0.0], (u @ inner @ u.conj().T, np.eye(2) / 2))
+    result = quantum_disintegrate(f, omega)
+    assert isinstance(result, QuantumDisintegrationData)
+    assert max_abs(result.tau[(0, 0)] - np.eye(2) / 2) < 1e-9
+    assert max_abs(result.tau[(0, 1)]) == 0.0
+    assert max_abs(result.pullback_densities[0] - np.diag([0.8, 0.2])) < 1e-9
+    production = disintegration_entropy(f, omega, result)
+    assert abs(production - LOG2) < 1e-9
+    assert abs(production - entropy_change(f, omega)) < 1e-9

@@ -207,3 +207,56 @@ def test_concavity_right_equality_iff_orthogonal():
     mix2 = p[0] * s1 + p[1] * s2
     gap2 = shannon(p) + p[0] * von_neumann(s1) + p[1] * von_neumann(s2) - von_neumann(mix2)
     assert gap2 > 1e-4
+
+
+def test_segal_reads_the_validated_spectrum_bit_for_bit():
+    from ncentropy import convex_combine
+    from ncentropy.entropy import _plogp
+
+    def by_von_neumann(omega):
+        total = _plogp(omega.weights)
+        for p, rho in zip(omega.weights, omega.densities):
+            if p > 0.0:
+                total += p * von_neumann(rho)
+        return total
+
+    for k in range(20):
+        f, omega = generate_instance(InstanceFamily(), Seed(19, k))
+        xi = State(
+            f.codomain,
+            sample_simplex(len(f.codomain), Seed(20, k)),
+            tuple(sample_density(m, Seed(21, k + 100 * x)) for x, m in enumerate(f.codomain.blocks)),
+        )
+        for state in (omega, pullback(f, omega), convex_combine(0.3, omega, xi)):
+            assert segal(state) == by_von_neumann(state)
+
+
+def test_segal_applies_von_neumann_checks_at_the_callers_tol():
+    skew = np.diag([0.5, 0.5]).astype(complex)
+    skew[0, 1] = 5e-11  # Hermitian deviation 5e-11, inside the State tolerance
+    negative = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+    for rho in (skew, negative):
+        omega = State(AlgebraShape((2,)), [1.0], (rho,))
+        assert abs(segal(omega) - von_neumann(rho)) == 0.0
+        with pytest.raises(NotDensity):
+            von_neumann(rho, 1e-12)
+        with pytest.raises(NotDensity):
+            segal(omega, 1e-12)
+
+
+def test_entropy_change_decomposes_each_domain_block_once(monkeypatch):
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for k in range(10):
+        f, omega = generate_instance(InstanceFamily(), Seed(22, k))
+        calls.update(eigvalsh=0, eigh=0)
+        entropy_change(f, omega)
+        # validating the pullback decomposes each domain density once; the
+        # codomain state's spectrum was kept when it was built
+        assert calls == {"eigvalsh": len(f.domain), "eigh": 0}

@@ -77,3 +77,27 @@ def test_characterization_fit_reports_constant():
     report = run_suite("characterization-fit", 40, Seed(2), 1e-9)
     assert report.fitted_constant is not None
     assert abs(report.fitted_constant - 1.0) < 1e-9
+
+
+def test_continuity_passes_where_the_entropy_change_is_not_monotone():
+    # |dS| grows between two schedule points on this seed; the continuity
+    # bound holds all the same
+    report = run_suite("continuity", 16, Seed(876394395), 1e-9)
+    assert report.passed, report.failures[:3]
+
+
+def test_continuity_rejects_an_offset_away_from_the_base_state(monkeypatch):
+    from ncentropy import entropy
+
+    exact = entropy.entropy_change
+    bases = {}  # id(f) -> f; the first call per morphism is the base state
+
+    def offset(f, omega, tol=1e-10):
+        if id(f) not in bases:
+            bases[id(f)] = f
+            return exact(f, omega, tol)
+        return exact(f, omega, tol) + 1e-6
+
+    monkeypatch.setattr(entropy, "entropy_change", offset)
+    report = run_suite("continuity", 16, Seed(42), 1e-9)
+    assert not report.passed
