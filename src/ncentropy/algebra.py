@@ -23,6 +23,9 @@ class AlgebraShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        for m in self.blocks:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise ShapeMismatch(f"block dimensions must be integers, got {m!r}")
         object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
         if not self.blocks or any(m < 1 for m in self.blocks):
             raise ShapeMismatch(f"block dimensions must be positive, got {self.blocks}")

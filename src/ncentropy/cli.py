@@ -3,11 +3,16 @@
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit
 codes: 0 on success (and passing suites), 1 on suite failure, 2 on
 malformed input or usage errors.
+
+``main`` builds its parser once per process and reuses it on later calls
+while ``NCE_SEED``, which supplies the ``verify --seed`` default, keeps
+its value; ``build_parser`` returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -279,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     p.add_argument("--trials", type=_trial_count, default=200)
-    p.add_argument("--seed", type=int, default=int(os.environ.get("NCE_SEED", "42")))
+    # argparse applies ``type`` to a string default only when the option is
+    # absent, so a malformed NCE_SEED is a usage error of ``verify`` alone.
+    p.add_argument("--seed", type=int, default=os.environ.get("NCE_SEED", "42"))
     p.add_argument("--tol", type=float, default=1e-9)
     add_bits(p)
     p.set_defaults(func=_cmd_verify)
@@ -287,9 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(nce_seed: str | None) -> argparse.ArgumentParser:
+    """``build_parser()`` for the given value of ``NCE_SEED``, built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(os.environ.get("NCE_SEED")).parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

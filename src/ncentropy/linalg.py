@@ -46,14 +46,14 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():  # a complex entry is finite iff both parts are
         raise ShapeMismatch("matrix entries must be finite")
     return a
 
 
 def max_abs(m: np.ndarray) -> float:
     """Max-norm ``max |m_ij|``; 0 for empty arrays."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -159,13 +159,14 @@ def sample_simplex(n: int, seed: Seed, *substream: int) -> np.ndarray:
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested lists; each complex entry becomes ``[re, im]``."""
     m = as_matrix(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """Inverse of ``matrix_to_json``; every entry must be exactly ``[re, im]``."""
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        rows = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed matrix encoding: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ShapeMismatch("matrix rows must be nonempty and of equal length")

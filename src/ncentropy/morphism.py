@@ -47,7 +47,7 @@ class Morphism:
             )
         if not (np.issubdtype(c.dtype, np.integer) or np.issubdtype(c.dtype, np.floating)):
             raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
-        if not np.all(np.isfinite(c)) or np.any(c != np.floor(c)) or np.any(c < 0):
+        if not np.isfinite(c).all() or (c != np.floor(c)).any() or (c < 0).any():
             raise ShapeMismatch("multiplicities must be nonnegative integers")
         c = c.astype(np.int64)
         n = np.asarray(self.domain.blocks, dtype=np.int64)
@@ -128,7 +128,7 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
     densities = []
     for q, a, n in zip(weights, accum, f.domain.blocks):
         if q > 1e-13:
-            sigma = a / np.trace(a).real
+            sigma = a / q
             densities.append((sigma + sigma.conj().T) / 2)
         else:
             densities.append(maximally_mixed_density(n))
@@ -330,10 +330,10 @@ def morphism_from_json(data) -> Morphism:
         codomain = AlgebraShape(tuple(data["codomain"]))
         c = np.asarray(data["multiplicities"])
         raw = data.get("unitaries")
+        if raw is None:
+            unitaries = tuple(np.eye(m, dtype=np.complex128) for m in codomain.blocks)
+        else:
+            unitaries = tuple(linalg.matrix_from_json(u) for u in raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed morphism encoding: missing or bad field {exc}") from exc
-    if raw is None:
-        unitaries = tuple(np.eye(m, dtype=np.complex128) for m in codomain.blocks)
-    else:
-        unitaries = tuple(linalg.matrix_from_json(u) for u in raw)
     return Morphism(domain, codomain, c, unitaries)

@@ -36,14 +36,16 @@ def _check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
     """
     if rho.shape[0] != rho.shape[1]:
         raise NotDensity(f"density must be square, got {rho.shape}")
-    deviation = max_abs(rho - rho.conj().T)
+    adjoint = rho.conj().T
+    deviation = max_abs(rho - adjoint)
     if deviation > tol:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
-    vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    vals = np.linalg.eigvalsh((rho + adjoint) / 2)
     if vals[0] < -tol:
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise NotDensity(f"density trace {np.trace(rho).real:.12g} != 1 within {tol:.3e}")
+    trace = rho.trace().real
+    if abs(trace - 1.0) > tol:
+        raise NotDensity(f"density trace {trace:.12g} != 1 within {tol:.3e}")
     return deviation, vals
 
 
@@ -64,10 +66,10 @@ class State:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(self.shape),):
             raise ShapeMismatch(f"expected {len(self.shape)} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise NotProbabilityVector("weights must be finite")
-        if np.min(w) < -DEFAULT_TOL:
-            raise NotProbabilityVector(f"weight {np.min(w):.3e} is negative")
+        if w.min() < -DEFAULT_TOL:
+            raise NotProbabilityVector(f"weight {w.min():.3e} is negative")
         if abs(w.sum() - 1.0) > DEFAULT_TOL:
             raise NotProbabilityVector(f"weights sum to {w.sum():.12g}, not 1 within {DEFAULT_TOL:.3e}")
         w = np.clip(w, 0.0, None)

@@ -119,3 +119,14 @@ def test_element_json_round_trip():
     assert all(max_abs(p - q) < 1e-15 for p, q in zip(back.blocks, a.blocks))
     with pytest.raises(ShapeMismatch):
         element_from_json({"shape": ["a"], "blocks": [[[[1, 0]]]]})
+
+
+@pytest.mark.parametrize("blocks", [("2",), (2.7,), (2.0,), (True, 1), (np.bool_(True),), (None,)])
+def test_shape_rejects_non_integer_dimensions(blocks):
+    with pytest.raises(ShapeMismatch, match="integers"):
+        AlgebraShape(blocks)
+
+
+def test_shape_accepts_python_and_numpy_integers():
+    assert AlgebraShape((np.int64(2), np.int32(3), 1)).blocks == (2, 3, 1)
+    assert all(type(m) is int for m in AlgebraShape((np.int64(2),)).blocks)

@@ -180,6 +180,7 @@ def test_verify_seed_env_default(capsys, monkeypatch):
 
 
 _STATE = {"shape": [1, 1], "weights": [0.5, 0.5], "densities": [[[[1, 0]]], [[[1, 0]]]]}
+_STATE_2 = {"shape": [2], "weights": [1.0], "densities": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}
 _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries": None}
 
 
@@ -193,8 +194,28 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         ("change", {**_MORPHISM, "multiplicities": [["a"]]}, "ShapeMismatch"),
         ("change", {**_MORPHISM, "domain": ["a"]}, "ShapeMismatch"),
         ("change", {**_MORPHISM, "codomain": ["a"]}, "ShapeMismatch"),
+        ("change", {**_MORPHISM, "unitaries": 5}, "ShapeMismatch"),
+        ("change", {**_MORPHISM, "unitaries": [[[[10**310, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "ShapeMismatch"),
+        ("entropy", {**_STATE_2, "densities": [[[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]]]}, "ShapeMismatch"),
+        ("entropy", {**_STATE_2, "shape": ["2"]}, "ShapeMismatch"),
+        ("entropy", {**_STATE_2, "shape": [2.7]}, "ShapeMismatch"),
+        ("entropy", {**_STATE, "shape": [True, 1]}, "ShapeMismatch"),
     ],
-    ids=["nan-weight", "inf-weight", "text-weight", "text-shape", "text-multiplicity", "text-domain", "text-codomain"],
+    ids=[
+        "nan-weight",
+        "inf-weight",
+        "text-weight",
+        "text-shape",
+        "text-multiplicity",
+        "text-domain",
+        "text-codomain",
+        "number-unitaries",
+        "huge-unitary-entry",
+        "three-number-entry",
+        "text-block-dimension",
+        "fractional-block-dimension",
+        "boolean-block-dimension",
+    ],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, command, payload, error):
     bad = tmp_path / "bad.json"
@@ -217,3 +238,35 @@ def test_verify_rejects_fewer_than_one_trial(capsys, trials):
         cli.main(["verify", "--suite", "coboundary", "--trials", trials])
     assert exit_info.value.code == 2
     assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+def test_malformed_seed_env_fails_verify_only(tmp_path, capsys, monkeypatch):
+    _, state = _write_bell(tmp_path, capsys)
+    monkeypatch.setenv("NCE_SEED", "abc")
+    code, out, err = _run(capsys, "entropy", state)
+    assert code == 0 and err == ""
+    assert abs(float(out)) < 1e-9
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--suite", "coboundary", "--trials", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: invalid int value: 'abc'" in captured.err
+
+
+def test_verify_seed_follows_env_between_calls(capsys, monkeypatch):
+    seeds = []
+    for value in ("5", "6"):
+        monkeypatch.setenv("NCE_SEED", value)
+        code, out, _ = _run(capsys, "verify", "--suite", "coboundary", "--trials", "1")
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [5, 6]
+
+
+def test_repeated_calls_do_not_share_options(tmp_path, capsys):
+    morphism, state = _write_bell(tmp_path, capsys)
+    code, out, _ = _run(capsys, "change", morphism, state, "--bits")
+    assert code == 0 and abs(float(out) + 1.0) < 1e-9
+    code, out, _ = _run(capsys, "change", morphism, state)
+    assert code == 0 and abs(float(out) + LOG2) < 1e-9

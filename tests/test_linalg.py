@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from ncentropy import Seed, eigh, partial_trace_left, partial_trace_right, psd_log, tensor
 from ncentropy.errors import NotHermitian, NotPSD, NotSquare, ShapeMismatch
-from ncentropy.linalg import matrix_from_json, matrix_to_json, max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.linalg import as_matrix, matrix_from_json, matrix_to_json, max_abs, sample_density, sample_simplex, sample_unitary
 
 
 def _random_hermitian(rng, n):
@@ -184,3 +186,34 @@ def test_matrix_json_round_trip():
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
     with pytest.raises(ShapeMismatch):
         matrix_from_json([[[1, 0]], [[1, 0], [0, 0]]])
+    for entry in ([0.5, 0, 7], [0.5], [], 0.5, "ab", [10**310, 0]):
+        with pytest.raises(ShapeMismatch):
+            matrix_from_json([[entry]])
+
+
+def _entrywise_json(m):
+    """The per-entry encoding that ``matrix_to_json`` must reproduce."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def test_matrix_to_json_matches_entrywise_encoding():
+    rng = np.random.default_rng(11)
+    cases = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (1, 2, 3, 7, 16, 64)]
+    cases.append(rng.integers(-5, 6, size=(4, 4)) + 1j * rng.integers(-5, 6, size=(4, 4)))
+    cases.append(np.array([[0.0, -0.0], [complex(0.0, -0.0), complex(-0.0, -0.0)]]))
+    for m in cases:
+        encoded = matrix_to_json(m)
+        assert json.dumps(encoded) == json.dumps(_entrywise_json(m))
+        back = matrix_from_json(json.loads(json.dumps(encoded)))
+        assert np.array_equal(back, m)
+        assert np.array_equal(np.signbit(back.real), np.signbit(np.real(m)))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(np.imag(m)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_as_matrix_rejects_non_finite_entries(bad, part):
+    m = np.eye(2, dtype=np.complex128)
+    m[0, 1] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(ShapeMismatch, match="finite"):
+        as_matrix(m)
