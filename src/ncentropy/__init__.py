@@ -50,7 +50,6 @@ from .state import (
     evaluate,
     external_sum_state,
     is_pure,
-    make_state,
     support,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "is_projection",
     "is_pure",
     "k_functor",
-    "make_state",
     "measurement_morphism",
     "partial_trace_left",
     "partial_trace_right",

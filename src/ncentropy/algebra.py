@@ -64,10 +64,6 @@ def _check_same_shape(a: AlgebraElement, b: AlgebraElement):
         raise ShapeMismatch(f"shapes differ: {a.shape.blocks} vs {b.shape.blocks}")
 
 
-def element(shape: AlgebraShape, blocks) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(blocks))
-
-
 def identity(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks))
 
@@ -85,18 +81,9 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.shape, tuple(x.conj().T for x in a.blocks))
 
 
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_shape(a, b)
-    return AlgebraElement(a.shape, tuple(x + y for x, y in zip(a.blocks, b.blocks)))
-
-
 def subtract(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_same_shape(a, b)
     return AlgebraElement(a.shape, tuple(x - y for x, y in zip(a.blocks, b.blocks)))
-
-
-def scale(c: complex, a: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(a.shape, tuple(c * x for x in a.blocks))
 
 
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
@@ -104,7 +91,7 @@ def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     for b in a.blocks:
         if not linalg.is_hermitian(b, tol):
             return False
-        if np.linalg.eigvalsh((b + b.conj().T) / 2)[0] < -tol:
+        if np.linalg.eigvalsh(linalg.hermitian_part(b))[0] < -tol:
             return False
     return True
 
@@ -130,10 +117,6 @@ def direct_sum_element(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def embed_left(a: AlgebraElement, b_shape: AlgebraShape) -> AlgebraElement:
     """Extend by zero blocks on the right summand of ``shape(a) + b_shape``."""
     return direct_sum_element(a, zero(b_shape))
-
-
-def embed_right(a_shape: AlgebraShape, b: AlgebraElement) -> AlgebraElement:
-    return direct_sum_element(zero(a_shape), b)
 
 
 def element_to_json(a: AlgebraElement) -> dict:

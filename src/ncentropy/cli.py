@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     # absent, so a malformed NCE_SEED is a usage error of ``verify`` alone.
     p.add_argument("--seed", type=int, default=os.environ.get("NCE_SEED", "42"))
     p.add_argument("--tol", type=float, default=1e-9)
-    add_bits(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

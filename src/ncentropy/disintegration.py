@@ -22,7 +22,7 @@ from .errors import (
     NotProbabilityVector,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, max_abs, partial_trace_right
+from .linalg import DEFAULT_TOL, block_diag, hermitian_part, max_abs, partial_trace_right
 from .morphism import Morphism, _pullback_with_blocks, _segments
 from .state import State
 
@@ -44,14 +44,6 @@ class StochasticMap:
         if max_abs(m.sum(axis=1) - 1.0) > DEFAULT_TOL:
             raise NotProbabilityVector("stochastic matrix rows must sum to 1")
         object.__setattr__(self, "matrix", np.clip(m, 0.0, None))
-
-    @property
-    def source_size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def target_size(self) -> int:
-        return self.matrix.shape[1]
 
 
 def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMap:
@@ -130,16 +122,16 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
             m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
         eff = tol * max_abs(weighted)
         segs = _segments(f, x)
-        for i, (y, off, copies, n) in enumerate(segs):
-            for (y2, off2, copies2, n2) in segs[i + 1 :]:
-                block = m[off : off + copies * n, off2 : off2 + copies2 * n2]
+        for i, (y, rows, _, _) in enumerate(segs):
+            for y2, cols, _, _ in segs[i + 1 :]:
+                block = m[rows, cols]
                 if max_abs(block) > eff:
                     return NoDisintegration(
                         f"off-diagonal coupling between domain blocks {y} and {y2} inside codomain block {x}",
                         max_abs(block),
                     )
-        for y, off, copies, n in segs:
-            seg = m[off : off + copies * n, off : off + copies * n]
+        for y, rows, copies, n in segs:
+            seg = m[rows, rows]
             if q[y] <= DEFAULT_TOL:
                 if max_abs(seg) > eff:
                     return NoDisintegration(
@@ -147,8 +139,7 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
                         max_abs(seg),
                     )
                 continue
-            cand = partial_trace_right(seg, copies, n) / q[y]
-            cand = (cand + cand.conj().T) / 2
+            cand = hermitian_part(partial_trace_right(seg, copies, n) / q[y])
             if np.linalg.eigvalsh(cand)[0] < -tol:
                 return NoDisintegration(
                     f"candidate factor for domain block {y} in codomain block {x} is not PSD",
@@ -172,17 +163,24 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
     return QuantumDisintegrationData(tau, q.copy(), sigmas)
 
 
+def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
+    """Canonical-layout block ``blockdiag_y(tau_yx (x) q_y sigma_y)`` of codomain block ``x``.
+
+    A segment without a ``(y, x)`` entry in ``tau`` is zero.
+    """
+    return block_diag(
+        [
+            np.kron(tau[(y, x)], q[y] * sigmas[y]) if (y, x) in tau else np.zeros((copies * n,) * 2)
+            for y, _, copies, n in _segments(f, x)
+        ]
+    )
+
+
 def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData, tol: float) -> None:
-    q, sigmas = data.pullback_weights, data.pullback_densities
     for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
         weighted = p * rho
         m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
-        rebuilt = np.zeros_like(m)
-        for y, off, copies, n in _segments(f, x):
-            if (y, x) in data.tau:
-                rebuilt[off : off + copies * n, off : off + copies * n] = np.kron(
-                    data.tau[(y, x)], q[y] * sigmas[y]
-                )
+        rebuilt = _factored_block(f, x, data.tau, data.pullback_weights, data.pullback_densities)
         if max_abs(m - rebuilt) > tol * max(1.0, max_abs(weighted)):
             raise InconsistentData(
                 f"witness does not reproduce codomain block {x} (residual {max_abs(m - rebuilt):.3e})"
@@ -205,11 +203,5 @@ def disintegration_entropy(
         if q[y] <= DEFAULT_TOL:
             continue
         parts = [data.tau[(y, x)] for x in range(len(f.codomain)) if (y, x) in data.tau]
-        dim = sum(t.shape[0] for t in parts)
-        assembled = np.zeros((dim, dim), dtype=np.complex128)
-        offset = 0
-        for t in parts:
-            assembled[offset : offset + t.shape[0], offset : offset + t.shape[0]] = t
-            offset += t.shape[0]
-        total += q[y] * von_neumann(assembled, tol)
+        total += q[y] * von_neumann(block_diag(parts), tol)
     return total

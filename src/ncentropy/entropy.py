@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
-from .linalg import DEFAULT_TOL, as_matrix, is_hermitian
+from .linalg import DEFAULT_TOL, as_matrix, hermitian_part, is_hermitian
 from .morphism import Morphism, pullback
 from .state import State, convex_combine
 
@@ -50,7 +50,7 @@ def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
     rho = as_matrix(rho)
     if not is_hermitian(rho, tol):
         raise NotDensity("density must be Hermitian")
-    return _spectrum_entropy(np.linalg.eigvalsh((rho + rho.conj().T) / 2), tol)
+    return _spectrum_entropy(np.linalg.eigvalsh(hermitian_part(rho)), tol)
 
 
 def segal(omega: State, tol: float = DEFAULT_TOL) -> float:

@@ -56,6 +56,22 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``(x + x^dag) / 2``."""
+    return (x + x.conj().T) / 2
+
+
+def block_diag(blocks) -> np.ndarray:
+    """Complex matrix with the square ``blocks`` down its diagonal and zeros elsewhere."""
+    dims = [b.shape[0] for b in blocks]
+    out = np.zeros((sum(dims), sum(dims)), dtype=np.complex128)
+    start = 0
+    for b, n in zip(blocks, dims):
+        out[start : start + n, start : start + n] = b
+        start += n
+    return out
+
+
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol
 
@@ -146,8 +162,7 @@ def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None)
     k = n if rank is None else rank
     g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     w = g @ g.conj().T
-    rho = w / np.trace(w).real
-    return (rho + rho.conj().T) / 2
+    return hermitian_part(w / np.trace(w).real)
 
 
 def sample_simplex(n: int, seed: Seed, *substream: int) -> np.ndarray:

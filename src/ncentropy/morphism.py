@@ -8,8 +8,11 @@ block ``x`` is::
     U_x @ blockdiag_y( kron(eye(c[x,y]), b_y) ) @ U_x^dag
 
 with the segments laid out in ascending ``y`` order and copies contiguous.
-States pull back through the Hilbert-Schmidt adjoint, i.e. by partial
-tracing the multiplicity index of each diagonal segment.
+``_segments`` gives each segment as a slice of the block's rows and
+columns; every module that reads or builds a block in this layout takes
+its slices from there and assembles with ``linalg.block_diag``.  States
+pull back through the Hilbert-Schmidt adjoint, i.e. by partial tracing
+the multiplicity index of each diagonal segment.
 """
 
 from __future__ import annotations
@@ -68,15 +71,15 @@ class Morphism:
         object.__setattr__(self, "unitaries", mats)
 
 
-def _segments(f: Morphism, x: int):
-    """Ascending-``y`` layout of codomain block ``x``: (y, offset, copies, n_y)."""
+def _segments(f: Morphism, x: int) -> list:
+    """Ascending-``y`` layout of codomain block ``x``: (y, slice, copies, n_y) per segment."""
     out = []
-    offset = 0
+    start = 0
     for y, n in enumerate(f.domain.blocks):
         copies = int(f.multiplicities[x, y])
         if copies > 0:
-            out.append((y, offset, copies, n))
-            offset += copies * n
+            out.append((y, slice(start, start + copies * n), copies, n))
+            start += copies * n
     return out
 
 
@@ -85,11 +88,10 @@ def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
     if b.shape != f.domain:
         raise ShapeMismatch(f"element on {b.shape.blocks} fed to morphism with domain {f.domain.blocks}")
     blocks = []
-    for x, m in enumerate(f.codomain.blocks):
-        inner = np.zeros((m, m), dtype=np.complex128)
-        for y, offset, copies, n in _segments(f, x):
-            seg = np.kron(np.eye(copies), b.blocks[y])
-            inner[offset : offset + copies * n, offset : offset + copies * n] = seg
+    for x in range(len(f.codomain)):
+        inner = linalg.block_diag(
+            [np.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in _segments(f, x)]
+        )
         u = f.unitaries[x]
         blocks.append(u @ inner @ u.conj().T)
     return AlgebraElement(f.codomain, tuple(blocks))
@@ -121,15 +123,13 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
         u = f.unitaries[x]
         m = u.conj().T @ (p * rho) @ u
         blocks.append(m)
-        for y, offset, copies, n in _segments(f, x):
-            seg = m[offset : offset + copies * n, offset : offset + copies * n]
-            accum[y] += linalg.partial_trace_left(seg, copies, n)
+        for y, seg, copies, n in _segments(f, x):
+            accum[y] += linalg.partial_trace_left(m[seg, seg], copies, n)
     weights = np.array([max(np.trace(a).real, 0.0) for a in accum])
     densities = []
     for q, a, n in zip(weights, accum, f.domain.blocks):
         if q > 1e-13:
-            sigma = a / q
-            densities.append((sigma + sigma.conj().T) / 2)
+            densities.append(linalg.hermitian_part(a / q))
         else:
             densities.append(maximally_mixed_density(n))
     return State(f.domain, weights / weights.sum(), tuple(densities)), blocks
@@ -160,34 +160,20 @@ def _composition_data(f: Morphism, g: Morphism, x: int) -> np.ndarray:
 
     Applying f after g interleaves the copies of g's domain blocks as
     (y, f-copy, z, g-copy); the canonical layout wants all copies of each
-    z contiguous in ascending z, so the conjugating unitary is
-    U_x @ blockdiag_y(kron(eye(c_f[x,y]), V_y)) @ P with P the regrouping
-    permutation.
+    z contiguous in ascending z, in order of appearance.  Labelling each
+    interleaved row with its z, a stable sort of the labels lists the rows
+    in canonical order, so the conjugating unitary is
+    U_x @ blockdiag_y(kron(eye(c_f[x,y]), V_y)) with its columns taken in
+    that order.
     """
-    m = f.codomain.blocks[x]
-    dims_z = g.domain.blocks
-    c_total = (f.multiplicities @ g.multiplicities)[x]
-
-    spread = np.zeros((m, m), dtype=np.complex128)
-    for y, offset, copies, n in _segments(f, x):
-        blk = np.kron(np.eye(copies), g.unitaries[y])
-        spread[offset : offset + copies * n, offset : offset + copies * n] = blk
-
-    canon_start = np.concatenate([[0], np.cumsum(np.asarray(c_total) * np.asarray(dims_z))])
-    copy_count = [0] * len(dims_z)
-    perm = np.empty(m, dtype=np.int64)
-    pos = 0
-    for y, _, copies_f, _ in _segments(f, x):
-        for _copy_f in range(copies_f):
-            for z, dz in enumerate(dims_z):
-                for _copy_g in range(int(g.multiplicities[y, z])):
-                    target = canon_start[z] + copy_count[z] * dz
-                    perm[pos : pos + dz] = np.arange(target, target + dz)
-                    copy_count[z] += 1
-                    pos += dz
-    p_mat = np.zeros((m, m), dtype=np.complex128)
-    p_mat[np.arange(m), perm] = 1.0
-    return f.unitaries[x] @ spread @ p_mat
+    segments = _segments(f, x)
+    spread = linalg.block_diag([np.kron(np.eye(copies), g.unitaries[y]) for y, _, copies, _ in segments])
+    z_of_row = [
+        np.tile(np.repeat(np.arange(len(g.domain)), g.multiplicities[y] * g.domain.blocks), copies)
+        for y, _, copies, _ in segments
+    ]
+    order = np.argsort(np.concatenate(z_of_row), kind="stable")
+    return (f.unitaries[x] @ spread)[:, order]
 
 
 def _probe_element(shape: AlgebraShape) -> AlgebraElement:

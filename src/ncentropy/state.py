@@ -90,10 +90,6 @@ def maximally_mixed_density(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128) / n
 
 
-def make_state(shape: AlgebraShape, weights, densities) -> State:
-    return State(shape, weights, tuple(densities))
-
-
 def classical_state(p) -> State:
     """State on the commutative algebra with one 1-dim block per outcome."""
     p = np.asarray(p, dtype=np.float64)
@@ -172,8 +168,7 @@ def convex_combine(lam: float, omega: State, xi: State) -> State:
         weights, omega.weights, omega.densities, xi.weights, xi.densities, omega.shape.blocks
     ):
         if w > 0.0:
-            mix = (lam * p * rho + (1.0 - lam) * q * sig) / w
-            densities.append((mix + mix.conj().T) / 2)
+            densities.append(linalg.hermitian_part((lam * p * rho + (1.0 - lam) * q * sig) / w))
         else:
             densities.append(maximally_mixed_density(m))
     return State(omega.shape, weights / weights.sum(), tuple(densities))

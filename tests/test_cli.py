@@ -264,6 +264,16 @@ def test_verify_seed_follows_env_between_calls(capsys, monkeypatch):
     assert seeds == [5, 6]
 
 
+def test_verify_has_no_bits_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--suite", "coboundary", "--trials", "1", "--bits"])
+    assert exit_info.value.code == 2
+    assert "--bits" in capsys.readouterr().err
+    morphism, state = _write_bell(tmp_path, capsys)
+    code, out, _ = _run(capsys, "change", morphism, state, "--bits")
+    assert code == 0 and abs(float(out) + 1.0) < 1e-9
+
+
 def test_repeated_calls_do_not_share_options(tmp_path, capsys):
     morphism, state = _write_bell(tmp_path, capsys)
     code, out, _ = _run(capsys, "change", morphism, state, "--bits")

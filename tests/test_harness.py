@@ -1,11 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncentropy import InstanceFamily, Seed, are_orthogonal, generate_instance, run_all, run_suite
+from ncentropy import harness
 from ncentropy.errors import UnknownSuite
-from ncentropy.harness import SUITES
+from ncentropy.harness import SUITES, _sample_orthogonal_pair, _sample_shape
 
 
 def test_generator_is_deterministic():
@@ -36,7 +39,8 @@ def test_generator_respects_family():
 
 def test_generator_orthogonal_pairs():
     for k in range(20):
-        f, omega, xi = generate_instance(InstanceFamily(orthogonal_pair=True), Seed(13, k))
+        shape = _sample_shape(InstanceFamily(min_block_dim=2), Seed(13, k).rng(0))
+        omega, xi = _sample_orthogonal_pair(shape, Seed(13, k))
         assert are_orthogonal(omega, xi)
 
 
@@ -71,6 +75,34 @@ def test_run_all_covers_the_roster():
     reports = run_all(5, Seed(3), 1e-9)
     assert [r.suite for r in reports] == list(SUITES)
     assert all(r.passed for r in reports)
+
+
+def test_roster_order_matches_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Verification suites", 1)[1].split("Reports are", 1)[0]
+    assert list(SUITES) == re.findall(r"`([a-z-]+)`", section.split("runs any of:", 1)[1])
+
+
+def test_failed_boolean_check_records_unit_residual(monkeypatch):
+    clean = run_suite("iso-invariance", 3, Seed(4), 1e-9)
+    monkeypatch.setattr(harness.mor, "is_isomorphism", lambda f: False)
+    report = run_suite("iso-invariance", 3, Seed(4), 1e-9)
+    assert clean.passed and not report.passed
+    assert [(d, r) for _, d, r in report.failures] == [("constructed isomorphism not recognized", 1.0)] * 3
+    assert [s for s, _, _ in report.failures] == [(4, Seed(4).child(i).stream) for i in range(3)]
+    assert report.max_residual == clean.max_residual < 1.0
+
+
+def test_failed_numeric_check_raises_max_residual(monkeypatch):
+    from ncentropy import entropy
+
+    exact = entropy.entropy_change
+    monkeypatch.setattr(entropy, "entropy_change", lambda f, omega, tol=1e-10: exact(f, omega, tol) + 1e-3)
+    report = run_suite("iso-invariance", 4, Seed(4), 1e-9)
+    assert not report.passed
+    assert report.max_residual == max(r for _, _, r in report.failures)
+    assert abs(report.max_residual - 1e-3) < 1e-12
+    assert {d for _, d, _ in report.failures} == {"entropy change along an isomorphism"}
 
 
 def test_characterization_fit_reports_constant():

@@ -159,6 +159,45 @@ def test_compose_random_chains():
         assert all(max_abs(p - q) < 1e-9 for p, q in zip(direct.blocks, nested.blocks))
 
 
+def _regrouped_unitary_by_loops(f, g, x):
+    """The composite unitary built with the explicit regrouping permutation matrix."""
+    m = f.codomain.blocks[x]
+    dims_z = g.domain.blocks
+    c_total = (f.multiplicities @ g.multiplicities)[x]
+    spread = np.zeros((m, m), dtype=np.complex128)
+    canon_start = np.concatenate([[0], np.cumsum(c_total * np.asarray(dims_z))])
+    copy_count = [0] * len(dims_z)
+    perm = np.empty(m, dtype=np.int64)
+    offset = pos = 0
+    for y, n in enumerate(f.domain.blocks):
+        copies_f = int(f.multiplicities[x, y])
+        spread[offset : offset + copies_f * n, offset : offset + copies_f * n] = np.kron(
+            np.eye(copies_f), g.unitaries[y]
+        )
+        offset += copies_f * n
+        for _ in range(copies_f):
+            for z, dz in enumerate(dims_z):
+                for _ in range(int(g.multiplicities[y, z])):
+                    target = canon_start[z] + copy_count[z] * dz
+                    perm[pos : pos + dz] = np.arange(target, target + dz)
+                    copy_count[z] += 1
+                    pos += dz
+    p_mat = np.zeros((m, m), dtype=np.complex128)
+    p_mat[np.arange(m), perm] = 1.0
+    return f.unitaries[x] @ spread @ p_mat
+
+
+def test_composite_unitary_matches_the_permutation_matrix():
+    from ncentropy.harness import _sample_morphism_onto
+    from ncentropy.morphism import _composition_data
+
+    for k in range(30):
+        g, _ = generate_instance(InstanceFamily(), Seed(57, k))
+        f = _sample_morphism_onto(g.codomain, InstanceFamily(), Seed(58, k), channel=1)
+        for x in range(len(f.codomain)):
+            assert np.array_equal(_composition_data(f, g, x), _regrouped_unitary_by_loops(f, g, x))
+
+
 def test_initial_morphism():
     one = initial(AlgebraShape((1,)))
     assert extensionally_equal(one, identity_morphism(AlgebraShape((1,))))
