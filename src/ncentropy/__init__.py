@@ -5,7 +5,7 @@ multiplicity/unitary form, entropy-change functors, disintegrations, and
 seeded verification suites for the entropy inequalities they satisfy.
 """
 
-from .algebra import AlgebraElement, AlgebraShape, identity, is_positive, is_projection
+from .algebra import AlgebraElement, AlgebraShape, identity
 from .disintegration import (
     NoDisintegration,
     QuantumDisintegrationData,
@@ -19,14 +19,9 @@ from .harness import InstanceFamily, SuiteReport, generate_instance, run_all, ru
 from .linalg import (
     DEFAULT_TOL,
     Seed,
-    eigh,
-    partial_trace_left,
-    partial_trace_right,
-    psd_log,
     sample_density,
     sample_simplex,
     sample_unitary,
-    tensor,
 )
 from .morphism import (
     Morphism,
@@ -34,7 +29,6 @@ from .morphism import (
     compose,
     external_sum_morphism,
     initial,
-    identity_morphism,
     is_isomorphism,
     measurement_morphism,
     preserves_orthogonality,
@@ -73,7 +67,6 @@ __all__ = [
     "compose",
     "convex_combine",
     "disintegration_entropy",
-    "eigh",
     "entropy_change",
     "evaluate",
     "external_sum_morphism",
@@ -81,18 +74,12 @@ __all__ = [
     "generate_instance",
     "holevo_change",
     "identity",
-    "identity_morphism",
     "initial",
     "is_isomorphism",
-    "is_positive",
-    "is_projection",
     "is_pure",
     "k_functor",
     "measurement_morphism",
-    "partial_trace_left",
-    "partial_trace_right",
     "preserves_orthogonality",
-    "psd_log",
     "pullback",
     "quantum_disintegrate",
     "run_all",
@@ -104,6 +91,5 @@ __all__ = [
     "shannon",
     "summand_projection",
     "support",
-    "tensor",
     "von_neumann",
 ]

@@ -68,10 +68,6 @@ def identity(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks))
 
 
-def zero(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(np.zeros((m, m), dtype=np.complex128) for m in shape.blocks))
-
-
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_same_shape(a, b)
     return AlgebraElement(a.shape, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
@@ -81,17 +77,11 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.shape, tuple(x.conj().T for x in a.blocks))
 
 
-def subtract(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_shape(a, b)
-    return AlgebraElement(a.shape, tuple(x - y for x, y in zip(a.blocks, b.blocks)))
-
-
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     """Blockwise Hermitian with all eigenvalues at least ``-tol``."""
     for b in a.blocks:
-        if not linalg.is_hermitian(b, tol):
-            return False
-        if np.linalg.eigvalsh(linalg.hermitian_part(b))[0] < -tol:
+        deviation, vals = linalg.hermitian_spectrum(b)
+        if deviation > tol or vals[0] < -tol:
             return False
     return True
 
@@ -101,22 +91,8 @@ def is_projection(p: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
     return all(max_abs(b.conj().T @ b - b) <= tol for b in p.blocks)
 
 
-def element_norm(a: AlgebraElement) -> float:
-    """Operator norm: the largest singular value over all blocks."""
-    return max(np.sqrt(np.linalg.eigvalsh(b.conj().T @ b)[-1]) for b in a.blocks)
-
-
 def direct_sum_shape(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:
     return AlgebraShape(a.blocks + b.blocks)
-
-
-def direct_sum_element(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(direct_sum_shape(a.shape, b.shape), a.blocks + b.blocks)
-
-
-def embed_left(a: AlgebraElement, b_shape: AlgebraShape) -> AlgebraElement:
-    """Extend by zero blocks on the right summand of ``shape(a) + b_shape``."""
-    return direct_sum_element(a, zero(b_shape))
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -124,12 +100,3 @@ def element_to_json(a: AlgebraElement) -> dict:
         "shape": list(a.shape.blocks),
         "blocks": [linalg.matrix_to_json(b) for b in a.blocks],
     }
-
-
-def element_from_json(data) -> AlgebraElement:
-    try:
-        shape = AlgebraShape(tuple(data["shape"]))
-        blocks = tuple(linalg.matrix_from_json(b) for b in data["blocks"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ShapeMismatch(f"malformed element encoding: missing or bad field {exc}") from exc
-    return AlgebraElement(shape, blocks)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,15 +56,19 @@ def _load_json(path: str):
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _trial_count(text: str) -> int:
-    """argparse type for ``--trials``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(convert, low):
+    """argparse type: ``convert(text)``, finite and at least ``low``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be at least {low} and finite, got {value}")
+        return value
+
+    return parse
 
 
 def _usage_error(message: str) -> int:
@@ -283,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
-    p.add_argument("--trials", type=_trial_count, default=200)
+    p.add_argument("--trials", type=_at_least(int, 1), default=200)
     # argparse applies ``type`` to a string default only when the option is
     # absent, so a malformed NCE_SEED is a usage error of ``verify`` alone.
-    p.add_argument("--seed", type=int, default=os.environ.get("NCE_SEED", "42"))
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=_at_least(int, 0), default=os.environ.get("NCE_SEED", "42"))
+    p.add_argument("--tol", type=_at_least(float, 0.0), default=1e-9)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -19,10 +19,17 @@ from .entropy import von_neumann
 from .errors import (
     InconsistentData,
     IndexOutOfRange,
-    NotProbabilityVector,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, block_diag, hermitian_part, max_abs, partial_trace_right
+from .linalg import (
+    DEFAULT_TOL,
+    block_diag,
+    check_probability_vector,
+    hermitian_part,
+    hermitian_spectrum,
+    max_abs,
+    partial_trace_right,
+)
 from .morphism import Morphism, _pullback_with_blocks, _segments
 from .state import State
 
@@ -39,11 +46,7 @@ class StochasticMap:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.size == 0:
             raise ShapeMismatch(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-        if np.min(m) < -DEFAULT_TOL:
-            raise NotProbabilityVector(f"stochastic matrix has negative entry {np.min(m):.3e}")
-        if max_abs(m.sum(axis=1) - 1.0) > DEFAULT_TOL:
-            raise NotProbabilityVector("stochastic matrix rows must sum to 1")
-        object.__setattr__(self, "matrix", np.clip(m, 0.0, None))
+        object.__setattr__(self, "matrix", np.array([check_probability_vector(row) for row in m]))
 
 
 def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMap:
@@ -55,10 +58,7 @@ def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMa
     fixed deterministically: uniform on the fiber when it is nonempty,
     uniform everywhere otherwise.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0 or np.min(p) < -DEFAULT_TOL or abs(p.sum() - 1.0) > DEFAULT_TOL:
-        raise NotProbabilityVector("p must be a probability vector")
-    p = np.clip(p, 0.0, None)
+    p = check_probability_vector(p)
     phi = [int(y) for y in phi]
     if len(phi) != p.size:
         raise ShapeMismatch(f"phi has {len(phi)} entries but p has {p.size}")
@@ -140,10 +140,11 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
                     )
                 continue
             cand = hermitian_part(partial_trace_right(seg, copies, n) / q[y])
-            if np.linalg.eigvalsh(cand)[0] < -tol:
+            lowest = hermitian_spectrum(cand)[1][0]
+            if lowest < -tol:
                 return NoDisintegration(
                     f"candidate factor for domain block {y} in codomain block {x} is not PSD",
-                    float(-np.linalg.eigvalsh(cand)[0]),
+                    float(-lowest),
                 )
             residual = max_abs(seg - np.kron(cand, q[y] * sigmas[y]))
             if residual > eff:
@@ -177,6 +178,9 @@ def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
 
 
 def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData, tol: float) -> None:
+    for (x, y), c in np.ndenumerate(f.multiplicities):
+        if (y, x) in data.tau and np.shape(data.tau[(y, x)]) != (c, c):
+            raise InconsistentData(f"tau block {(y, x)} has shape {np.shape(data.tau[(y, x)])}, expected {(int(c),) * 2}")
     for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
         weighted = p * rho
         m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
-from .linalg import DEFAULT_TOL, as_matrix, hermitian_part, is_hermitian
+from .errors import OutOfRange, ShapeMismatch
+from .linalg import DEFAULT_TOL, as_matrix, check_density, check_probability_vector, check_spectrum
 from .morphism import Morphism, pullback
 from .state import State, convex_combine
 
@@ -25,32 +25,12 @@ def _plogp(values: np.ndarray) -> float:
 
 def shannon(p) -> float:
     """Shannon entropy of a probability vector."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise NotProbabilityVector(f"expected a probability vector, got shape {p.shape}")
-    if np.min(p) < -DEFAULT_TOL or abs(p.sum() - 1.0) > DEFAULT_TOL:
-        raise NotProbabilityVector(
-            f"entries must be nonnegative and sum to 1 within {DEFAULT_TOL:.0e} "
-            f"(min {np.min(p):.3e}, sum {p.sum():.12g})"
-        )
-    return _plogp(np.clip(p, 0.0, None))
-
-
-def _spectrum_entropy(vals: np.ndarray, tol: float) -> float:
-    """Entropy from the ascending eigenvalues of a density's Hermitian part."""
-    if vals[0] < -tol:
-        raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
-    if abs(vals.sum() - 1.0) > tol:
-        raise NotDensity(f"density trace {vals.sum():.12g} != 1")
-    return _plogp(np.clip(vals, 0.0, None))
+    return _plogp(check_probability_vector(p))
 
 
 def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
     """Entropy of a density matrix: the Shannon entropy of its spectrum."""
-    rho = as_matrix(rho)
-    if not is_hermitian(rho, tol):
-        raise NotDensity("density must be Hermitian")
-    return _spectrum_entropy(np.linalg.eigvalsh(hermitian_part(rho)), tol)
+    return _plogp(check_density(as_matrix(rho), tol)[1])
 
 
 def segal(omega: State, tol: float = DEFAULT_TOL) -> float:
@@ -61,11 +41,9 @@ def segal(omega: State, tol: float = DEFAULT_TOL) -> float:
     checks a raw matrix, so no density is decomposed again.
     """
     total = _plogp(omega.weights)
-    for p, (deviation, vals) in zip(omega.weights, omega.spectra):
+    for p, spectrum in zip(omega.weights, omega.spectra):
         if p > 0.0:
-            if deviation > tol:
-                raise NotDensity("density must be Hermitian")
-            total += p * _spectrum_entropy(vals, tol)
+            total += p * _plogp(check_spectrum(spectrum, tol)[1])
     return total
 
 

@@ -1,10 +1,13 @@
-"""Dense complex-matrix kernel.
+"""Dense complex-matrix kernel and the one home of value validation.
 
 Hermitian eigendecompositions, logarithms restricted to the positive
-support, Kronecker products, partial traces, and seeded sampling of
-unitaries, density matrices, and simplex points.  Everything here is a
-pure function of its inputs; matrices are plain ``numpy`` arrays of
-``complex128``.
+support, partial traces, and seeded sampling of unitaries, density
+matrices, and simplex points.  Every other module decides "is this a
+density?" with ``check_density`` (or ``check_spectrum`` on a spectrum it
+kept), "is this a probability vector?" with ``check_probability_vector``,
+and takes Hermitian spectra from ``hermitian_spectrum``, the package's
+one ``eigvalsh`` call.  Everything here is a pure function of its inputs;
+matrices are plain ``numpy`` arrays of ``complex128``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD, NotSquare, ShapeMismatch
+from .errors import NotDensity, NotHermitian, NotProbabilityVector, NotPSD, NotSquare, ShapeMismatch
 
 # One tolerance governs every "is zero / is PSD / is Hermitian" decision
 # so the verification suites stay coherent.
@@ -72,8 +75,43 @@ def block_diag(blocks) -> np.ndarray:
     return out
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol
+def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Hermitian deviation ``max |m - m^dag|`` and the ascending eigenvalues of ``(m + m^dag)/2``."""
+    adjoint = m.conj().T
+    return max_abs(m - adjoint), np.linalg.eigvalsh((m + adjoint) / 2)
+
+
+def check_spectrum(spectrum: tuple[float, np.ndarray], tol: float) -> tuple[float, np.ndarray]:
+    """Raise NotDensity unless a ``hermitian_spectrum`` is a density's within ``tol``; returns it."""
+    deviation, vals = spectrum
+    if deviation > tol:
+        raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
+    if vals[0] < -tol:
+        raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
+    if abs(vals.sum() - 1.0) > tol:
+        raise NotDensity(f"density trace {vals.sum():.12g} != 1 within {tol:.3e}")
+    return spectrum
+
+
+def check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns its ``hermitian_spectrum``."""
+    if rho.shape[0] != rho.shape[1]:
+        raise NotDensity(f"density must be square, got {rho.shape}")
+    return check_spectrum(hermitian_spectrum(rho), tol)
+
+
+def check_probability_vector(p) -> np.ndarray:
+    """Raise NotProbabilityVector unless ``p`` is a probability vector within ``DEFAULT_TOL``; returns it clipped at 0."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise NotProbabilityVector(f"expected a nonempty vector, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise NotProbabilityVector("entries must be finite")
+    if p.min() < -DEFAULT_TOL:
+        raise NotProbabilityVector(f"entry {p.min():.3e} is negative")
+    if abs(p.sum() - 1.0) > DEFAULT_TOL:
+        raise NotProbabilityVector(f"entries sum to {p.sum():.12g}, not 1 within {DEFAULT_TOL:.3e}")
+    return np.clip(p, 0.0, None)
 
 
 def eigh(h, tol: float = DEFAULT_TOL):
@@ -110,15 +148,6 @@ def psd_log(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     log_vals = np.zeros_like(vals)
     log_vals[keep] = np.log(vals[keep])
     return (vecs * log_vals) @ vecs.conj().T
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the slow (outer) index.
-
-    With this convention ``tensor(eye(c), B)`` is literally the block
-    diagonal ``diag(B, ..., B)`` with ``c`` copies.
-    """
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace_left(m, d_left: int, d_right: int) -> np.ndarray:

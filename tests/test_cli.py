@@ -200,6 +200,11 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         ("entropy", {**_STATE_2, "shape": ["2"]}, "ShapeMismatch"),
         ("entropy", {**_STATE_2, "shape": [2.7]}, "ShapeMismatch"),
         ("entropy", {**_STATE, "shape": [True, 1]}, "ShapeMismatch"),
+        ("verify", ["--seed=-1"], "--seed: must be at least 0"),
+        ("verify", {"NCE_SEED": "-1"}, "--seed: must be at least 0"),
+        ("verify", ["--tol", "nan"], "--tol: must be at least 0.0 and finite"),
+        ("verify", ["--tol", "-1"], "--tol: must be at least 0.0 and finite"),
+        ("verify", ["--tol", "inf"], "--tol: must be at least 0.0 and finite"),
     ],
     ids=[
         "nan-weight",
@@ -215,18 +220,36 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         "text-block-dimension",
         "fractional-block-dimension",
         "boolean-block-dimension",
+        "negative-seed",
+        "negative-seed-env",
+        "nan-tol",
+        "negative-tol",
+        "infinite-tol",
     ],
 )
-def test_malformed_values_exit_2(tmp_path, capsys, command, payload, error):
+def test_malformed_values_exit_2(tmp_path, capsys, monkeypatch, command, payload, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    if command == "entropy":
+    if command == "verify":  # payload: extra options, or environment variables
+        argv = ["verify", "--suite", "coboundary", "--trials", "2"]
+        if isinstance(payload, dict):
+            for name, value in payload.items():
+                monkeypatch.setenv(name, value)
+        else:
+            argv += payload
+    elif command == "entropy":
         argv = ["entropy", str(bad)]
     else:
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"shape": [2], "weights": [1.0], "densities": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}))
         argv = ["change", str(bad), str(state)]
-    code, out, err = _run(capsys, *argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    if command == "verify":  # argparse prints its usage line first
+        err = err.splitlines()[-1].removeprefix("nce verify: ")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and error in err

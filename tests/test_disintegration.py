@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,14 @@ def test_inconsistent_witness_rejected():
     )
     with pytest.raises(InconsistentData):
         disintegration_entropy(INCLUSION, omega, doctored)
+
+
+def test_witness_with_a_wrong_size_tau_block_is_inconsistent():
+    omega = State(AlgebraShape((4,)), np.ones(1), (np.eye(4) / 4,))
+    data = quantum_disintegrate(INCLUSION, omega)
+    assert abs(disintegration_entropy(INCLUSION, omega, data) - LOG2) < 1e-9
+    with pytest.raises(InconsistentData, match=r"tau block \(0, 0\) has shape \(3, 3\), expected \(2, 2\)"):
+        disintegration_entropy(INCLUSION, omega, replace(data, tau={(0, 0): np.eye(3) / 3}))
 
 
 def test_quantum_disintegrate_with_a_weight_zero_codomain_block():

@@ -10,7 +10,6 @@ from ncentropy import (
     classical_state,
     entropy_change,
     holevo_change,
-    identity_morphism,
     initial,
     k_functor,
     measurement_morphism,
@@ -23,6 +22,7 @@ from ncentropy.entropy import LOG2
 from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import psd_log, sample_density, sample_simplex, sample_unitary
+from ncentropy.morphism import identity_morphism
 import ncentropy.linalg as linalg
 
 
@@ -42,6 +42,11 @@ def test_von_neumann_values():
     assert abs(von_neumann(np.eye(2) / 2) - LOG2) < 1e-12
     with pytest.raises(NotDensity):
         von_neumann(np.diag([0.7, 0.7]))
+    skew = np.eye(2, dtype=complex) / 2
+    skew[0, 1] = 1e-3
+    for bad in (np.ones((2, 3)) / 2, skew, np.diag([1.5, -0.5])):
+        with pytest.raises(NotDensity):
+            von_neumann(bad)
 
 
 def test_von_neumann_matches_eigenvalue_oracle():

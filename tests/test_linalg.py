@@ -3,9 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from ncentropy import Seed, eigh, partial_trace_left, partial_trace_right, psd_log, tensor
-from ncentropy.errors import NotHermitian, NotPSD, NotSquare, ShapeMismatch
-from ncentropy.linalg import as_matrix, matrix_from_json, matrix_to_json, max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy import AlgebraShape, Seed, State, StochasticMap, classical_disintegrate, shannon
+from ncentropy.errors import NotHermitian, NotProbabilityVector, NotPSD, NotSquare, ShapeMismatch
+from ncentropy.linalg import (
+    as_matrix,
+    eigh,
+    hermitian_part,
+    hermitian_spectrum,
+    matrix_from_json,
+    matrix_to_json,
+    max_abs,
+    partial_trace_left,
+    partial_trace_right,
+    psd_log,
+    sample_density,
+    sample_simplex,
+    sample_unitary,
+)
 
 
 def _random_hermitian(rng, n):
@@ -43,6 +57,46 @@ def test_eigh_rejects_bad_input():
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_spectrum_is_bit_identical_on_the_hermitian_part():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 8, 16):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = hermitian_part(m)
+        deviation, vals = hermitian_spectrum(m)
+        assert np.array_equal(vals, hermitian_spectrum(h)[1])
+        assert np.array_equal(vals, np.linalg.eigvalsh(h))
+        assert deviation == max_abs(m - m.conj().T) and hermitian_spectrum(h)[0] == 0.0
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+_NOT_PROBABILITY_VECTORS = {
+    "nan": [np.nan, 1.0],
+    "inf": [np.inf, 0.0],
+    "minus-inf": [-np.inf, 1.0],
+    "negative": [1.5, -0.5],
+    "bad-sum": [0.5, 0.4],
+    "empty": [],
+    "2-d": [[0.5, 0.5]],
+}
+
+
+@pytest.mark.parametrize("p", _NOT_PROBABILITY_VECTORS.values(), ids=_NOT_PROBABILITY_VECTORS.keys())
+def test_one_vector_check_rejects_every_malformed_vector(p):
+    with pytest.raises(NotProbabilityVector):
+        shannon(p)
+    with pytest.raises(NotProbabilityVector):
+        classical_disintegrate([0] * len(p), p)
+    shape = AlgebraShape((1,) * max(len(p), 1))
+    ones = (np.ones((1, 1)),) * len(shape)
+    # a stochastic matrix and a state check their shapes first
+    vector = np.ndim(p) == 1 and len(p) > 0
+    expected = NotProbabilityVector if vector else ShapeMismatch
+    with pytest.raises(expected):
+        StochasticMap([[0.0, 1.0], p] if vector else [p])
+    with pytest.raises(expected):
+        State(shape, p, ones)
+
+
 def test_psd_log_identity_is_zero():
     assert max_abs(psd_log(np.eye(3))) < 1e-12
 
@@ -77,19 +131,6 @@ def test_psd_log_commutes_and_inverts_on_support():
         assert max_abs(proj @ expm @ proj - m) < 1e-9
 
 
-def test_tensor_identity_left_gives_block_diagonal():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = b
-    expected[2:, 2:] = b
-    assert np.allclose(tensor(np.eye(2), b), expected)
-
-
-def test_tensor_by_scalar_one():
-    a = np.arange(9.0).reshape(3, 3)
-    assert np.allclose(tensor(a, [[1.0]]), a)
-
-
 def test_tensor_log_identity():
     # (C (x) D) log(C (x) D) == C log C (x) D + C (x) D log D, both sides via psd_log
     rng = np.random.default_rng(5)
@@ -98,9 +139,9 @@ def test_tensor_log_identity():
         d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         c = c @ c.conj().T
         d = d @ d.conj().T
-        cd = tensor(c, d)
+        cd = np.kron(c, d)
         lhs = cd @ psd_log(cd)
-        rhs = tensor(c @ psd_log(c), d) + tensor(c, d @ psd_log(d))
+        rhs = np.kron(c @ psd_log(c), d) + np.kron(c, d @ psd_log(d))
         assert max_abs(lhs - rhs) < 1e-9
 
 
@@ -108,9 +149,9 @@ def test_partial_trace_factors_products():
     rng = np.random.default_rng(7)
     a = _random_hermitian(rng, 2)
     b = _random_hermitian(rng, 3)
-    out = partial_trace_left(tensor(a, b), 2, 3)
+    out = partial_trace_left(np.kron(a, b), 2, 3)
     assert max_abs(out - np.trace(a) * b) < 1e-12
-    assert np.allclose(partial_trace_right(tensor(a, b), 2, 3), np.trace(b) * a)
+    assert np.allclose(partial_trace_right(np.kron(a, b), 2, 3), np.trace(b) * a)
 
 
 def test_partial_trace_identity():

@@ -17,10 +17,8 @@ from ncentropy import (
     external_sum_morphism,
     external_sum_state,
     identity,
-    identity_morphism,
     initial,
     is_isomorphism,
-    is_positive,
     is_pure,
     measurement_morphism,
     preserves_orthogonality,
@@ -28,11 +26,11 @@ from ncentropy import (
     summand_projection,
     support,
 )
-from ncentropy.algebra import adjoint, multiply, subtract
+from ncentropy.algebra import adjoint, is_positive, multiply
 from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import max_abs, sample_density, sample_simplex, sample_unitary
-from ncentropy.morphism import extensionally_equal, morphism_from_json, morphism_to_json
+from ncentropy.morphism import extensionally_equal, identity_morphism, morphism_from_json, morphism_to_json
 
 
 def _random_element(shape, seed):
@@ -305,7 +303,7 @@ def test_support_image_lemma():
     for k in range(25):
         f, omega = generate_instance(InstanceFamily(), Seed(88, k))
         image = apply(f, support(pullback(f, omega)))
-        difference = subtract(image, support(omega))
+        difference = AlgebraElement(image.shape, tuple(a - b for a, b in zip(image.blocks, support(omega).blocks)))
         assert is_positive(difference, 1e-8)
 
 

@@ -13,12 +13,11 @@ from ncentropy import (
     evaluate,
     external_sum_state,
     identity,
-    is_projection,
     is_pure,
     segal,
     support,
 )
-from ncentropy.algebra import multiply
+from ncentropy.algebra import is_projection, multiply
 from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
 from ncentropy.linalg import max_abs, sample_density, sample_simplex
 from ncentropy.state import support_rank
