@@ -33,7 +33,7 @@ from .linalg import (
 from .morphism import Morphism, _pullback_with_blocks, _segments
 from .state import State
 
-FACTOR_TOL = 1e-8  # default tolerance for the factorization test, scaled per block
+FACTOR_TOL = 1e-8  # the factorization test's tolerance, scaled per block
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMa
     uniform everywhere otherwise.
     """
     p = check_probability_vector(p)
-    phi = [int(y) for y in phi]
+    phi = list(phi)
+    if any(isinstance(y, bool) or not isinstance(y, (int, np.integer)) for y in phi):
+        raise IndexOutOfRange(f"phi entries must be integers, got {phi}")
     if len(phi) != p.size:
         raise ShapeMismatch(f"phi has {len(phi)} entries but p has {p.size}")
     n_y = (max(phi) + 1) if n_targets is None else int(n_targets)
@@ -100,7 +102,7 @@ class NoDisintegration:
     residual: float
 
 
-def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
+def quantum_disintegrate(f: Morphism, omega: State):
     """Decide existence of a disintegration for ``(f, omega)`` constructively.
 
     Conjugates each weighted codomain density into the canonical layout
@@ -120,7 +122,7 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
         weighted = p * rho
         if m is None:
             m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
-        eff = tol * max_abs(weighted)
+        eff = FACTOR_TOL * max_abs(weighted)
         segs = _segments(f, x)
         for i, (y, rows, _, _) in enumerate(segs):
             for y2, cols, _, _ in segs[i + 1 :]:
@@ -141,7 +143,7 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
                 continue
             cand = hermitian_part(partial_trace_right(seg, copies, n) / q[y])
             lowest = hermitian_spectrum(cand)[1][0]
-            if lowest < -tol:
+            if lowest < -FACTOR_TOL:
                 return NoDisintegration(
                     f"candidate factor for domain block {y} in codomain block {x} is not PSD",
                     float(-lowest),
@@ -156,7 +158,7 @@ def quantum_disintegrate(f: Morphism, omega: State, tol: float = FACTOR_TOL):
     for y in range(len(f.domain)):
         if q[y] > DEFAULT_TOL:
             total = sum(np.trace(tau[(y, x)]).real for x in range(len(f.codomain)) if (y, x) in tau)
-            if abs(total - 1.0) > tol * len(f.codomain.blocks):
+            if abs(total - 1.0) > FACTOR_TOL * len(f.codomain.blocks):
                 return NoDisintegration(
                     f"factors for domain block {y} have total trace {total:.12g} instead of 1",
                     abs(total - 1.0),
@@ -177,35 +179,36 @@ def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
     )
 
 
-def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData, tol: float) -> None:
-    for (x, y), c in np.ndenumerate(f.multiplicities):
-        if (y, x) in data.tau and np.shape(data.tau[(y, x)]) != (c, c):
-            raise InconsistentData(f"tau block {(y, x)} has shape {np.shape(data.tau[(y, x)])}, expected {(int(c),) * 2}")
+def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) -> None:
+    sizes = {(y, x): int(c) for (x, y), c in np.ndenumerate(f.multiplicities) if c > 0}
+    for key, t in data.tau.items():
+        if key not in sizes:
+            raise InconsistentData(f"tau key {key!r} names no (domain, codomain) pair with c[x, y] > 0")
+        if np.shape(t) != (sizes[key],) * 2:
+            raise InconsistentData(f"tau block {key} has shape {np.shape(t)}, expected {(sizes[key],) * 2}")
     for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
         weighted = p * rho
         m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
         rebuilt = _factored_block(f, x, data.tau, data.pullback_weights, data.pullback_densities)
-        if max_abs(m - rebuilt) > tol * max(1.0, max_abs(weighted)):
+        if max_abs(m - rebuilt) > FACTOR_TOL * max(1.0, max_abs(weighted)):
             raise InconsistentData(
                 f"witness does not reproduce codomain block {x} (residual {max_abs(m - rebuilt):.3e})"
             )
 
 
-def disintegration_entropy(
-    f: Morphism, omega: State, data: QuantumDisintegrationData, tol: float = FACTOR_TOL
-) -> float:
+def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegrationData) -> float:
     """Entropy production of a disintegration witness.
 
     Equals the entropy change of ``(f, omega)`` and is nonnegative: each
     domain block of positive pullback weight contributes its weight times
     the entropy of the block-diagonal assembly of its ``tau`` factors.
     """
-    _verify_witness(f, omega, data, tol)
+    _verify_witness(f, omega, data)
     q = data.pullback_weights
     total = 0.0
     for y in range(len(f.domain)):
         if q[y] <= DEFAULT_TOL:
             continue
         parts = [data.tau[(y, x)] for x in range(len(f.codomain)) if (y, x) in data.tau]
-        total += q[y] * von_neumann(block_diag(parts), tol)
+        total += q[y] * von_neumann(block_diag(parts), FACTOR_TOL)
     return total

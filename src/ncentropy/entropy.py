@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch
-from .linalg import DEFAULT_TOL, as_matrix, check_density, check_probability_vector, check_spectrum
+from .linalg import DEFAULT_TOL, as_matrix, check_density, check_probability_vector
 from .morphism import Morphism, pullback
 from .state import State, convex_combine
 
@@ -33,40 +33,40 @@ def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
     return _plogp(check_density(as_matrix(rho), tol)[1])
 
 
-def segal(omega: State, tol: float = DEFAULT_TOL) -> float:
+def segal(omega: State) -> float:
     """Block-weight Shannon entropy plus the weighted block entropies.
 
-    Each block entropy comes from the spectrum ``omega.spectra`` kept when
-    the state was validated, checked at ``tol`` exactly as ``von_neumann``
-    checks a raw matrix, so no density is decomposed again.
+    Each block entropy comes from the spectrum ``omega.spectra`` that
+    ``State`` kept when it validated the density at ``DEFAULT_TOL``, so no
+    density is decomposed or checked again.
     """
     total = _plogp(omega.weights)
-    for p, spectrum in zip(omega.weights, omega.spectra):
+    for p, (_, vals) in zip(omega.weights, omega.spectra):
         if p > 0.0:
-            total += p * _plogp(check_spectrum(spectrum, tol)[1])
+            total += p * _plogp(vals)
     return total
 
 
-def entropy_change(f: Morphism, omega: State, tol: float = DEFAULT_TOL) -> float:
+def entropy_change(f: Morphism, omega: State) -> float:
     """Entropy of the state minus the entropy of its pullback."""
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the codomain of the morphism")
-    return segal(omega, tol) - segal(pullback(f, omega), tol)
+    return segal(omega) - segal(pullback(f, omega))
 
 
-def holevo_change(f: Morphism, lam: float, omega: State, xi: State, tol: float = DEFAULT_TOL) -> float:
+def holevo_change(f: Morphism, lam: float, omega: State, xi: State) -> float:
     """Deviation of the entropy change from affinity on a two-state mixture."""
     if not 0.0 <= lam <= 1.0:
         raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
     mixed = convex_combine(lam, omega, xi)
     return (
-        entropy_change(f, mixed, tol)
-        - lam * entropy_change(f, omega, tol)
-        - (1.0 - lam) * entropy_change(f, xi, tol)
+        entropy_change(f, mixed)
+        - lam * entropy_change(f, omega)
+        - (1.0 - lam) * entropy_change(f, xi)
     )
 
 
-def k_functor(f: Morphism, omega: State, tol: float = DEFAULT_TOL) -> float:
+def k_functor(f: Morphism, omega: State) -> float:
     """Shannon difference of the block-weight distributions only.
 
     Agrees with ``entropy_change`` on commutative algebras but ignores the

@@ -3,11 +3,12 @@
 Hermitian eigendecompositions, logarithms restricted to the positive
 support, partial traces, and seeded sampling of unitaries, density
 matrices, and simplex points.  Every other module decides "is this a
-density?" with ``check_density`` (or ``check_spectrum`` on a spectrum it
-kept), "is this a probability vector?" with ``check_probability_vector``,
-and takes Hermitian spectra from ``hermitian_spectrum``, the package's
-one ``eigvalsh`` call.  Everything here is a pure function of its inputs;
-matrices are plain ``numpy`` arrays of ``complex128``.
+density?" with ``check_density``, "is this a probability vector?" with
+``check_probability_vector``, and takes Hermitian spectra from
+``hermitian_spectrum``, the package's one ``eigvalsh`` call.
+``check_density`` checks at the caller's ``tol``; every other threshold
+here is ``DEFAULT_TOL``.  Everything here is a pure function of its
+inputs; matrices are plain ``numpy`` arrays of ``complex128``.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
     return max_abs(m - adjoint), np.linalg.eigvalsh((m + adjoint) / 2)
 
 
-def check_spectrum(spectrum: tuple[float, np.ndarray], tol: float) -> tuple[float, np.ndarray]:
-    """Raise NotDensity unless a ``hermitian_spectrum`` is a density's within ``tol``; returns it."""
-    deviation, vals = spectrum
+def check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns its ``hermitian_spectrum``."""
+    if rho.shape[0] != rho.shape[1]:
+        raise NotDensity(f"density must be square, got {rho.shape}")
+    deviation, vals = spectrum = hermitian_spectrum(rho)
     if deviation > tol:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
     if vals[0] < -tol:
@@ -91,13 +94,6 @@ def check_spectrum(spectrum: tuple[float, np.ndarray], tol: float) -> tuple[floa
     if abs(vals.sum() - 1.0) > tol:
         raise NotDensity(f"density trace {vals.sum():.12g} != 1 within {tol:.3e}")
     return spectrum
-
-
-def check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns its ``hermitian_spectrum``."""
-    if rho.shape[0] != rho.shape[1]:
-        raise NotDensity(f"density must be square, got {rho.shape}")
-    return check_spectrum(hermitian_spectrum(rho), tol)
 
 
 def check_probability_vector(p) -> np.ndarray:
@@ -114,37 +110,37 @@ def check_probability_vector(p) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def eigh(h, tol: float = DEFAULT_TOL):
+def eigh(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
     descending order and eigenvectors as the matching unitary columns,
     so that ``h == V @ diag(vals) @ V.conj().T``.
 
-    Raises NotSquare / NotHermitian if ``h`` fails the symmetry check
-    at tolerance ``tol``.
+    Raises NotSquare / NotHermitian if ``h`` deviates from its adjoint
+    by more than ``DEFAULT_TOL``.
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {h.shape}")
-    if max_abs(h - h.conj().T) > tol:
-        raise NotHermitian(f"matrix deviates from its adjoint by {max_abs(h - h.conj().T):.3e} > {tol:.3e}")
+    if max_abs(h - h.conj().T) > DEFAULT_TOL:
+        raise NotHermitian(f"matrix deviates from its adjoint by {max_abs(h - h.conj().T):.3e} > {DEFAULT_TOL:.3e}")
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
 
-def psd_log(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_log(m) -> np.ndarray:
     """Matrix logarithm on the support of a PSD matrix.
 
-    Eigenvalues in ``(-tol, tol]`` are treated as zero and contribute
-    nothing (the ``0 log 0 = 0`` convention); an eigenvalue below
-    ``-tol`` raises NotPSD.
+    Eigenvalues in ``(-DEFAULT_TOL, DEFAULT_TOL]`` are treated as zero and
+    contribute nothing (the ``0 log 0 = 0`` convention); an eigenvalue
+    below ``-DEFAULT_TOL`` raises NotPSD.
     """
-    vals, vecs = eigh(m, tol)
-    if vals[-1] < -tol:
-        raise NotPSD(f"eigenvalue {vals[-1]:.3e} below -{tol:.3e}")
-    keep = vals > tol
+    vals, vecs = eigh(m)
+    if vals[-1] < -DEFAULT_TOL:
+        raise NotPSD(f"eigenvalue {vals[-1]:.3e} below -{DEFAULT_TOL:.3e}")
+    keep = vals > DEFAULT_TOL
     log_vals = np.zeros_like(vals)
     log_vals[keep] = np.log(vals[keep])
     return (vecs * log_vals) @ vecs.conj().T

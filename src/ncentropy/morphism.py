@@ -215,22 +215,20 @@ def is_isomorphism(f: Morphism) -> bool:
     return True
 
 
-def preserves_orthogonality(f: Morphism, omega: State, xi: State, tol: float = DEFAULT_TOL) -> bool:
+def preserves_orthogonality(f: Morphism, omega: State, xi: State) -> bool:
     """Whether the pullbacks of a mutually orthogonal pair stay orthogonal."""
-    if not are_orthogonal(omega, xi, tol):
+    if not are_orthogonal(omega, xi):
         raise NotOrthogonalInput("input states are not mutually orthogonal")
-    return are_orthogonal(pullback(f, omega), pullback(f, xi), tol)
+    return are_orthogonal(pullback(f, omega), pullback(f, xi))
 
 
-def measurement_morphism(
-    codomain: AlgebraShape, block: int, observable, tol: float = DEFAULT_TOL
-) -> Morphism:
+def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morphism:
     """Morphism from the classical algebra of an observable's spectrum.
 
-    Each spectrum point (eigenvalues clustered within ``tol``, listed in
-    descending order) maps to its spectral projection inside ``block``;
-    the largest eigenvalue additionally carries the identity of every
-    other codomain block so the morphism is unital.
+    Each spectrum point (eigenvalues clustered within ``DEFAULT_TOL``,
+    listed in descending order) maps to its spectral projection inside
+    ``block``; the largest eigenvalue additionally carries the identity
+    of every other codomain block so the morphism is unital.
     """
     m = codomain.blocks[block]
     if m < 2:
@@ -238,10 +236,10 @@ def measurement_morphism(
     obs = as_matrix(observable)
     if obs.shape != (m, m):
         raise ShapeMismatch(f"observable of shape {obs.shape} does not fit block dimension {m}")
-    vals, vecs = linalg.eigh(obs, tol)
+    vals, vecs = linalg.eigh(obs)
     cluster_sizes = [1]
     for i in range(1, len(vals)):
-        if vals[i - 1] - vals[i] <= tol:
+        if vals[i - 1] - vals[i] <= DEFAULT_TOL:
             cluster_sizes[-1] += 1
         else:
             cluster_sizes.append(1)

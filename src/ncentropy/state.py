@@ -9,7 +9,8 @@ Validating a density takes its spectrum, so a ``State`` keeps what
 ``linalg.check_density`` computed: per block, the Hermitian deviation of
 ``rho`` and the ascending eigenvalues of ``(rho + rho^dag)/2``.
 ``support_rank``, and the Segal entropy in ``entropy``, read those values
-instead of decomposing the density again.
+instead of decomposing the density again.  Supports, orthogonality and
+purity are decided at the fixed ``linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -95,38 +96,38 @@ def evaluate(omega: State, a: AlgebraElement) -> complex:
     return complex(total)
 
 
-def support(omega: State, tol: float = DEFAULT_TOL) -> SupportProjection:
+def support(omega: State) -> SupportProjection:
     """Smallest projection absorbing the state.
 
     Block ``x`` is the spectral projection of ``rho_x`` onto eigenvalues
-    above ``tol`` when ``p_x > tol``, and zero otherwise.
+    above ``DEFAULT_TOL`` when ``p_x > DEFAULT_TOL``, and zero otherwise.
     """
     blocks = []
     for p, rho, m in zip(omega.weights, omega.densities, omega.shape.blocks):
-        if p > tol:
-            vals, vecs = linalg.eigh(rho, tol)
-            cols = vecs[:, vals > tol]
+        if p > DEFAULT_TOL:
+            vals, vecs = linalg.eigh(rho)
+            cols = vecs[:, vals > DEFAULT_TOL]
             blocks.append(cols @ cols.conj().T)
         else:
             blocks.append(np.zeros((m, m), dtype=np.complex128))
     return AlgebraElement(omega.shape, tuple(blocks))
 
 
-def support_rank(omega: State, tol: float = DEFAULT_TOL) -> int:
+def support_rank(omega: State) -> int:
     rank = 0
     for p, (_, vals) in zip(omega.weights, omega.spectra):
-        if p > tol:
-            rank += int(np.sum(vals > tol))
+        if p > DEFAULT_TOL:
+            rank += int(np.sum(vals > DEFAULT_TOL))
     return rank
 
 
-def are_orthogonal(omega: State, xi: State, tol: float = DEFAULT_TOL) -> bool:
+def are_orthogonal(omega: State, xi: State) -> bool:
     """True iff the support projections multiply to zero blockwise."""
     if omega.shape != xi.shape:
         raise ShapeMismatch("orthogonality requires states on the same algebra")
-    p_omega = support(omega, tol)
-    p_xi = support(xi, tol)
-    return all(max_abs(a @ b) <= tol for a, b in zip(p_omega.blocks, p_xi.blocks))
+    p_omega = support(omega)
+    p_xi = support(xi)
+    return all(max_abs(a @ b) <= DEFAULT_TOL for a, b in zip(p_omega.blocks, p_xi.blocks))
 
 
 def convex_combine(lam: float, omega: State, xi: State) -> State:
@@ -147,9 +148,9 @@ def convex_combine(lam: float, omega: State, xi: State) -> State:
     return State(omega.shape, weights / weights.sum(), tuple(densities))
 
 
-def is_pure(omega: State, tol: float = DEFAULT_TOL) -> bool:
+def is_pure(omega: State) -> bool:
     """True iff the total support has rank one."""
-    return support_rank(omega, tol) == 1
+    return support_rank(omega) == 1
 
 
 def external_sum_state(lam: float, omega: State, xi: State) -> State:

@@ -73,8 +73,9 @@ def test_classical_diagrams_hold():
 def test_classical_input_validation():
     with pytest.raises(NotProbabilityVector):
         classical_disintegrate([0, 0], [0.5, 0.6])
-    with pytest.raises(IndexOutOfRange):
-        classical_disintegrate([0, 2], [0.5, 0.5], n_targets=2)
+    for phi in ([0, 2], [0, 1.7], [0, True]):
+        with pytest.raises(IndexOutOfRange):
+            classical_disintegrate(phi, [0.5, 0.5], n_targets=2)
 
 
 def test_quantum_existence_balanced_diagonal():
@@ -153,6 +154,23 @@ def test_witness_with_a_wrong_size_tau_block_is_inconsistent():
     assert abs(disintegration_entropy(INCLUSION, omega, data) - LOG2) < 1e-9
     with pytest.raises(InconsistentData, match=r"tau block \(0, 0\) has shape \(3, 3\), expected \(2, 2\)"):
         disintegration_entropy(INCLUSION, omega, replace(data, tau={(0, 0): np.eye(3) / 3}))
+
+
+def test_witness_with_a_tau_key_naming_no_segment_is_inconsistent():
+    omega = State(AlgebraShape((4,)), np.ones(1), (np.eye(4) / 4,))
+    data = quantum_disintegrate(INCLUSION, omega)
+    with pytest.raises(InconsistentData, match=r"tau key \(3, 5\) names no"):
+        disintegration_entropy(INCLUSION, omega, replace(data, tau={**data.tau, (3, 5): np.eye(7) / 7}))
+
+
+def test_witness_with_a_tau_key_of_multiplicity_zero_is_inconsistent():
+    # M_1 + M_1 into M_1 + M_1 by the identity: c[0, 1] = 0
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((1, 1)), np.eye(2, dtype=int), (np.eye(1), np.eye(1)))
+    omega = State(f.codomain, [0.5, 0.5], (np.eye(1), np.eye(1)))
+    data = quantum_disintegrate(f, omega)
+    assert disintegration_entropy(f, omega, data) == 0.0
+    with pytest.raises(InconsistentData, match=r"tau key \(1, 0\) names no"):
+        disintegration_entropy(f, omega, replace(data, tau={**data.tau, (1, 0): np.eye(1)}))
 
 
 def test_quantum_disintegrate_with_a_weight_zero_codomain_block():

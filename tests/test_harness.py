@@ -97,7 +97,7 @@ def test_failed_numeric_check_raises_max_residual(monkeypatch):
     from ncentropy import entropy
 
     exact = entropy.entropy_change
-    monkeypatch.setattr(entropy, "entropy_change", lambda f, omega, tol=1e-10: exact(f, omega, tol) + 1e-3)
+    monkeypatch.setattr(entropy, "entropy_change", lambda f, omega: exact(f, omega) + 1e-3)
     report = run_suite("iso-invariance", 4, Seed(4), 1e-9)
     assert not report.passed
     assert report.max_residual == max(r for _, _, r in report.failures)
@@ -124,11 +124,11 @@ def test_continuity_rejects_an_offset_away_from_the_base_state(monkeypatch):
     exact = entropy.entropy_change
     bases = {}  # id(f) -> f; the first call per morphism is the base state
 
-    def offset(f, omega, tol=1e-10):
+    def offset(f, omega):
         if id(f) not in bases:
             bases[id(f)] = f
-            return exact(f, omega, tol)
-        return exact(f, omega, tol) + 1e-6
+            return exact(f, omega)
+        return exact(f, omega) + 1e-6
 
     monkeypatch.setattr(entropy, "entropy_change", offset)
     report = run_suite("continuity", 16, Seed(42), 1e-9)

@@ -253,7 +253,7 @@ def test_measurement_morphism():
     with pytest.raises(DegenerateSpectrum):
         measurement_morphism(AlgebraShape((2,)), 0, np.eye(2))
 
-    clustered = measurement_morphism(AlgebraShape((3,)), 0, np.diag([1.0, 1.0 + 1e-13, 0.0]), tol=1e-10)
+    clustered = measurement_morphism(AlgebraShape((3,)), 0, np.diag([1.0, 1.0 + 1e-13, 0.0]))
     assert clustered.domain.blocks == (1, 1)
     assert clustered.multiplicities.tolist() == [[2, 1]]
 

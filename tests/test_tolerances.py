@@ -1,0 +1,39 @@
+"""Each library decision has one threshold: only these functions take ``tol``.
+
+``von_neumann`` and ``check_density`` are called at both ``DEFAULT_TOL``
+and ``FACTOR_TOL``; ``run_suite``/``run_all`` carry ``nce verify --tol``;
+the algebra and morphism predicates are test helpers whose tests use
+several values.  Every other threshold is a named module constant.
+"""
+
+import inspect
+
+import ncentropy
+from ncentropy import algebra, disintegration, entropy, linalg, morphism, state
+
+TAKES_TOL = {
+    "von_neumann",
+    "check_density",
+    "run_suite",
+    "run_all",
+    "is_positive",
+    "is_projection",
+    "extensionally_equal",
+}
+
+
+def _public_functions():
+    found = {name: getattr(ncentropy, name) for name in ncentropy.__all__}
+    for module in (algebra, linalg, state, morphism, entropy, disintegration):
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and getattr(obj, "__module__", "").startswith("ncentropy"):
+                found[name] = obj
+    return {name: obj for name, obj in found.items() if inspect.isfunction(obj)}
+
+
+def test_only_the_allowlisted_functions_take_a_tol():
+    takes_tol = {
+        name for name, obj in _public_functions().items() if "tol" in inspect.signature(obj).parameters
+    }
+    assert takes_tol == TAKES_TOL
+
