@@ -24,7 +24,7 @@ class AlgebraShape:
 
     def __post_init__(self):
         for m in self.blocks:
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            if not linalg.is_integer(m):
                 raise ShapeMismatch(f"block dimensions must be integers, got {m!r}")
         object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
         if not self.blocks or any(m < 1 for m in self.blocks):

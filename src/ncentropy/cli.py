@@ -27,7 +27,7 @@ from . import harness
 from . import morphism as mor
 from . import state as st
 from .algebra import AlgebraShape, element_to_json
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ShapeMismatch
 from .harness import factor_inclusion
 from .linalg import Seed, matrix_to_json
 from .state import State
@@ -125,18 +125,15 @@ def _cmd_orthogonal(args) -> int:
     return 0
 
 
-def _classical_function(f: mor.Morphism) -> list[int]:
-    if not (f.domain.is_commutative() and f.codomain.is_commutative()):
-        raise InvariantViolation("--classical requires a morphism between commutative algebras")
-    return [int(np.nonzero(f.multiplicities[x])[0][0]) for x in range(len(f.codomain))]
-
-
 def _cmd_disintegrate(args) -> int:
     f = _load_morphism(args.morphism)
     omega = _load_state(args.state)
     scale = 1.0 / ent.LOG2 if args.bits else 1.0
     if args.classical:
-        phi = _classical_function(f)
+        try:
+            phi = dis.classical_function(f)
+        except ShapeMismatch as exc:
+            raise InvariantViolation("--classical requires a morphism between commutative algebras") from exc
         psi = dis.classical_disintegrate(phi, omega.weights, n_targets=len(f.domain))
         production = ent.entropy_change(f, omega)
         payload = {

@@ -11,7 +11,7 @@ the change equals a weighted entropy of the assembled ``tau`` blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .linalg import (
     check_probability_vector,
     hermitian_part,
     hermitian_spectrum,
+    is_integer,
     max_abs,
     partial_trace_right,
 )
@@ -49,6 +50,13 @@ class StochasticMap:
         object.__setattr__(self, "matrix", np.array([check_probability_vector(row) for row in m]))
 
 
+def classical_function(f: Morphism) -> list[int]:
+    """The map ``x -> y`` that a morphism of commutative algebras encodes; ShapeMismatch otherwise."""
+    if not (f.domain.is_commutative() and f.codomain.is_commutative()):
+        raise ShapeMismatch("the function of a morphism needs commutative domain and codomain")
+    return [int(np.nonzero(row)[0][0]) for row in f.multiplicities]
+
+
 def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMap:
     """Stochastic inverse of a probability-preserving function.
 
@@ -60,10 +68,12 @@ def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMa
     """
     p = check_probability_vector(p)
     phi = list(phi)
-    if any(isinstance(y, bool) or not isinstance(y, (int, np.integer)) for y in phi):
+    if not all(map(is_integer, phi)):
         raise IndexOutOfRange(f"phi entries must be integers, got {phi}")
     if len(phi) != p.size:
         raise ShapeMismatch(f"phi has {len(phi)} entries but p has {p.size}")
+    if n_targets is not None and not is_integer(n_targets):
+        raise IndexOutOfRange(f"n_targets must be an integer, got {n_targets!r}")
     n_y = (max(phi) + 1) if n_targets is None else int(n_targets)
     if any(y < 0 or y >= n_y for y in phi):
         raise IndexOutOfRange(f"phi takes values outside 0..{n_y - 1}")
@@ -89,9 +99,9 @@ def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMa
 class QuantumDisintegrationData:
     """Factorization witnesses: one PSD ``tau`` block per (domain, codomain) pair."""
 
-    tau: dict = field(default_factory=dict)  # (y, x) -> ndarray of size c[x, y]
-    pullback_weights: np.ndarray = None
-    pullback_densities: tuple = ()
+    tau: dict  # (y, x) -> ndarray of size c[x, y]
+    pullback_weights: np.ndarray
+    pullback_densities: tuple
 
 
 @dataclass(frozen=True)

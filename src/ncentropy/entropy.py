@@ -30,7 +30,7 @@ def shannon(p) -> float:
 
 def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
     """Entropy of a density matrix: the Shannon entropy of its spectrum."""
-    return _plogp(check_density(as_matrix(rho), tol)[1])
+    return _plogp(check_density(as_matrix(rho), tol))
 
 
 def segal(omega: State) -> float:
@@ -41,7 +41,7 @@ def segal(omega: State) -> float:
     density is decomposed or checked again.
     """
     total = _plogp(omega.weights)
-    for p, (_, vals) in zip(omega.weights, omega.spectra):
+    for p, vals in zip(omega.weights, omega.spectra):
         if p > 0.0:
             total += p * _plogp(vals)
     return total

@@ -125,9 +125,9 @@ def _sample_shape(family: InstanceFamily, rng: np.random.Generator) -> AlgebraSh
     return AlgebraShape(tuple(int(d) for d in dims))
 
 
-def _sample_morphism(family: InstanceFamily, seed: Seed, retries: int = 200) -> mor.Morphism:
+def _sample_morphism(family: InstanceFamily, seed: Seed) -> mor.Morphism:
     rng = seed.rng(0)
-    for _ in range(retries):
+    for _ in range(200):
         domain = _sample_shape(family, rng)
         codomain = _sample_shape(family, rng)
         rows = [_solve_multiplicity_row(m, domain.blocks, rng) for m in codomain.blocks]
@@ -137,7 +137,7 @@ def _sample_morphism(family: InstanceFamily, seed: Seed, retries: int = 200) -> 
             sample_unitary(m, seed, 1, x) for x, m in enumerate(codomain.blocks)
         )
         return mor.Morphism(domain, codomain, np.array(rows), unitaries)
-    raise InfeasibleShapes(f"no multiplicity solution found after {retries} shape draws")
+    raise InfeasibleShapes("no multiplicity solution found after 200 shape draws")
 
 
 def _sample_morphism_onto(domain: AlgebraShape, family: InstanceFamily, seed: Seed, channel: int) -> mor.Morphism:
@@ -363,11 +363,10 @@ def _bell_states():
     return st.block_pure_state(shape, 0, v1), st.block_pure_state(shape, 0, v2)
 
 
-def factor_inclusion(n: int, copies: int, unitary=None) -> mor.Morphism:
+def factor_inclusion(n: int, copies: int) -> mor.Morphism:
     """The inclusion of one tensor factor: ``b -> eye(copies) (x) b``."""
-    codomain = AlgebraShape((copies * n,))
-    u = np.eye(copies * n, dtype=np.complex128) if unitary is None else unitary
-    return mor.Morphism(AlgebraShape((n,)), codomain, np.array([[copies]]), (u,))
+    u = np.eye(copies * n, dtype=np.complex128)
+    return mor.Morphism(AlgebraShape((n,)), AlgebraShape((copies * n,)), np.array([[copies]]), (u,))
 
 
 def _diagonal_measurement_pair(dim: int, s: Seed):
@@ -714,8 +713,7 @@ def _suite_disintegration(rec, s, i, tol):
     if isinstance(result_c, dis.NoDisintegration):
         rec.expect(s, f"classical instance rejected: {result_c.violation}", False)
         return
-    phi = [int(np.nonzero(g.multiplicities[x])[0][0]) for x in range(len(g.codomain))]
-    psi = dis.classical_disintegrate(phi, omega_c.weights, n_targets=len(g.domain))
+    psi = dis.classical_disintegrate(dis.classical_function(g), omega_c.weights, n_targets=len(g.domain))
     worst = 0.0
     for (y, x), t in result_c.tau.items():
         if result_c.pullback_weights[y] > 1e-12:

@@ -46,6 +46,11 @@ class Seed:
         return Seed(self.seed, (self.stream * 0x9E3779B1 + index + 1) % (1 << 32))
 
 
+def is_integer(v) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
@@ -82,18 +87,18 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
     return max_abs(m - adjoint), np.linalg.eigvalsh((m + adjoint) / 2)
 
 
-def check_density(rho: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns its ``hermitian_spectrum``."""
+def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
+    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns ``hermitian_spectrum(rho)[1]``."""
     if rho.shape[0] != rho.shape[1]:
         raise NotDensity(f"density must be square, got {rho.shape}")
-    deviation, vals = spectrum = hermitian_spectrum(rho)
+    deviation, vals = hermitian_spectrum(rho)
     if deviation > tol:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
     if vals[0] < -tol:
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
     if abs(vals.sum() - 1.0) > tol:
         raise NotDensity(f"density trace {vals.sum():.12g} != 1 within {tol:.3e}")
-    return spectrum
+    return vals
 
 
 def check_probability_vector(p) -> np.ndarray:
@@ -170,7 +175,7 @@ def sample_unitary(n: int, seed: Seed, *substream: int) -> np.ndarray:
     The QR phase ambiguity is fixed by making the diagonal of R positive,
     which is what makes the distribution Haar rather than merely unitary.
     """
-    rng = seed.rng(*substream) if substream else seed.rng()
+    rng = seed.rng(*substream)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
@@ -183,7 +188,7 @@ def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None)
     ``rank`` restricts G to ``n x rank`` columns, producing a density of
     that rank almost surely.
     """
-    rng = seed.rng(*substream) if substream else seed.rng()
+    rng = seed.rng(*substream)
     k = n if rank is None else rank
     g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     w = g @ g.conj().T
@@ -192,7 +197,7 @@ def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None)
 
 def sample_simplex(n: int, seed: Seed, *substream: int) -> np.ndarray:
     """Uniform (Dirichlet(1,...,1)) point on the probability simplex."""
-    rng = seed.rng(*substream) if substream else seed.rng()
+    rng = seed.rng(*substream)
     return rng.dirichlet(np.ones(n))
 
 

@@ -6,11 +6,11 @@ Blocks of weight zero carry a placeholder density (maximally mixed by
 convention) that no operation ever reads.
 
 Validating a density takes its spectrum, so a ``State`` keeps what
-``linalg.check_density`` computed: per block, the Hermitian deviation of
-``rho`` and the ascending eigenvalues of ``(rho + rho^dag)/2``.
-``support_rank``, and the Segal entropy in ``entropy``, read those values
-instead of decomposing the density again.  Supports, orthogonality and
-purity are decided at the fixed ``linalg.DEFAULT_TOL``.
+``linalg.check_density`` computed: per block, the ascending eigenvalues
+of ``(rho + rho^dag)/2``.  ``support_rank``, and the Segal entropy in
+``entropy``, read those values instead of decomposing the density
+again.  Supports, orthogonality and purity are decided at the fixed
+``linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ SupportProjection = AlgebraElement
 class State:
     """Block weights plus one density matrix per block.
 
-    ``spectra`` holds, per block, the ``(deviation, eigenvalues)`` pair that
-    validating its density returned (see ``linalg.check_density``).
+    ``spectra`` holds, per block, the eigenvalues that validating its
+    density returned (see ``linalg.check_density``).
     """
 
     shape: AlgebraShape
     weights: np.ndarray
     densities: tuple[np.ndarray, ...]
-    spectra: tuple[tuple[float, np.ndarray], ...] = field(init=False, repr=False)
+    spectra: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -115,7 +115,7 @@ def support(omega: State) -> SupportProjection:
 
 def support_rank(omega: State) -> int:
     rank = 0
-    for p, (_, vals) in zip(omega.weights, omega.spectra):
+    for p, vals in zip(omega.weights, omega.spectra):
         if p > DEFAULT_TOL:
             rank += int(np.sum(vals > DEFAULT_TOL))
     return rank

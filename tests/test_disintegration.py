@@ -15,6 +15,7 @@ from ncentropy import (
     entropy_change,
     quantum_disintegrate,
 )
+from ncentropy.disintegration import classical_function
 from ncentropy.entropy import LOG2
 from ncentropy.errors import InconsistentData, IndexOutOfRange, NotProbabilityVector
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
@@ -76,6 +77,9 @@ def test_classical_input_validation():
     for phi in ([0, 2], [0, 1.7], [0, True]):
         with pytest.raises(IndexOutOfRange):
             classical_disintegrate(phi, [0.5, 0.5], n_targets=2)
+    for n_targets in (2.7, True, "3"):
+        with pytest.raises(IndexOutOfRange):
+            classical_disintegrate([0, 0], [0.5, 0.5], n_targets=n_targets)
 
 
 def test_quantum_existence_balanced_diagonal():
@@ -126,8 +130,7 @@ def test_classical_agrees_with_quantum():
         f, omega = generate_instance(InstanceFamily(classical_only=True), Seed(104, k))
         result = quantum_disintegrate(f, omega)
         assert isinstance(result, QuantumDisintegrationData)
-        phi = [int(np.nonzero(f.multiplicities[x])[0][0]) for x in range(len(f.codomain))]
-        psi = classical_disintegrate(phi, omega.weights, n_targets=len(f.domain))
+        psi = classical_disintegrate(classical_function(f), omega.weights, n_targets=len(f.domain))
         for (y, x), t in result.tau.items():
             if result.pullback_weights[y] > 1e-12:
                 assert abs(t[0, 0].real - psi.matrix[y, x]) < 1e-10

@@ -18,7 +18,7 @@ EXACT = entropy.entropy_change
 
 def _collision(omega):
     """``sum_x p_x^2 tr(rho_x^2)``: the purity of the block-diagonal density."""
-    return sum(p * p * float((vals**2).sum()) for p, (_, vals) in zip(omega.weights, omega.spectra))
+    return sum(p * p * float((vals**2).sum()) for p, vals in zip(omega.weights, omega.spectra))
 
 
 def _change(h):
