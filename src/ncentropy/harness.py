@@ -96,24 +96,23 @@ class _Recorder:
 
 
 def _solve_multiplicity_row(m: int, dims: tuple[int, ...], rng: np.random.Generator, tries: int = 60):
-    """Nonnegative integers c with ``sum c_y dims_y == m``, randomized greedy."""
+    """Nonnegative integers c with ``sum c_y dims_y == m``, randomized greedy, in Python ints."""
     ones = [y for y, n in enumerate(dims) if n == 1]
     for _ in range(tries):
-        row = np.zeros(len(dims), dtype=np.int64)
+        row = [0] * len(dims)
         remaining = m
-        for y in rng.permutation(len(dims)):
+        for y in rng.permutation(len(dims)).tolist():
             if remaining <= 0:
                 break
             cap = remaining // dims[y]
             if cap > 0:
-                row[y] = rng.integers(0, cap + 1)
+                row[y] = int(rng.integers(0, cap + 1))
                 remaining -= row[y] * dims[y]
         if remaining > 0 and ones:
-            y = ones[int(rng.integers(0, len(ones)))]
-            row[y] += remaining
+            row[ones[int(rng.integers(0, len(ones)))]] += remaining
             remaining = 0
         if remaining == 0:
-            return row
+            return np.array(row, dtype=np.int64)
     return None
 
 

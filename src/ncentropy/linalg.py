@@ -1,11 +1,12 @@
 """Dense complex-matrix kernel and the one home of value validation.
 
 Hermitian eigendecompositions, logarithms restricted to the positive
-support, partial traces, and seeded sampling of unitaries, density
-matrices, and simplex points.  Every other module decides "is this a
-density?" with ``check_density``, "is this a probability vector?" with
-``check_probability_vector``, and takes Hermitian spectra from
-``hermitian_spectrum``, the package's one ``eigvalsh`` call.
+support, the right partial trace, and seeded sampling of unitaries,
+density matrices, and simplex points.  Every other module decides "is
+this a density?" with ``check_density``, "is this a probability vector?"
+with ``check_probability_vector``, and takes Hermitian spectra from
+``hermitian_spectrum``, the package's one ``eigvalsh`` call; it reads a
+1x1 spectrum off the entry, with the bits ``eigvalsh`` would give.
 ``check_density`` checks at the caller's ``tol``; every other threshold
 here is ``DEFAULT_TOL``.  Everything here is a pure function of its
 inputs; matrices are plain ``numpy`` arrays of ``complex128``.
@@ -82,7 +83,15 @@ def block_diag(blocks) -> np.ndarray:
 
 
 def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Hermitian deviation ``max |m - m^dag|`` and the ascending eigenvalues of ``(m + m^dag)/2``."""
+    """Hermitian deviation ``max |m - m^dag|`` and the ascending eigenvalues of ``(m + m^dag)/2``.
+
+    A 1x1 matrix ``[[z]]`` is answered from its entry with the same bits:
+    the deviation is ``|z - conj(z)|``, and the eigenvalue is the real part
+    of ``(z + conj(z))/2``, which is what LAPACK returns for n = 1.
+    """
+    if m.shape == (1, 1):
+        z = m.item(0)
+        return abs(z - z.conjugate()), np.array([((z + z.conjugate()) / 2).real])
     adjoint = m.conj().T
     return max_abs(m - adjoint), np.linalg.eigvalsh((m + adjoint) / 2)
 
@@ -149,15 +158,6 @@ def psd_log(m) -> np.ndarray:
     log_vals = np.zeros_like(vals)
     log_vals[keep] = np.log(vals[keep])
     return (vecs * log_vals) @ vecs.conj().T
-
-
-def partial_trace_left(m, d_left: int, d_right: int) -> np.ndarray:
-    """Trace out the left (slow) factor of a ``(d_left*d_right)``-square matrix."""
-    m = as_matrix(m)
-    d = d_left * d_right
-    if m.shape != (d, d):
-        raise ShapeMismatch(f"expected shape {(d, d)} for d_left={d_left}, d_right={d_right}, got {m.shape}")
-    return np.einsum("aiaj->ij", m.reshape(d_left, d_right, d_left, d_right))
 
 
 def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:

@@ -123,7 +123,11 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
         m = u.conj().T @ (p * rho) @ u
         blocks.append(m)
         for y, seg, copies, n in _segments(f, x):
-            accum[y] += linalg.partial_trace_left(m[seg, seg], copies, n)
+            diagonal = m[seg, seg]  # trace out the copy index: sum the copies' diagonal blocks in order
+            traced = diagonal[:n, :n]
+            for k in range(n, copies * n, n):
+                traced = traced + diagonal[k : k + n, k : k + n]
+            accum[y] += traced
     weights = np.array([max(np.trace(a).real, 0.0) for a in accum])
     densities = []
     for q, a, n in zip(weights, accum, f.domain.blocks):

@@ -47,6 +47,10 @@ def test_von_neumann_values():
     for bad in (np.ones((2, 3)) / 2, skew, np.diag([1.5, -0.5])):
         with pytest.raises(NotDensity):
             von_neumann(bad)
+    # 1x1 densities take the entry path of hermitian_spectrum
+    for bad, reason in (([[1.0 + 1e-3j]], "Hermitian"), ([[-0.5]], "eigenvalue"), ([[0.7]], "trace")):
+        with pytest.raises(NotDensity, match=reason):
+            von_neumann(np.array(bad))
 
 
 def test_von_neumann_matches_eigenvalue_oracle():
@@ -260,6 +264,7 @@ def test_entropy_change_decomposes_each_domain_block_once(monkeypatch):
         f, omega = generate_instance(InstanceFamily(), Seed(22, k))
         calls.update(eigvalsh=0, eigh=0)
         entropy_change(f, omega)
-        # validating the pullback decomposes each domain density once; the
-        # codomain state's spectrum was kept when it was built
-        assert calls == {"eigvalsh": len(f.domain), "eigh": 0}
+        # validating the pullback decomposes each domain density once, and a
+        # 1x1 density is read off its entry; the codomain state's spectrum
+        # was kept when it was built
+        assert calls == {"eigvalsh": sum(n > 1 for n in f.domain.blocks), "eigh": 0}

@@ -52,6 +52,49 @@ def test_constraint_rows_solve_dimensions():
             assert int(f.multiplicities[x] @ n) == m
 
 
+def _numpy_multiplicity_row(m, dims, rng, tries):
+    """The numpy-scalar form of the row solver, kept as the reference for its draws."""
+    ones = [y for y, n in enumerate(dims) if n == 1]
+    for _ in range(tries):
+        row = np.zeros(len(dims), dtype=np.int64)
+        remaining = m
+        for y in rng.permutation(len(dims)):
+            if remaining <= 0:
+                break
+            cap = remaining // dims[y]
+            if cap > 0:
+                row[y] = rng.integers(0, cap + 1)
+                remaining -= row[y] * dims[y]
+        if remaining > 0 and ones:
+            y = ones[int(rng.integers(0, len(ones)))]
+            row[y] += remaining
+            remaining = 0
+        if remaining == 0:
+            return row
+    return None
+
+
+def test_row_solver_makes_the_reference_draws():
+    cases = [(3, (2, 4)), (5, (2, 4)), (7, (2, 2, 3)), (4, (1, 2)), (6, (1, 1, 4)), (1, (2, 3)), (4, (3, 1, 2, 4))]
+    shapes = np.random.default_rng(5)
+    for _ in range(40):
+        dims = tuple(int(n) for n in shapes.integers(1, 5, size=int(shapes.integers(1, 5))))
+        cases.append((int(shapes.integers(1, 9)), dims))
+    outcomes = set()
+    for k, (m, dims) in enumerate(cases):
+        for tries in (20, 60):
+            ours, ref = np.random.default_rng(k), np.random.default_rng(k)
+            row = harness._solve_multiplicity_row(m, dims, ours, tries)
+            expected = _numpy_multiplicity_row(m, dims, ref, tries)
+            outcomes.add(row is None)
+            if expected is None:
+                assert row is None
+            else:
+                assert row.dtype == np.int64 and np.array_equal(row, expected)
+            assert ours.bit_generator.state == ref.bit_generator.state
+    assert outcomes == {True, False}  # both feasible and infeasible rows were exercised
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_passes(name):
     report = run_suite(name, 25, Seed(42), 1e-9)

@@ -13,7 +13,6 @@ from ncentropy.linalg import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    partial_trace_left,
     partial_trace_right,
     psd_log,
     sample_density,
@@ -67,6 +66,17 @@ def test_hermitian_spectrum_is_bit_identical_on_the_hermitian_part():
         assert np.array_equal(vals, np.linalg.eigvalsh(h))
         assert deviation == max_abs(m - m.conj().T) and hermitian_spectrum(h)[0] == 0.0
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    # a 1x1 matrix is read off its entry; these entries have the bits
+    # eigvalsh gives, down to the sign of zero
+    for z in (0.3 - 0.7j, -0.0, complex(-0.0, -0.0), -2.5, 0.8j, 1e-3 - 4e300j, 1e308 + 1e-5j, 5e-324 + 0j):
+        for m in (np.array([[z]], dtype=np.complex128), np.array([[z.real]])):
+            adjoint = m.conj().T
+            deviation, vals = hermitian_spectrum(m)
+            with np.errstate(over="ignore", invalid="ignore"):  # 2e308 overflows on both paths
+                expected = np.linalg.eigvalsh((m + adjoint) / 2)
+            assert vals.dtype == expected.dtype and vals.tobytes() == expected.tobytes()
+            assert np.float64(deviation).tobytes() == np.float64(max_abs(m - adjoint)).tobytes()
 
 
 _NOT_PROBABILITY_VECTORS = {
@@ -149,13 +159,12 @@ def test_partial_trace_factors_products():
     rng = np.random.default_rng(7)
     a = _random_hermitian(rng, 2)
     b = _random_hermitian(rng, 3)
-    out = partial_trace_left(np.kron(a, b), 2, 3)
-    assert max_abs(out - np.trace(a) * b) < 1e-12
-    assert np.allclose(partial_trace_right(np.kron(a, b), 2, 3), np.trace(b) * a)
+    out = partial_trace_right(np.kron(a, b), 2, 3)
+    assert max_abs(out - np.trace(b) * a) < 1e-12
 
 
 def test_partial_trace_identity():
-    assert np.allclose(partial_trace_left(np.eye(4), 2, 2), 2.0 * np.eye(2))
+    assert np.allclose(partial_trace_right(np.eye(4), 2, 2), 2.0 * np.eye(2))
 
 
 def test_partial_trace_bell():
@@ -163,19 +172,19 @@ def test_partial_trace_bell():
     for i in (0, 3):
         for j in (0, 3):
             bell[i, j] = 0.5
-    assert np.allclose(partial_trace_left(bell, 2, 2), 0.5 * np.eye(2))
+    assert np.allclose(partial_trace_right(bell, 2, 2), 0.5 * np.eye(2))
 
 
 def test_partial_trace_is_trace_preserving_and_linear():
     rng = np.random.default_rng(13)
     m1 = _random_hermitian(rng, 6)
     m2 = _random_hermitian(rng, 6)
-    t1 = partial_trace_left(m1, 2, 3)
+    t1 = partial_trace_right(m1, 2, 3)
     assert abs(np.trace(t1) - np.trace(m1)) < 1e-12
-    combined = partial_trace_left(2.0 * m1 + m2, 2, 3)
-    assert max_abs(combined - 2.0 * t1 - partial_trace_left(m2, 2, 3)) < 1e-12
+    combined = partial_trace_right(2.0 * m1 + m2, 2, 3)
+    assert max_abs(combined - 2.0 * t1 - partial_trace_right(m2, 2, 3)) < 1e-12
     with pytest.raises(ShapeMismatch):
-        partial_trace_left(np.eye(5), 2, 2)
+        partial_trace_right(np.eye(5), 2, 2)
 
 
 def test_sample_unitary_phase_for_dim_one():

@@ -29,8 +29,15 @@ from ncentropy import (
 from ncentropy.algebra import adjoint, is_positive, multiply
 from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
-from ncentropy.linalg import max_abs, sample_density, sample_simplex, sample_unitary
-from ncentropy.morphism import extensionally_equal, identity_morphism, morphism_from_json, morphism_to_json
+from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.morphism import (
+    _segments,
+    extensionally_equal,
+    identity_morphism,
+    morphism_from_json,
+    morphism_to_json,
+)
+from ncentropy.state import maximally_mixed_density
 
 
 def _random_element(shape, seed):
@@ -124,6 +131,38 @@ def test_pullback_sums_diagonal_pairs():
     omega = State(AlgebraShape((4,)), [1.0], (rho,))
     pulled = pullback(factor_inclusion(2, 2), omega)
     assert max_abs(pulled.densities[0] - np.diag([0.625, 0.375])) < 1e-12
+
+
+def _pullback_by_einsum(f, omega):
+    """Weights and densities of ``pullback`` with each segment traced by one einsum, kept as the reference."""
+    accum = [np.zeros((n, n), dtype=np.complex128) for n in f.domain.blocks]
+    for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
+        if p <= 0.0:
+            continue
+        u = f.unitaries[x]
+        m = u.conj().T @ (p * rho) @ u
+        for y, seg, copies, n in _segments(f, x):
+            accum[y] += np.einsum("aiaj->ij", m[seg, seg].reshape(copies, n, copies, n))
+    weights = np.array([max(np.trace(a).real, 0.0) for a in accum])
+    densities = [
+        hermitian_part(a / q) if q > 1e-13 else maximally_mixed_density(n)
+        for q, a, n in zip(weights, accum, f.domain.blocks)
+    ]
+    return weights / weights.sum(), densities
+
+
+def test_pullback_has_the_bits_of_the_einsum_partial_trace():
+    cases = [generate_instance(InstanceFamily(max_block_dim=9), Seed(31, k)) for k in range(60)]
+    for n, copies in ((1, 5), (2, 3), (3, 4)):
+        cases.append((factor_inclusion(n, copies), _random_state(AlgebraShape((copies * n,)), copies)))
+    most_copies = 0
+    for f, omega in cases:
+        weights, densities = _pullback_by_einsum(f, omega)
+        pulled = pullback(f, omega)
+        assert np.array_equal(pulled.weights, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(pulled.densities, densities))
+        most_copies = max(most_copies, int(f.multiplicities.max()))
+    assert most_copies >= 4  # sums of three or more copies, where the order of addition shows
 
 
 def test_compose_with_identity_and_terminal():

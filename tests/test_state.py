@@ -53,6 +53,9 @@ def test_state_validation():
         State(shape, [1.0], (np.diag([0.9, 0.3]),))
     with pytest.raises(ShapeMismatch):
         State(shape, [1.0], (np.eye(3) / 3,))
+    for bad, reason in (([[1.0 + 1e-3j]], "Hermitian"), ([[-0.5]], "eigenvalue"), ([[0.7]], "trace")):
+        with pytest.raises(NotDensity, match=reason):
+            State(AlgebraShape((1, 1)), [0.5, 0.5], (np.ones((1, 1)), np.array(bad)))
 
 
 def test_evaluate_examples():
