@@ -54,16 +54,26 @@ def entropy_change(f: Morphism, omega: State) -> float:
     return segal(omega) - segal(pullback(f, omega))
 
 
+def holevo_changes(f: Morphism, lams, omega: State, xi: State) -> list[float]:
+    """``holevo_change`` at each weight in ``lams``, taking the endpoints' entropy changes once.
+
+    Every weight is checked before any entropy change is computed.
+    """
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
+    mixed = [convex_combine(lam, omega, xi) for lam in lams]
+    at_omega = entropy_change(f, omega)
+    at_xi = entropy_change(f, xi)
+    return [
+        entropy_change(f, m) - lam * at_omega - (1.0 - lam) * at_xi
+        for lam, m in zip(lams, mixed)
+    ]
+
+
 def holevo_change(f: Morphism, lam: float, omega: State, xi: State) -> float:
     """Deviation of the entropy change from affinity on a two-state mixture."""
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
-    mixed = convex_combine(lam, omega, xi)
-    return (
-        entropy_change(f, mixed)
-        - lam * entropy_change(f, omega)
-        - (1.0 - lam) * entropy_change(f, xi)
-    )
+    return holevo_changes(f, (lam,), omega, xi)[0]
 
 
 def k_functor(f: Morphism, omega: State) -> float:

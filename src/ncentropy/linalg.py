@@ -93,13 +93,13 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
         z = m.item(0)
         return abs(z - z.conjugate()), np.array([((z + z.conjugate()) / 2).real])
     adjoint = m.conj().T
-    return max_abs(m - adjoint), np.linalg.eigvalsh((m + adjoint) / 2)
+    return float(np.abs(m - adjoint).max()), np.linalg.eigvalsh((m + adjoint) / 2)
 
 
 def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
     """Raise NotDensity unless ``rho`` is a density within ``tol``; returns ``hermitian_spectrum(rho)[1]``."""
-    if rho.shape[0] != rho.shape[1]:
-        raise NotDensity(f"density must be square, got {rho.shape}")
+    if rho.shape[0] != rho.shape[1] or rho.size == 0:
+        raise NotDensity(f"density must be a nonempty square matrix, got {rho.shape}")
     deviation, vals = hermitian_spectrum(rho)
     if deviation > tol:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
@@ -121,7 +121,7 @@ def check_probability_vector(p) -> np.ndarray:
         raise NotProbabilityVector(f"entry {p.min():.3e} is negative")
     if abs(p.sum() - 1.0) > DEFAULT_TOL:
         raise NotProbabilityVector(f"entries sum to {p.sum():.12g}, not 1 within {DEFAULT_TOL:.3e}")
-    return np.clip(p, 0.0, None)
+    return np.maximum(p, 0.0)
 
 
 def eigh(h):
@@ -192,7 +192,7 @@ def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None)
     k = n if rank is None else rank
     g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     w = g @ g.conj().T
-    return hermitian_part(w / np.trace(w).real)
+    return hermitian_part(w / w.trace().real)
 
 
 def sample_simplex(n: int, seed: Seed, *substream: int) -> np.ndarray:

@@ -47,17 +47,16 @@ class Morphism:
                 f"multiplicity matrix of shape {c.shape} does not match "
                 f"{len(self.codomain)} codomain x {len(self.domain)} domain blocks"
             )
-        if not (np.issubdtype(c.dtype, np.integer) or np.issubdtype(c.dtype, np.floating)):
+        kind = c.dtype.kind
+        if kind not in "iuf":  # signed, unsigned, float: no bool, complex or object
             raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
-        if not np.isfinite(c).all() or (c != np.floor(c)).any() or (c < 0).any():
+        if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or (c < 0).any():
             raise ShapeMismatch("multiplicities must be nonnegative integers")
         c = c.astype(np.int64)
-        n = np.asarray(self.domain.blocks, dtype=np.int64)
-        for x, m in enumerate(self.codomain.blocks):
-            if int(c[x] @ n) != m:
-                raise ShapeMismatch(
-                    f"codomain block {x} has dimension {m} but multiplicities give {int(c[x] @ n)}"
-                )
+        dims = (c @ np.asarray(self.domain.blocks, dtype=np.int64)).tolist()
+        for x, (m, d) in enumerate(zip(self.codomain.blocks, dims)):
+            if d != m:
+                raise ShapeMismatch(f"codomain block {x} has dimension {m} but multiplicities give {d}")
         mats = tuple(as_matrix(u) for u in self.unitaries)
         if len(mats) != len(self.codomain):
             raise ShapeMismatch(f"expected {len(self.codomain)} unitaries, got {len(mats)}")
@@ -74,8 +73,7 @@ def _segments(f: Morphism, x: int) -> list:
     """Ascending-``y`` layout of codomain block ``x``: (y, slice, copies, n_y) per segment."""
     out = []
     start = 0
-    for y, n in enumerate(f.domain.blocks):
-        copies = int(f.multiplicities[x, y])
+    for y, (n, copies) in enumerate(zip(f.domain.blocks, f.multiplicities[x].tolist())):
         if copies > 0:
             out.append((y, slice(start, start + copies * n), copies, n))
             start += copies * n
@@ -128,7 +126,7 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
             for k in range(n, copies * n, n):
                 traced = traced + diagonal[k : k + n, k : k + n]
             accum[y] += traced
-    weights = np.array([max(np.trace(a).real, 0.0) for a in accum])
+    weights = np.array([max(a.trace().real, 0.0) for a in accum])
     densities = []
     for q, a, n in zip(weights, accum, f.domain.blocks):
         if q > 1e-13:

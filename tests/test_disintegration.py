@@ -127,7 +127,7 @@ def test_quantum_isomorphism_always_disintegrates():
 
 def test_classical_agrees_with_quantum():
     for k in range(30):
-        f, omega = generate_instance(InstanceFamily(classical_only=True), Seed(104, k))
+        f, omega = generate_instance(InstanceFamily(max_block_dim=1), Seed(104, k))
         result = quantum_disintegrate(f, omega)
         assert isinstance(result, QuantumDisintegrationData)
         psi = classical_disintegrate(classical_function(f), omega.weights, n_targets=len(f.domain))

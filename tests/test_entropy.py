@@ -18,7 +18,8 @@ from ncentropy import (
     shannon,
     von_neumann,
 )
-from ncentropy.entropy import LOG2
+from ncentropy import entropy
+from ncentropy.entropy import LOG2, holevo_changes
 from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import psd_log, sample_density, sample_simplex, sample_unitary
@@ -44,7 +45,7 @@ def test_von_neumann_values():
         von_neumann(np.diag([0.7, 0.7]))
     skew = np.eye(2, dtype=complex) / 2
     skew[0, 1] = 1e-3
-    for bad in (np.ones((2, 3)) / 2, skew, np.diag([1.5, -0.5])):
+    for bad in (np.ones((2, 3)) / 2, np.zeros((0, 0)), skew, np.diag([1.5, -0.5])):
         with pytest.raises(NotDensity):
             von_neumann(bad)
     # 1x1 densities take the entry path of hermitian_spectrum
@@ -157,6 +158,28 @@ def test_holevo_change_identity_vanishes():
         holevo_change(f, -0.1, omega, xi)
 
 
+def test_holevo_changes_has_the_bits_of_one_weight_at_a_time():
+    lams = (0.0, 0.1, 0.5, 0.9, 1.0, 0.123456789)
+    for k in range(20):
+        f, omega = generate_instance(InstanceFamily(), Seed(23, k))
+        densities = tuple(sample_density(m, Seed(25, k), x) for x, m in enumerate(f.codomain.blocks))
+        xi = State(f.codomain, sample_simplex(len(f.codomain), Seed(24, k)), densities)
+        many = holevo_changes(f, lams, omega, xi)
+        one_at_a_time = [holevo_change(f, lam, omega, xi) for lam in lams]
+        assert np.array(many).tobytes() == np.array(one_at_a_time).tobytes()
+
+
+@pytest.mark.parametrize("lams", [(-0.1,), (0.5, 1.5), (0.1, 0.5, float("nan")), (float("inf"), 0.5)])
+def test_holevo_changes_checks_every_weight_before_any_entropy_change(monkeypatch, lams):
+    calls = []
+    monkeypatch.setattr(entropy, "entropy_change", lambda f, omega: calls.append(f) or 0.0)
+    f = identity_morphism(AlgebraShape((2,)))
+    omega = State(f.codomain, [1.0], (sample_density(2, Seed(19)),))
+    with pytest.raises(OutOfRange):
+        holevo_changes(f, lams, omega, omega)
+    assert calls == []
+
+
 def test_holevo_change_terminal_on_orthogonal_pair():
     f = initial(AlgebraShape((2,)))
     omega = State(AlgebraShape((2,)), [1.0], (np.diag([1.0, 0.0]),))
@@ -176,7 +199,7 @@ def test_holevo_change_zero_when_orthogonality_preserved():
 def test_k_functor():
     # commutative case: block weights carry all the entropy
     for k in range(10):
-        f, omega = generate_instance(InstanceFamily(classical_only=True), Seed(21, k))
+        f, omega = generate_instance(InstanceFamily(max_block_dim=1), Seed(21, k))
         assert abs(k_functor(f, omega) - entropy_change(f, omega)) < 1e-12
 
     f = measurement_morphism(AlgebraShape((2,)), 0, np.diag([1.0, -1.0]))

@@ -28,7 +28,7 @@ def test_generator_is_deterministic():
 
 def test_generator_respects_family():
     for k in range(20):
-        f, omega = generate_instance(InstanceFamily(classical_only=True), Seed(11, k))
+        f, omega = generate_instance(InstanceFamily(max_block_dim=1), Seed(11, k))
         assert f.domain.is_commutative() and f.codomain.is_commutative()
         assert all(int(f.multiplicities[x].sum()) == 1 for x in range(len(f.codomain)))
 
@@ -146,6 +146,25 @@ def test_failed_numeric_check_raises_max_residual(monkeypatch):
     assert report.max_residual == max(r for _, _, r in report.failures)
     assert abs(report.max_residual - 1e-3) < 1e-12
     assert {d for _, d, _ in report.failures} == {"entropy change along an isomorphism"}
+
+
+@pytest.mark.parametrize("name, per_trial", [("holevo-nonneg", 6), ("k-counterexample", 9)])
+def test_holevo_suites_pull_each_endpoint_back_once(monkeypatch, name, per_trial):
+    from ncentropy import entropy, morphism
+
+    calls = []
+    exact = morphism.pullback
+
+    def counted(f, omega):
+        calls.append(f)
+        return exact(f, omega)
+
+    # the entropy functors pull back through entropy's binding, the
+    # harness and preserves_orthogonality through morphism's
+    monkeypatch.setattr(entropy, "pullback", counted)
+    monkeypatch.setattr(morphism, "pullback", counted)
+    assert run_suite(name, 3, Seed(42), 1e-9).passed
+    assert len(calls) == 3 * per_trial
 
 
 def test_characterization_fit_reports_constant():

@@ -7,6 +7,7 @@ from ncentropy import AlgebraShape, Seed, State, StochasticMap, classical_disint
 from ncentropy.errors import NotHermitian, NotProbabilityVector, NotPSD, NotSquare, ShapeMismatch
 from ncentropy.linalg import (
     as_matrix,
+    check_probability_vector,
     eigh,
     hermitian_part,
     hermitian_spectrum,
@@ -105,6 +106,14 @@ def test_one_vector_check_rejects_every_malformed_vector(p):
         StochasticMap([[0.0, 1.0], p] if vector else [p])
     with pytest.raises(expected):
         State(shape, p, ones)
+
+
+def test_vector_check_returns_a_new_array_clipped_at_positive_zero():
+    p = np.array([-0.0, 1.0, -1e-12])
+    q = check_probability_vector(p)
+    assert q is not p and not np.shares_memory(q, p)
+    assert q.tolist() == [0.0, 1.0, 0.0] and not np.signbit(q).any()
+    assert np.signbit(p[0])  # the input is left as it was
 
 
 def test_psd_log_identity_is_zero():

@@ -65,6 +65,20 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 def test_morphism_validation():
     with pytest.raises(ShapeMismatch):
         Morphism(AlgebraShape((2,)), AlgebraShape((3,)), np.array([[1]]), (np.eye(3),))
+    domain, codomain, u = AlgebraShape((2, 2)), AlgebraShape((4,)), (np.eye(4),)
+    for good in (np.array([[2, 0]], dtype=np.uint8), np.array([[2.0, 0.0]]), np.array([[1, 1]])):
+        f = Morphism(domain, codomain, good, u)
+        assert f.multiplicities.dtype == np.int64 and f.multiplicities.tolist() == good.astype(int).tolist()
+    # each row sums to dimension 4, so only the entry check rejects it
+    for bad in (
+        np.array([[0.5, 1.5]]),
+        np.array([[np.nan, 2.0]]),
+        np.array([[3, -1]]),
+        np.array([[True, True]]),
+        np.array([[2 + 0j, 0]]),
+    ):
+        with pytest.raises(ShapeMismatch):
+            Morphism(domain, codomain, bad, u)
     with pytest.raises(NotUnitary):
         Morphism(AlgebraShape((2,)), AlgebraShape((2,)), np.array([[1]]), (np.eye(2) * 2,))
 
