@@ -47,11 +47,33 @@ def segal(omega: State) -> float:
     return total
 
 
-def entropy_change(f: Morphism, omega: State) -> float:
-    """Entropy of the state minus the entropy of its pullback."""
+def _change_and_pullback(f: Morphism, omega: State) -> tuple[float, State]:
+    """``entropy_change`` and the pullback it took: the one place an entropy change is computed.
+
+    Every caller goes through this module's binding of the name, so a
+    replacement installed here (a negative control) sees every change.
+    """
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the codomain of the morphism")
-    return segal(omega) - segal(pullback(f, omega))
+    pulled = pullback(f, omega)
+    return segal(omega) - segal(pulled), pulled
+
+
+def entropy_change(f: Morphism, omega: State) -> float:
+    """Entropy of the state minus the entropy of its pullback."""
+    return _change_and_pullback(f, omega)[0]
+
+
+def _holevo_changes(f: Morphism, lams, omega: State, xi: State) -> tuple[list[float], list[tuple[State, State]]]:
+    """``holevo_changes`` plus ``(state, pullback)`` for ``omega``, ``xi`` and the mixture at each weight."""
+    for lam in lams:
+        if not 0.0 <= lam <= 1.0:
+            raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
+    states = [omega, xi, *(convex_combine(lam, omega, xi) for lam in lams)]
+    changes, pulled = zip(*(_change_and_pullback(f, w) for w in states))
+    at_omega, at_xi = changes[:2]
+    deviations = [at_m - lam * at_omega - (1.0 - lam) * at_xi for lam, at_m in zip(lams, changes[2:])]
+    return deviations, list(zip(states, pulled))
 
 
 def holevo_changes(f: Morphism, lams, omega: State, xi: State) -> list[float]:
@@ -59,16 +81,7 @@ def holevo_changes(f: Morphism, lams, omega: State, xi: State) -> list[float]:
 
     Every weight is checked before any entropy change is computed.
     """
-    for lam in lams:
-        if not 0.0 <= lam <= 1.0:
-            raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
-    mixed = [convex_combine(lam, omega, xi) for lam in lams]
-    at_omega = entropy_change(f, omega)
-    at_xi = entropy_change(f, xi)
-    return [
-        entropy_change(f, m) - lam * at_omega - (1.0 - lam) * at_xi
-        for lam, m in zip(lams, mixed)
-    ]
+    return _holevo_changes(f, lams, omega, xi)[0]
 
 
 def holevo_change(f: Morphism, lam: float, omega: State, xi: State) -> float:
@@ -76,13 +89,20 @@ def holevo_change(f: Morphism, lam: float, omega: State, xi: State) -> float:
     return holevo_changes(f, (lam,), omega, xi)[0]
 
 
+def _block_weight_change(omega: State, pulled: State) -> float:
+    """``k_functor`` of a state whose pullback is already taken."""
+    return _plogp(omega.weights) - _plogp(pulled.weights)
+
+
 def k_functor(f: Morphism, omega: State) -> float:
     """Shannon difference of the block-weight distributions only.
 
     Agrees with ``entropy_change`` on commutative algebras but ignores the
     internal structure of the block densities, which is what makes it a
-    separating counterexample for affinity on orthogonal mixtures.
+    separating counterexample for affinity on orthogonal mixtures.  It
+    pulls back by itself, not through ``_change_and_pullback``: a negative
+    control installed there may be this very function.
     """
     if omega.shape != f.codomain:
         raise ShapeMismatch("state must live on the codomain of the morphism")
-    return _plogp(omega.weights) - _plogp(pullback(f, omega).weights)
+    return _block_weight_change(omega, pullback(f, omega))

@@ -13,10 +13,6 @@ class NotHermitian(InvariantViolation):
     pass
 
 
-class NotPSD(InvariantViolation):
-    pass
-
-
 class NotUnitary(InvariantViolation):
     pass
 

@@ -254,10 +254,8 @@ def _per_trial(check):
 @_per_trial
 def _suite_coboundary(rec, s, i, tol):
     f, omega = generate_instance(_DEFAULT, s)
-    lhs = ent.entropy_change(f, omega)
-    rhs = ent.entropy_change(mor.initial(f.codomain), omega) - ent.entropy_change(
-        mor.initial(f.domain), mor.pullback(f, omega)
-    )
+    lhs, pulled = ent._change_and_pullback(f, omega)
+    rhs = ent.entropy_change(mor.initial(f.codomain), omega) - ent.entropy_change(mor.initial(f.domain), pulled)
     rec.check(s, "entropy change differs from its coboundary expression", abs(lhs - rhs), tol)
 
 
@@ -268,7 +266,8 @@ def _suite_functoriality(rec, s, i, tol):
     omega = _sample_state(f.codomain, s, channel=7)
     composite = mor.compose(f, g)
     lhs = ent.entropy_change(composite, omega)
-    rhs = ent.entropy_change(f, omega) + ent.entropy_change(g, mor.pullback(f, omega))
+    change, pulled = ent._change_and_pullback(f, omega)
+    rhs = change + ent.entropy_change(g, pulled)
     rec.check(s, "entropy change is not additive under composition", abs(lhs - rhs), tol)
 
 
@@ -277,13 +276,13 @@ def _suite_iso_invariance(rec, s, i, tol):
     f = _sample_isomorphism(_DEFAULT, s)
     rec.expect(s, "constructed isomorphism not recognized", mor.is_isomorphism(f))
     omega = _sample_state(f.codomain, s)
-    rec.check(s, "entropy change along an isomorphism", abs(ent.entropy_change(f, omega)), tol)
+    change, pulled = ent._change_and_pullback(f, omega)
+    rec.check(s, "entropy change along an isomorphism", abs(change), tol)
     pure = _sample_pure_state(f.codomain, s, channel=4)
     rec.expect(
         s,
         "isomorphism does not transport purity",
-        st.is_pure(mor.pullback(f, pure))
-        and st.is_pure(mor.pullback(f, omega)) == st.is_pure(omega),
+        st.is_pure(mor.pullback(f, pure)) and st.is_pure(pulled) == st.is_pure(omega),
     )
     if f.codomain.total_dim >= 2:
         w, x = _sample_orthogonal_pair(f.codomain, s)
@@ -420,12 +419,13 @@ def _suite_orthogonal_affinity(rec, s, i, tol):
         f = _qubit_in_two_qubits()
         omega, xi = _bell_states()
         preserving = False
+    chis, ((_, f_omega), (_, f_xi), *_) = ent._holevo_changes(f, _LAMBDAS, omega, xi)
     rec.expect(
         s,
         f"orthogonality preservation mismatch on construction {kind}",
-        mor.preserves_orthogonality(f, omega, xi) == preserving,
+        mor._preserves_orthogonality(omega, xi, f_omega, f_xi) == preserving,
     )
-    for lam, chi in zip(_LAMBDAS, ent.holevo_changes(f, _LAMBDAS, omega, xi)):
+    for lam, chi in zip(_LAMBDAS, chis):
         if preserving:
             rec.check(s, f"mixing deviation on a preserving morphism (weight {lam})", abs(chi), 1e-8)
         else:
@@ -502,12 +502,11 @@ def _suite_external_affinity(rec, s, i, tol):
     wa = _sample_state(fa.codomain, s, channel=2)
     wb = _sample_state(fb.codomain, s, channel=3)
     lam = float(s.rng(4).uniform())
-    k = mor.external_sum_morphism(fa, fb)
-    mix = st.external_sum_state(lam, wa, wb)
-    for name, h in (("entropy change", ent.entropy_change), ("block-weight change", ent.k_functor)):
-        lhs = h(k, mix)
-        rhs = lam * h(fa, wa) + (1.0 - lam) * h(fb, wb)
-        rec.check(s, f"{name} is not externally affine", abs(lhs - rhs), tol)
+    pairs = ((mor.external_sum_morphism(fa, fb), st.external_sum_state(lam, wa, wb)), (fa, wa), (fb, wb))
+    changes, pulled = zip(*(ent._change_and_pullback(h, w) for h, w in pairs))
+    weight_changes = [ent._block_weight_change(w, p) for (_, w), p in zip(pairs, pulled)]
+    for name, (lhs, a, b) in (("entropy change", changes), ("block-weight change", weight_changes)):
+        rec.check(s, f"{name} is not externally affine", abs(lhs - (lam * a + (1.0 - lam) * b)), tol)
 
 
 @functools.cache
@@ -523,19 +522,21 @@ def _z_measurement_pair():
 @_per_trial
 def _suite_k_counterexample(rec, s, i, tol):
     f, omega, xi = _z_measurement_pair()
-    rec.expect(s, "measurement fails to preserve the diagonal pair", mor.preserves_orthogonality(f, omega, xi))
     lam = _LAMBDAS[i % len(_LAMBDAS)]
+    (chi_s,), ((_, f_omega), (_, f_xi), (mix, f_mix)) = ent._holevo_changes(f, (lam,), omega, xi)
+    preserved = mor._preserves_orthogonality(omega, xi, f_omega, f_xi)
+    rec.expect(s, "measurement fails to preserve the diagonal pair", preserved)
     binary = ent.shannon([lam, 1.0 - lam])
-    chi_s = ent.holevo_change(f, lam, omega, xi)
     rec.check(s, "entropy change deviates on the preserved pair", abs(chi_s), 1e-8)
 
-    k_omega, k_xi = ent.k_functor(f, omega), ent.k_functor(f, xi)
+    k_omega, k_xi = ent._block_weight_change(omega, f_omega), ent._block_weight_change(xi, f_xi)
 
-    def k_chi(l):
-        return ent.k_functor(f, st.convex_combine(l, omega, xi)) - l * k_omega - (1.0 - l) * k_xi
+    def k_chi(l, state, pulled):
+        return ent._block_weight_change(state, pulled) - l * k_omega - (1.0 - l) * k_xi
 
-    rec.check(s, "block-weight functor deviation is not the binary entropy", abs(k_chi(lam) + binary), tol)
-    rec.check(s, "block-weight functor unexpectedly affine", 1e-4 - abs(k_chi(0.5)), 0.0)
+    half = st.convex_combine(0.5, omega, xi)
+    rec.check(s, "block-weight functor deviation is not the binary entropy", abs(k_chi(lam, mix, f_mix) + binary), tol)
+    rec.check(s, "block-weight functor unexpectedly affine", 1e-4 - abs(k_chi(0.5, half, mor.pullback(f, half))), 0.0)
 
 
 def _project_to_density(rho: np.ndarray) -> np.ndarray:
@@ -596,8 +597,7 @@ def _suite_continuity(rec, s, i, tol):
         h = hermitian_part(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         h -= np.trace(h).real / m * np.eye(m)
         dirs.append(scale * h / max(max_abs(h), 1e-9))
-    base = ent.entropy_change(f, omega)
-    pulled = mor.pullback(f, omega)
+    base, pulled = ent._change_and_pullback(f, omega)
     for n in _CONTINUITY_SCHEDULE:
         weights = np.clip(omega.weights + w_dir / n, 0.0, None)
         weights /= weights.sum()
@@ -605,13 +605,14 @@ def _suite_continuity(rec, s, i, tol):
             _project_to_density(rho + d / n) for rho, d in zip(omega.densities, dirs)
         )
         perturbed = State(f.codomain, weights, densities)
-        diff = abs(ent.entropy_change(f, perturbed) - base)
+        change, pulled_perturbed = ent._change_and_pullback(f, perturbed)
+        diff = abs(change - base)
         # S(w) - S(f*w) moves by at most the sum of the two entropies'
         # Fannes-Audenaert bounds, each taken at the states' trace distance
         bound = _fannes_audenaert(
             _trace_distance(omega, perturbed), f.codomain.total_dim
         ) + _fannes_audenaert(
-            _trace_distance(pulled, mor.pullback(f, perturbed)), f.domain.total_dim
+            _trace_distance(pulled, pulled_perturbed), f.domain.total_dim
         )
         rec.check(s, "entropy change moves further than the Fannes-Audenaert bound", diff - bound, tol)
     rec.check(s, "entropy change still far at the end of the schedule", diff, 1e-3)

@@ -1,8 +1,7 @@
 """Dense complex-matrix kernel and the one home of value validation.
 
-Hermitian eigendecompositions, logarithms restricted to the positive
-support, the right partial trace, and seeded sampling of unitaries,
-density matrices, and simplex points.  Every other module decides "is
+Hermitian eigendecompositions, the right partial trace, and seeded
+sampling of unitaries, density matrices, and simplex points.  Every other module decides "is
 this a density?" with ``check_density``, "is this a probability vector?"
 with ``check_probability_vector``, and takes Hermitian spectra from
 ``hermitian_spectrum``, the package's one ``eigvalsh`` call; it reads a
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDensity, NotHermitian, NotProbabilityVector, NotPSD, NotSquare, ShapeMismatch
+from .errors import NotDensity, NotHermitian, NotProbabilityVector, NotSquare, ShapeMismatch
 
 # One tolerance governs every "is zero / is PSD / is Hermitian" decision
 # so the verification suites stay coherent.
@@ -142,22 +141,6 @@ def eigh(h):
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def psd_log(m) -> np.ndarray:
-    """Matrix logarithm on the support of a PSD matrix.
-
-    Eigenvalues in ``(-DEFAULT_TOL, DEFAULT_TOL]`` are treated as zero and
-    contribute nothing (the ``0 log 0 = 0`` convention); an eigenvalue
-    below ``-DEFAULT_TOL`` raises NotPSD.
-    """
-    vals, vecs = eigh(m)
-    if vals[-1] < -DEFAULT_TOL:
-        raise NotPSD(f"eigenvalue {vals[-1]:.3e} below -{DEFAULT_TOL:.3e}")
-    keep = vals > DEFAULT_TOL
-    log_vals = np.zeros_like(vals)
-    log_vals[keep] = np.log(vals[keep])
-    return (vecs * log_vals) @ vecs.conj().T
 
 
 def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:

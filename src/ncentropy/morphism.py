@@ -203,9 +203,14 @@ def is_isomorphism(f: Morphism) -> bool:
 
 def preserves_orthogonality(f: Morphism, omega: State, xi: State) -> bool:
     """Whether the pullbacks of a mutually orthogonal pair stay orthogonal."""
+    return _preserves_orthogonality(omega, xi, pullback(f, omega), pullback(f, xi))
+
+
+def _preserves_orthogonality(omega: State, xi: State, f_omega: State, f_xi: State) -> bool:
+    """``preserves_orthogonality`` of a pair whose pullbacks ``f_omega`` and ``f_xi`` are already taken."""
     if not are_orthogonal(omega, xi):
         raise NotOrthogonalInput("input states are not mutually orthogonal")
-    return are_orthogonal(pullback(f, omega), pullback(f, xi))
+    return are_orthogonal(f_omega, f_xi)
 
 
 def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morphism:

@@ -22,7 +22,7 @@ from ncentropy import entropy
 from ncentropy.entropy import LOG2, holevo_changes
 from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
-from ncentropy.linalg import psd_log, sample_density, sample_simplex, sample_unitary
+from ncentropy.linalg import DEFAULT_TOL, sample_density, sample_simplex, sample_unitary
 from ncentropy.morphism import identity_morphism
 import ncentropy.linalg as linalg
 
@@ -81,8 +81,32 @@ def test_segal_values():
     assert abs(segal(classical_state(p)) - shannon(p)) < 1e-12
 
 
+def _psd_log(m) -> np.ndarray:
+    """Matrix logarithm on the support of a PSD matrix: eigenvalues up to ``DEFAULT_TOL`` contribute nothing."""
+    vals, vecs = linalg.eigh(m)
+    assert vals[-1] >= -DEFAULT_TOL, "not positive semidefinite"
+    keep = vals > DEFAULT_TOL
+    log_vals = np.zeros_like(vals)
+    log_vals[keep] = np.log(vals[keep])
+    return (vecs * log_vals) @ vecs.conj().T
+
+
+def test_tensor_log_identity():
+    # (C (x) D) log(C (x) D) == C log C (x) D + C (x) D log D, both sides via _psd_log
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c = c @ c.conj().T
+        d = d @ d.conj().T
+        cd = np.kron(c, d)
+        lhs = cd @ _psd_log(cd)
+        rhs = np.kron(c @ _psd_log(c), d) + np.kron(c, d @ _psd_log(d))
+        assert linalg.max_abs(lhs - rhs) < 1e-9
+
+
 def test_segal_weighted_log_identity():
-    # independent oracle: -sum_x tr(p_x rho_x log(p_x rho_x)) via psd_log
+    # independent oracle: -sum_x tr(p_x rho_x log(p_x rho_x)) via _psd_log
     for k in range(10):
         shape = AlgebraShape((2, 3))
         weights = sample_simplex(2, Seed(9, k))
@@ -92,7 +116,7 @@ def test_segal_weighted_log_identity():
         for p, rho in zip(weights, densities):
             if p > 0:
                 w = p * rho
-                total -= np.trace(w @ psd_log(w)).real
+                total -= np.trace(w @ _psd_log(w)).real
         assert abs(segal(omega) - total) < 1e-9
 
 
@@ -102,6 +126,19 @@ def test_entropy_change_along_isomorphism():
     for k in range(10):
         omega = State(AlgebraShape((3,)), [1.0], (sample_density(3, Seed(13, k)),))
         assert abs(entropy_change(iso, omega)) < 1e-9
+
+
+def test_change_and_pullback_has_the_bits_of_entropy_change_and_pullback():
+    for k in range(20):
+        family = InstanceFamily(max_block_dim=1) if k % 4 == 0 else InstanceFamily()
+        f, omega = generate_instance(family, Seed(26, k))
+        change, pulled = entropy._change_and_pullback(f, omega)
+        reference = pullback(f, omega)
+        assert np.float64(change).tobytes() == np.float64(segal(omega) - segal(reference)).tobytes()
+        assert np.float64(entropy_change(f, omega)).tobytes() == np.float64(change).tobytes()
+        assert pulled.shape == reference.shape == f.domain
+        assert pulled.weights.tobytes() == reference.weights.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pulled.densities, reference.densities))
 
 
 def test_entropy_change_bell():
@@ -172,7 +209,7 @@ def test_holevo_changes_has_the_bits_of_one_weight_at_a_time():
 @pytest.mark.parametrize("lams", [(-0.1,), (0.5, 1.5), (0.1, 0.5, float("nan")), (float("inf"), 0.5)])
 def test_holevo_changes_checks_every_weight_before_any_entropy_change(monkeypatch, lams):
     calls = []
-    monkeypatch.setattr(entropy, "entropy_change", lambda f, omega: calls.append(f) or 0.0)
+    monkeypatch.setattr(entropy, "_change_and_pullback", lambda f, omega: calls.append(f) or (0.0, omega))
     f = identity_morphism(AlgebraShape((2,)))
     omega = State(f.codomain, [1.0], (sample_density(2, Seed(19)),))
     with pytest.raises(OutOfRange):

@@ -9,6 +9,7 @@ from ncentropy import InstanceFamily, Seed, are_orthogonal, generate_instance, r
 from ncentropy import harness
 from ncentropy.errors import UnknownSuite
 from ncentropy.harness import SUITES, _sample_orthogonal_pair, _sample_shape
+from ncentropy.morphism import pullback
 
 
 def test_generator_is_deterministic():
@@ -139,8 +140,8 @@ def test_failed_boolean_check_records_unit_residual(monkeypatch):
 def test_failed_numeric_check_raises_max_residual(monkeypatch):
     from ncentropy import entropy
 
-    exact = entropy.entropy_change
-    monkeypatch.setattr(entropy, "entropy_change", lambda f, omega: exact(f, omega) + 1e-3)
+    exact = entropy._change_and_pullback
+    monkeypatch.setattr(entropy, "_change_and_pullback", lambda f, omega: (exact(f, omega)[0] + 1e-3, pullback(f, omega)))
     report = run_suite("iso-invariance", 4, Seed(4), 1e-9)
     assert not report.passed
     assert report.max_residual == max(r for _, _, r in report.failures)
@@ -148,23 +149,48 @@ def test_failed_numeric_check_raises_max_residual(monkeypatch):
     assert {d for _, d, _ in report.failures} == {"entropy change along an isomorphism"}
 
 
-@pytest.mark.parametrize("name, per_trial", [("holevo-nonneg", 6), ("k-counterexample", 9)])
-def test_holevo_suites_pull_each_endpoint_back_once(monkeypatch, name, per_trial):
+# Pullbacks per trial of the suites that reuse one pullback for several checks
+PULLBACKS_PER_TRIAL = {
+    "coboundary": 3,
+    "functoriality": 3,
+    "holevo-nonneg": 6,
+    "orthogonal-affinity": 5,
+    "external-affinity": 3,
+    "k-counterexample": 4,
+    "continuity": 6,
+}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_each_suite_pulls_each_state_back_once_per_trial(monkeypatch, name):
     from ncentropy import entropy, morphism
 
-    calls = []
+    windows = [[]]  # the (f, omega) of each pullback, per trial; kept alive so no id is reused
     exact = morphism.pullback
 
     def counted(f, omega):
-        calls.append(f)
+        windows[-1].append((f, omega))
         return exact(f, omega)
 
     # the entropy functors pull back through entropy's binding, the
     # harness and preserves_orthogonality through morphism's
     monkeypatch.setattr(entropy, "pullback", counted)
     monkeypatch.setattr(morphism, "pullback", counted)
-    assert run_suite(name, 3, Seed(42), 1e-9).passed
-    assert len(calls) == 3 * per_trial
+    trial_name = "_suite_" + name.replace("-", "_")
+    one_trial = getattr(harness, trial_name)
+    if SUITES[name] is not one_trial:  # a per-trial suite: open a window per trial
+
+        def windowed(*args):
+            windows.append([])
+            return one_trial(*args)
+
+        monkeypatch.setattr(harness, trial_name, windowed)
+    assert run_suite(name, 5, Seed(42), 1e-9).passed
+    for calls in windows:
+        keys = [(id(f), id(omega)) for f, omega in calls]
+        assert len(keys) == len(set(keys))
+    if name in PULLBACKS_PER_TRIAL:
+        assert [len(calls) for calls in windows[1:]] == [PULLBACKS_PER_TRIAL[name]] * 5
 
 
 def test_characterization_fit_reports_constant():
@@ -183,15 +209,15 @@ def test_continuity_passes_where_the_entropy_change_is_not_monotone():
 def test_continuity_rejects_an_offset_away_from_the_base_state(monkeypatch):
     from ncentropy import entropy
 
-    exact = entropy.entropy_change
+    exact = entropy._change_and_pullback
     bases = {}  # id(f) -> f; the first call per morphism is the base state
 
     def offset(f, omega):
         if id(f) not in bases:
             bases[id(f)] = f
             return exact(f, omega)
-        return exact(f, omega) + 1e-6
+        return exact(f, omega)[0] + 1e-6, pullback(f, omega)
 
-    monkeypatch.setattr(entropy, "entropy_change", offset)
+    monkeypatch.setattr(entropy, "_change_and_pullback", offset)
     report = run_suite("continuity", 16, Seed(42), 1e-9)
     assert not report.passed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncentropy import AlgebraShape, Seed, State, StochasticMap, classical_disintegrate, shannon
-from ncentropy.errors import NotHermitian, NotProbabilityVector, NotPSD, NotSquare, ShapeMismatch
+from ncentropy.errors import NotHermitian, NotProbabilityVector, NotSquare, ShapeMismatch
 from ncentropy.linalg import (
     as_matrix,
     check_probability_vector,
@@ -15,7 +15,6 @@ from ncentropy.linalg import (
     matrix_to_json,
     max_abs,
     partial_trace_right,
-    psd_log,
     sample_density,
     sample_simplex,
     sample_unitary,
@@ -114,54 +113,6 @@ def test_vector_check_returns_a_new_array_clipped_at_positive_zero():
     assert q is not p and not np.shares_memory(q, p)
     assert q.tolist() == [0.0, 1.0, 0.0] and not np.signbit(q).any()
     assert np.signbit(p[0])  # the input is left as it was
-
-
-def test_psd_log_identity_is_zero():
-    assert max_abs(psd_log(np.eye(3))) < 1e-12
-
-
-def test_psd_log_diagonal():
-    out = psd_log(np.diag([np.e, np.e**2]))
-    assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-12)
-
-
-def test_psd_log_zero_eigenvalue_maps_to_zero():
-    out = psd_log(np.diag([0.5, 0.0]))
-    assert np.allclose(out, np.diag([-np.log(2.0), 0.0]), atol=1e-12)
-
-
-def test_psd_log_rejects_negative():
-    with pytest.raises(NotPSD):
-        psd_log(np.diag([1.0, -1e-6]))
-
-
-def test_psd_log_commutes_and_inverts_on_support():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        m = g @ g.conj().T  # PSD of rank 2
-        lg = psd_log(m)
-        assert max_abs(m @ lg - lg @ m) < 1e-9
-        # exp of the log, computed independently via eigh, restores m on its support
-        vals, vecs = eigh(lg)
-        expm = (vecs * np.exp(vals)) @ vecs.conj().T
-        supp_vals, supp_vecs = eigh(m)
-        proj = supp_vecs[:, supp_vals > 1e-10] @ supp_vecs[:, supp_vals > 1e-10].conj().T
-        assert max_abs(proj @ expm @ proj - m) < 1e-9
-
-
-def test_tensor_log_identity():
-    # (C (x) D) log(C (x) D) == C log C (x) D + C (x) D log D, both sides via psd_log
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        c = c @ c.conj().T
-        d = d @ d.conj().T
-        cd = np.kron(c, d)
-        lhs = cd @ psd_log(cd)
-        rhs = np.kron(c @ psd_log(c), d) + np.kron(c, d @ psd_log(d))
-        assert max_abs(lhs - rhs) < 1e-9
 
 
 def test_partial_trace_factors_products():
