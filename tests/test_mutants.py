@@ -32,11 +32,14 @@ def _change(h):
 
 
 MUTANTS = {
-    # Caught by one suite only: scaling the functor is invisible to every
-    # check whose both sides scale alike.  This is the gap that ROADMAP
-    # item 1 (a characterization check against an independent reference)
-    # closes.
-    "doubled": (lambda f, omega: 2.0 * EXACT(f, omega)[0], ["disintegration"]),
+    # Scaling the functor is invisible to every check whose both sides
+    # scale alike; only the suites that compare against an independent
+    # reference entropy (coboundary's potential, the characterization fit)
+    # or a closed form see it.
+    "doubled": (
+        lambda f, omega: 2.0 * EXACT(f, omega)[0],
+        ["coboundary", "disintegration", "characterization-fit"],
+    ),
     "half-pullback": (
         lambda f, omega: entropy.segal(omega) - 0.5 * entropy.segal(pullback(f, omega)),
         [
@@ -48,19 +51,34 @@ MUTANTS = {
             "external-affinity",
             "k-counterexample",
             "disintegration",
+            "characterization-fit",
         ],
     ),
     "renyi-2": (
         _change(lambda omega: -np.log(_collision(omega))),
-        ["orthogonal-affinity", "external-affinity", "disintegration"],
+        ["coboundary", "orthogonal-affinity", "external-affinity", "disintegration", "characterization-fit"],
     ),
     "tsallis-2": (
         _change(lambda omega: 1.0 - _collision(omega)),
-        ["holevo-nonneg", "orthogonal-affinity", "external-affinity", "disintegration"],
+        [
+            "coboundary",
+            "holevo-nonneg",
+            "orthogonal-affinity",
+            "external-affinity",
+            "disintegration",
+            "characterization-fit",
+        ],
     ),
     "k-functor": (
         entropy.k_functor,
-        ["holevo-nonneg", "orthogonal-affinity", "k-counterexample", "disintegration"],
+        [
+            "coboundary",
+            "holevo-nonneg",
+            "orthogonal-affinity",
+            "k-counterexample",
+            "disintegration",
+            "characterization-fit",
+        ],
     ),
 }
 
