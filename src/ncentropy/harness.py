@@ -3,8 +3,9 @@
 Every suite turns one entropy/structure fact into a pass/fail property
 over freshly generated instances: morphisms in canonical form with Haar
 block unitaries, Ginibre block densities, and Dirichlet block weights.
-Trials draw from substreams keyed by (seed, trial index), so reports are
-deterministic and independent of execution order.
+Trial ``i`` builds one generator from its key ``seed.child(i)`` and draws
+everything from it in program order, so reports are deterministic and
+independent of execution order.  The samplers take that generator.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from .algebra import AlgebraShape
 from .errors import InfeasibleShapes, UnknownSuite
 from .linalg import (
     Seed,
+    _density,
+    _simplex,
+    _unitary,
     block_diag,
     eigh,
     hermitian_part,
     hermitian_spectrum,
     max_abs,
-    sample_density,
-    sample_simplex,
-    sample_unitary,
 )
 from .state import State
 
@@ -96,8 +97,24 @@ class _Recorder:
         )
 
 
+def _row_is_solvable(m: int, dims: tuple[int, ...]) -> bool:
+    """Whether nonnegative integers c with ``sum c_y dims_y == m`` exist: bit t of ``reach`` marks t as a sum."""
+    if 1 in dims:
+        return True
+    reach = 1
+    for n in set(dims):
+        for _ in range(m // n):
+            reach |= reach << n
+    return bool(reach >> m & 1)
+
+
 def _solve_multiplicity_row(m: int, dims: tuple[int, ...], rng: np.random.Generator, tries: int = 60):
-    """Nonnegative integers c with ``sum c_y dims_y == m``, randomized greedy, in Python ints."""
+    """Nonnegative integers c with ``sum c_y dims_y == m``, randomized greedy, in Python ints.
+
+    A row with no solution returns ``None`` without drawing.
+    """
+    if not _row_is_solvable(m, dims):
+        return None
     ones = [y for y, n in enumerate(dims) if n == 1]
     for _ in range(tries):
         row = [0] * len(dims)
@@ -123,25 +140,25 @@ def _sample_shape(family: InstanceFamily, rng: np.random.Generator) -> AlgebraSh
     return AlgebraShape(tuple(int(d) for d in dims))
 
 
-def _sample_morphism(family: InstanceFamily, seed: Seed) -> mor.Morphism:
-    rng = seed.rng(0)
+def _sample_morphism(family: InstanceFamily, rng: np.random.Generator) -> mor.Morphism:
     for _ in range(200):
         domain = _sample_shape(family, rng)
         codomain = _sample_shape(family, rng)
-        rows = [_solve_multiplicity_row(m, domain.blocks, rng) for m in codomain.blocks]
-        if any(r is None for r in rows):
-            continue
-        unitaries = tuple(
-            sample_unitary(m, seed, 1, x) for x, m in enumerate(codomain.blocks)
-        )
-        return mor.Morphism(domain, codomain, np.array(rows), unitaries)
+        rows = []
+        for m in codomain.blocks:
+            row = _solve_multiplicity_row(m, domain.blocks, rng)
+            if row is None:
+                break
+            rows.append(row)
+        else:
+            unitaries = tuple(_unitary(m, rng) for m in codomain.blocks)
+            return mor.Morphism(domain, codomain, np.array(rows), unitaries)
     raise InfeasibleShapes("no multiplicity solution found after 200 shape draws")
 
 
-def _sample_morphism_onto(domain: AlgebraShape, family: InstanceFamily, seed: Seed, channel: int) -> mor.Morphism:
+def _sample_morphism_onto(domain: AlgebraShape, family: InstanceFamily, rng: np.random.Generator) -> mor.Morphism:
     """Random morphism out of a fixed domain; always succeeds by falling back
     to single-block copies when the greedy solver misses."""
-    rng = seed.rng(channel, 0)
     k = int(rng.integers(family.min_blocks, family.max_blocks + 1))
     rows = []
     for _ in range(k):
@@ -154,21 +171,20 @@ def _sample_morphism_onto(domain: AlgebraShape, family: InstanceFamily, seed: Se
     c = np.array(rows)
     dims = tuple(int(r @ np.asarray(domain.blocks)) for r in rows)
     codomain = AlgebraShape(dims)
-    unitaries = tuple(sample_unitary(m, seed, channel, 1 + x) for x, m in enumerate(codomain.blocks))
+    unitaries = tuple(_unitary(m, rng) for m in codomain.blocks)
     return mor.Morphism(domain, codomain, c, unitaries)
 
 
-def _sample_state(shape: AlgebraShape, seed: Seed, channel: int = 2) -> State:
-    weights = sample_simplex(len(shape), seed, channel, 0)
-    densities = tuple(sample_density(m, seed, channel, 1 + x) for x, m in enumerate(shape.blocks))
+def _sample_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
+    weights = _simplex(len(shape), rng)
+    densities = tuple(_density(m, rng) for m in shape.blocks)
     return State(shape, weights, densities)
 
 
-def _sample_orthogonal_pair(shape: AlgebraShape, seed: Seed, channel: int = 3):
+def _sample_orthogonal_pair(shape: AlgebraShape, rng: np.random.Generator):
     """Two states with exactly orthogonal supports, built from complementary subspaces."""
     if shape.total_dim < 2:
         raise InfeasibleShapes("an orthogonal pair needs total dimension at least 2")
-    rng = seed.rng(channel, 0)
     k = len(shape)
     dims = np.asarray(shape.blocks)
     for _ in range(100):
@@ -179,7 +195,7 @@ def _sample_orthogonal_pair(shape: AlgebraShape, seed: Seed, channel: int = 3):
         # total_dim >= 2, so one rank-1 support always leaves a complement
         ranks = np.zeros(k, dtype=np.int64)
         ranks[int(np.argmax(dims))] = 1
-    bases = [sample_unitary(m, seed, channel, 1 + x) for x, m in enumerate(shape.blocks)]
+    bases = [_unitary(m, rng) for m in shape.blocks]
 
     def build(use_complement: bool) -> State:
         weights = np.zeros(k)
@@ -191,11 +207,11 @@ def _sample_orthogonal_pair(shape: AlgebraShape, seed: Seed, channel: int = 3):
             if span == 0:
                 densities.append(st.maximally_mixed_density(m))
                 continue
-            inner = sample_density(span, seed, channel, 10 + 2 * x + int(use_complement))
+            inner = _density(span, rng)
             rho = cols @ inner @ cols.conj().T
             densities.append(hermitian_part(rho))
             active.append(x)
-        probs = sample_simplex(len(active), seed, channel, 30 + int(use_complement))
+        probs = _simplex(len(active), rng)
         for i, x in enumerate(active):
             weights[x] = probs[i]
         return State(shape, weights, tuple(densities))
@@ -203,14 +219,17 @@ def _sample_orthogonal_pair(shape: AlgebraShape, seed: Seed, channel: int = 3):
     return build(False), build(True)
 
 
+def _sample_instance(family: InstanceFamily, rng: np.random.Generator):
+    f = _sample_morphism(family, rng)
+    return f, _sample_state(f.codomain, rng)
+
+
 def generate_instance(family: InstanceFamily, seed: Seed):
-    """Random ``(f, omega)`` instance."""
-    f = _sample_morphism(family, seed)
-    return f, _sample_state(f.codomain, seed)
+    """Random ``(f, omega)`` instance: the one a suite trial keyed by ``seed`` draws first."""
+    return _sample_instance(family, seed.rng())
 
 
-def _sample_isomorphism(family: InstanceFamily, seed: Seed) -> mor.Morphism:
-    rng = seed.rng(0)
+def _sample_isomorphism(family: InstanceFamily, rng: np.random.Generator) -> mor.Morphism:
     codomain = _sample_shape(family, rng)
     perm = rng.permutation(len(codomain))
     domain_dims = [0] * len(codomain)
@@ -218,7 +237,7 @@ def _sample_isomorphism(family: InstanceFamily, seed: Seed) -> mor.Morphism:
     for x, y in enumerate(perm):
         domain_dims[y] = codomain.blocks[x]
         c[x, y] = 1
-    unitaries = tuple(sample_unitary(m, seed, 1, x) for x, m in enumerate(codomain.blocks))
+    unitaries = tuple(_unitary(m, rng) for m in codomain.blocks)
     return mor.Morphism(AlgebraShape(tuple(domain_dims)), codomain, c, unitaries)
 
 
@@ -231,13 +250,14 @@ SUITES: dict = {}
 
 
 def _per_trial(check):
-    """Register ``check(rec, s, i, tol)``, one trial of a suite, as that suite.
+    """Register ``check(rec, s, rng, i, tol)``, one trial of a suite, as that suite.
 
     The suite is named after the function: ``_suite_iso_invariance`` runs
-    as ``iso-invariance``.  Its runner owns the trial loop, the substream
-    ``seed.child(i)`` of trial ``i`` and the recorder; it calls the
-    module's binding of the name, as a plain call from this module would,
-    so a wrapper installed over ``_suite_<name>`` sees every trial.
+    as ``iso-invariance``.  Its runner owns the trial loop, the key
+    ``s = seed.child(i)`` of trial ``i``, the trial's one generator
+    ``rng = s.rng()`` and the recorder; it calls the module's binding of
+    the name, as a plain call from this module would, so a wrapper
+    installed over ``_suite_<name>`` sees every trial.
     """
     name = check.__name__.removeprefix("_suite_").replace("_", "-")
 
@@ -245,7 +265,8 @@ def _per_trial(check):
         rec = _Recorder(name, trials)
         trial = globals()[check.__name__]
         for i in range(trials):
-            trial(rec, seed.child(i), i, tol)
+            s = seed.child(i)
+            trial(rec, s, s.rng(), i, tol)
         return rec.report()
 
     SUITES[name] = run
@@ -263,8 +284,8 @@ def _reference_entropy(omega: State) -> float:
 
 
 @_per_trial
-def _suite_coboundary(rec, s, i, tol):
-    f, omega = generate_instance(_DEFAULT, s)
+def _suite_coboundary(rec, s, rng, i, tol):
+    f, omega = _sample_instance(_DEFAULT, rng)
     lhs, pulled = ent._change_and_pullback(f, omega)
     # the potential of the coboundary: the change along the unit of an algebra is the state's entropy
     at_codomain = ent.entropy_change(mor.initial(f.codomain), omega)
@@ -275,10 +296,10 @@ def _suite_coboundary(rec, s, i, tol):
 
 
 @_per_trial
-def _suite_functoriality(rec, s, i, tol):
-    g = _sample_morphism(_DEFAULT, s)
-    f = _sample_morphism_onto(g.codomain, _DEFAULT, s, channel=5)
-    omega = _sample_state(f.codomain, s, channel=7)
+def _suite_functoriality(rec, s, rng, i, tol):
+    g = _sample_morphism(_DEFAULT, rng)
+    f = _sample_morphism_onto(g.codomain, _DEFAULT, rng)
+    omega = _sample_state(f.codomain, rng)
     composite = mor.compose(f, g)
     lhs = ent.entropy_change(composite, omega)
     change, pulled = ent._change_and_pullback(f, omega)
@@ -287,20 +308,20 @@ def _suite_functoriality(rec, s, i, tol):
 
 
 @_per_trial
-def _suite_iso_invariance(rec, s, i, tol):
-    f = _sample_isomorphism(_DEFAULT, s)
+def _suite_iso_invariance(rec, s, rng, i, tol):
+    f = _sample_isomorphism(_DEFAULT, rng)
     rec.expect(s, "constructed isomorphism not recognized", mor.is_isomorphism(f))
-    omega = _sample_state(f.codomain, s)
+    omega = _sample_state(f.codomain, rng)
     change, pulled = ent._change_and_pullback(f, omega)
     rec.check(s, "entropy change along an isomorphism", abs(change), tol)
-    pure = _sample_pure_state(f.codomain, s, channel=4)
+    pure = _sample_pure_state(f.codomain, rng)
     rec.expect(
         s,
         "isomorphism does not transport purity",
         st.is_pure(mor.pullback(f, pure)) and st.is_pure(pulled) == st.is_pure(omega),
     )
     if f.codomain.total_dim >= 2:
-        w, x = _sample_orthogonal_pair(f.codomain, s)
+        w, x = _sample_orthogonal_pair(f.codomain, rng)
         rec.expect(
             s,
             "isomorphism does not preserve orthogonality",
@@ -308,35 +329,32 @@ def _suite_iso_invariance(rec, s, i, tol):
         )
 
 
-def _sample_pure_state(shape: AlgebraShape, seed: Seed, channel: int = 4) -> State:
-    rng = seed.rng(channel, 0)
+def _sample_pure_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
     block = int(rng.integers(0, len(shape)))
     m = shape.blocks[block]
-    v = sample_unitary(m, seed, channel, 1)[:, 0] if m > 1 else np.ones(1)
+    v = _unitary(m, rng)[:, 0] if m > 1 else np.ones(1)
     return st.block_pure_state(shape, block, v)
 
 
 @_per_trial
-def _suite_adjoin_zero(rec, s, i, tol):
-    rng = s.rng(0)
+def _suite_adjoin_zero(rec, s, rng, i, tol):
     a = _sample_shape(_DEFAULT, rng)
     b = _sample_shape(_DEFAULT, rng)
     proj = mor.summand_projection(a, b)
-    omega = _sample_state(a, s)
+    omega = _sample_state(a, rng)
     rec.check(s, "adjoining a zero summand changes entropy", abs(ent.entropy_change(proj, omega)), tol)
-    pure = _sample_pure_state(a, s)
+    pure = _sample_pure_state(a, rng)
     rec.expect(s, "zero-extension does not preserve purity", st.is_pure(mor.pullback(proj, pure)))
 
 
 @_per_trial
-def _suite_concavity(rec, s, i, tol):
-    rng = s.rng(0)
+def _suite_concavity(rec, s, rng, i, tol):
     count = int(rng.integers(2, 4))
     dim = int(rng.integers(2, 5))
     # generic overlapping family; the floor keeps all weights bounded away from 0
-    raw = sample_simplex(count, s, 1)
+    raw = _simplex(count, rng)
     p = (raw + 0.2) / (1.0 + 0.2 * count)
-    rhos = [sample_density(dim, s, 2, j) for j in range(count)]
+    rhos = [_density(dim, rng) for _ in range(count)]
     mixture = sum(w * r for w, r in zip(p, rhos))
     left = sum(w * ent.von_neumann(r) for w, r in zip(p, rhos))
     mid = ent.von_neumann(mixture)
@@ -346,11 +364,11 @@ def _suite_concavity(rec, s, i, tol):
     rec.check(s, "overlapping family saturates the Shannon bound", 1e-4 - (right - mid), 0.0)
     # orthogonal family: supports in complementary subspaces saturate the bound
     ranks = [int(rng.integers(1, 3)) for _ in range(count)]
-    basis = sample_unitary(sum(ranks), s, 3)
-    q = sample_simplex(count, s, 4)
+    basis = _unitary(sum(ranks), rng)
+    q = _simplex(count, rng)
     parts = [
-        cols @ sample_density(cols.shape[1], s, 5, j) @ cols.conj().T
-        for j, cols in enumerate(np.split(basis, np.cumsum(ranks)[:-1], axis=1))
+        cols @ _density(cols.shape[1], rng) @ cols.conj().T
+        for cols in np.split(basis, np.cumsum(ranks)[:-1], axis=1)
     ]
     mix = hermitian_part(sum(w * r for w, r in zip(q, parts)))
     gap = ent.shannon(q) + sum(w * ent.von_neumann(r) for w, r in zip(q, parts)) - ent.von_neumann(mix)
@@ -358,11 +376,11 @@ def _suite_concavity(rec, s, i, tol):
 
 
 @_per_trial
-def _suite_holevo_nonneg(rec, s, i, tol):
-    f = _sample_morphism(_DEFAULT, s)
-    omega = _sample_state(f.codomain, s, channel=2)
-    xi = _sample_state(f.codomain, s, channel=3)
-    lams = _LAMBDAS + (float(s.rng(4).uniform()),)
+def _suite_holevo_nonneg(rec, s, rng, i, tol):
+    f = _sample_morphism(_DEFAULT, rng)
+    omega = _sample_state(f.codomain, rng)
+    xi = _sample_state(f.codomain, rng)
+    lams = _LAMBDAS + (float(rng.uniform()),)
     for lam, chi in zip(lams, ent.holevo_changes(f, lams, omega, xi)):
         rec.check(s, f"negative mixing deviation at weight {lam:.3f}", -chi, tol)
 
@@ -380,10 +398,9 @@ def factor_inclusion(n: int, copies: int) -> mor.Morphism:
     return mor.Morphism(AlgebraShape((n,)), AlgebraShape((copies * n,)), np.array([[copies]]), (u,))
 
 
-def _diagonal_measurement_pair(dim: int, s: Seed):
+def _diagonal_measurement_pair(dim: int, rng: np.random.Generator):
     """Measurement of a nondegenerate diagonal observable plus two
     diagonally supported orthogonal states; the pullbacks stay disjoint."""
-    rng = s.rng(0)
     values = np.sort(rng.uniform(0.5, 1.0, size=dim))[::-1] + 2.0 * np.arange(dim, 0, -1)
     obs = np.diag(values).astype(np.complex128)
     shape = AlgebraShape((dim,))
@@ -392,35 +409,33 @@ def _diagonal_measurement_pair(dim: int, s: Seed):
     idx = rng.permutation(dim)
     left, right = idx[:cut], idx[cut:]
 
-    def diag_state(support_idx, channel):
-        probs = sample_simplex(len(support_idx), s, channel)
+    def diag_state(support_idx):
+        probs = _simplex(len(support_idx), rng)
         d = np.zeros(dim)
         d[np.asarray(support_idx)] = probs
         return State(shape, np.ones(1), (np.diag(d).astype(np.complex128),))
 
-    return f, diag_state(left, 1), diag_state(right, 2)
+    return f, diag_state(left), diag_state(right)
 
 
 @_per_trial
-def _suite_orthogonal_affinity(rec, s, i, tol):
+def _suite_orthogonal_affinity(rec, s, rng, i, tol):
     kind = i % 5
     if kind == 0:
-        f = _sample_isomorphism(_DEFAULT, s)
-        attempt = 0
+        f = _sample_isomorphism(_DEFAULT, rng)
         while f.codomain.total_dim < 2:
-            attempt += 1
-            f = _sample_isomorphism(_DEFAULT, s.child(900_000 + attempt))
-        omega, xi = _sample_orthogonal_pair(f.codomain, s)
+            f = _sample_isomorphism(_DEFAULT, rng)
+        omega, xi = _sample_orthogonal_pair(f.codomain, rng)
         preserving = True
     elif kind == 1:
-        dim = int(s.rng(9).integers(2, 5))
-        f, omega, xi = _diagonal_measurement_pair(dim, s)
+        dim = int(rng.integers(2, 5))
+        f, omega, xi = _diagonal_measurement_pair(dim, rng)
         preserving = True
     elif kind == 2:
-        fa = _sample_morphism(_DEFAULT, s)
-        fb = _sample_morphism(_DEFAULT, Seed(s.seed, s.stream ^ 0x5A5A))
-        wa = _sample_state(fa.codomain, s, channel=2)
-        wb = _sample_state(fb.codomain, s, channel=3)
+        fa = _sample_morphism(_DEFAULT, rng)
+        fb = _sample_morphism(_DEFAULT, rng)
+        wa = _sample_state(fa.codomain, rng)
+        wb = _sample_state(fb.codomain, rng)
         f = mor.external_sum_morphism(fa, fb)
         omega = st.external_sum_state(1.0, wa, wb)
         xi = st.external_sum_state(0.0, wa, wb)
@@ -448,25 +463,24 @@ def _suite_orthogonal_affinity(rec, s, i, tol):
 
 
 @_per_trial
-def _suite_commutative_positivity(rec, s, i, tol):
-    f, omega = generate_instance(_CLASSICAL, s)
+def _suite_commutative_positivity(rec, s, rng, i, tol):
+    f, omega = _sample_instance(_CLASSICAL, rng)
     rec.check(s, "negative entropy change between commutative algebras", -ent.entropy_change(f, omega), tol)
 
 
-def _sample_rank_deficient_state(shape: AlgebraShape, seed: Seed, channel: int = 8) -> State:
-    rng = seed.rng(channel, 0)
-    weights = sample_simplex(len(shape), seed, channel, 1)
+def _sample_rank_deficient_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
+    weights = _simplex(len(shape), rng)
     densities = []
-    for x, m in enumerate(shape.blocks):
+    for m in shape.blocks:
         r = int(rng.integers(1, m + 1))
-        densities.append(sample_density(m, seed, channel, 2 + x, rank=r))
+        densities.append(_density(m, rng, rank=r))
     return State(shape, weights, tuple(densities))
 
 
 @_per_trial
-def _suite_support_image(rec, s, i, tol):
-    f = _sample_morphism(_DEFAULT, s)
-    omega = _sample_rank_deficient_state(f.codomain, s)
+def _suite_support_image(rec, s, rng, i, tol):
+    f = _sample_morphism(_DEFAULT, rng)
+    omega = _sample_rank_deficient_state(f.codomain, rng)
     image = mor.apply(f, st.support(mor.pullback(f, omega)))
     deficit = 0.0
     for blk_img, blk_sup in zip(image.blocks, st.support(omega).blocks):
@@ -476,10 +490,10 @@ def _suite_support_image(rec, s, i, tol):
 
 
 @_per_trial
-def _suite_overlap_persistence(rec, s, i, tol):
-    f = _sample_morphism(_DEFAULT, s)
-    omega = _sample_rank_deficient_state(f.codomain, s, channel=2)
-    other = _sample_state(f.codomain, s, channel=3)
+def _suite_overlap_persistence(rec, s, rng, i, tol):
+    f = _sample_morphism(_DEFAULT, rng)
+    omega = _sample_rank_deficient_state(f.codomain, rng)
+    other = _sample_state(f.codomain, rng)
     xi = st.convex_combine(0.4, omega, other)
     rec.expect(
         s,
@@ -489,34 +503,33 @@ def _suite_overlap_persistence(rec, s, i, tol):
 
 
 @_per_trial
-def _suite_pure_vanishing(rec, s, i, tol):
-    shape = _sample_shape(_DEFAULT, s.rng(0))
-    pure = _sample_pure_state(shape, s)
+def _suite_pure_vanishing(rec, s, rng, i, tol):
+    shape = _sample_shape(_DEFAULT, rng)
+    pure = _sample_pure_state(shape, rng)
     rec.check(s, "pure state with nonzero entropy", abs(ent.segal(pure)), tol)
-    mixed = _sample_state(shape, s, channel=5)
+    mixed = _sample_state(shape, rng)
     rec.check(s, "state with negative entropy", -ent.segal(mixed), tol)
 
 
 @_per_trial
-def _suite_negative_existence(rec, s, i, tol):
-    rng = s.rng(0)
+def _suite_negative_existence(rec, s, rng, i, tol):
     shape = _sample_shape(InstanceFamily(min_block_dim=2), rng)
     block = int(rng.integers(0, len(shape)))
     m = shape.blocks[block]
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     f = mor.measurement_morphism(shape, block, hermitian_part(g))
-    omega = st.block_pure_state(shape, block, sample_unitary(m, s, 1)[:, 0])
+    omega = st.block_pure_state(shape, block, _unitary(m, rng)[:, 0])
     rec.check(s, "measurement of a noncommuting pure state did not lose entropy", ent.entropy_change(f, omega) + 1e-6, 0.0)
 
 
 @_per_trial
-def _suite_external_affinity(rec, s, i, tol):
+def _suite_external_affinity(rec, s, rng, i, tol):
     family = _CLASSICAL if i % 2 == 0 else _DEFAULT
-    fa = _sample_morphism(family, s)
-    fb = _sample_morphism(family, Seed(s.seed, s.stream ^ 0x3C3C))
-    wa = _sample_state(fa.codomain, s, channel=2)
-    wb = _sample_state(fb.codomain, s, channel=3)
-    lam = float(s.rng(4).uniform())
+    fa = _sample_morphism(family, rng)
+    fb = _sample_morphism(family, rng)
+    wa = _sample_state(fa.codomain, rng)
+    wb = _sample_state(fb.codomain, rng)
+    lam = float(rng.uniform())
     pairs = ((mor.external_sum_morphism(fa, fb), st.external_sum_state(lam, wa, wb)), (fa, wa), (fb, wb))
     changes, pulled = zip(*(ent._change_and_pullback(h, w) for h, w in pairs))
     weight_changes = [ent._block_weight_change(w, p) for (_, w), p in zip(pairs, pulled)]
@@ -535,7 +548,7 @@ def _z_measurement_pair():
 
 
 @_per_trial
-def _suite_k_counterexample(rec, s, i, tol):
+def _suite_k_counterexample(rec, s, rng, i, tol):
     f, omega, xi = _z_measurement_pair()
     lam = _LAMBDAS[i % len(_LAMBDAS)]
     (chi_s,), ((_, f_omega), (_, f_xi), (mix, f_mix)) = ent._holevo_changes(f, (lam,), omega, xi)
@@ -589,9 +602,9 @@ _CONTINUITY_SCHEDULE = (10, 100, 1000, 10000, 1000000)
 
 
 @_per_trial
-def _suite_continuity(rec, s, i, tol):
-    f = _sample_morphism(_DEFAULT, s)
-    raw = _sample_state(f.codomain, s, channel=2)
+def _suite_continuity(rec, s, rng, i, tol):
+    f = _sample_morphism(_DEFAULT, rng)
+    raw = _sample_state(f.codomain, rng)
     # mix toward the maximally mixed state so log-derivatives stay bounded
     uniform = State(
         f.codomain,
@@ -603,7 +616,6 @@ def _suite_continuity(rec, s, i, tol):
     # strictly inside the state space (the smoothing floors eigenvalues
     # at 0.1 / (blocks * dim)), so the projection below never clips
     scale = 0.005
-    rng = s.rng(3)
     w_dir = rng.uniform(-1.0, 1.0, size=len(f.codomain))
     w_dir -= w_dir.mean()
     w_dir *= scale / max(np.max(np.abs(w_dir)), 1e-9)
@@ -633,16 +645,15 @@ def _suite_continuity(rec, s, i, tol):
     rec.check(s, "entropy change still far at the end of the schedule", diff, 1e-3)
 
 
-def _sample_disintegrable(seed: Seed):
+def _sample_disintegrable(rng: np.random.Generator):
     """Build (f, omega) that factors by construction, from random tau blocks."""
-    rng = seed.rng(3)
     family = InstanceFamily(max_blocks=3)
-    f = _sample_morphism(family, seed)
+    f = _sample_morphism(family, rng)
     c = f.multiplicities
     hit = c.sum(axis=0) > 0
-    q = sample_simplex(len(f.domain), seed, 1) * hit
+    q = _simplex(len(f.domain), rng) * hit
     q /= q.sum()
-    sigmas = [sample_density(n, seed, 2, y) for y, n in enumerate(f.domain.blocks)]
+    sigmas = [_density(n, rng) for n in f.domain.blocks]
     tau: dict = {}
     for y in range(len(f.domain)):
         pairs = [x for x in range(len(f.codomain)) if c[x, y] > 0]
@@ -683,10 +694,10 @@ def _qubit_in_two_qubits() -> mor.Morphism:
 
 
 @_per_trial
-def _suite_disintegration(rec, s, i, tol):
+def _suite_disintegration(rec, s, rng, i, tol):
     inclusion = _qubit_in_two_qubits()
     # (a) instances with a factorization by construction
-    f, omega, tau = _sample_disintegrable(s)
+    f, omega, tau = _sample_disintegrable(rng)
     result = dis.quantum_disintegrate(f, omega)
     if isinstance(result, dis.NoDisintegration):
         rec.expect(s, f"constructed factorization rejected: {result.violation}", False)
@@ -701,7 +712,6 @@ def _suite_disintegration(rec, s, i, tol):
         rec.check(s, "entropy production does not match the entropy change", abs(production - change), 1e-8)
         rec.check(s, "negative entropy production", -production, tol)
     # (b) the diagonal quartic family: existence iff p1 p4 == p2 p3
-    rng = s.rng(7)
     while True:
         p = rng.dirichlet(np.ones(4))
         if abs(p[0] * p[3] - p[1] * p[2]) > 1e-2 and np.min(p) > 1e-3:
@@ -722,7 +732,7 @@ def _suite_disintegration(rec, s, i, tol):
         isinstance(dis.quantum_disintegrate(inclusion, prod_state), dis.QuantumDisintegrationData),
     )
     # (c) commutative case: factors match the classical stochastic inverse
-    g, omega_c = generate_instance(_CLASSICAL, s)
+    g, omega_c = _sample_instance(_CLASSICAL, rng)
     result_c = dis.quantum_disintegrate(g, omega_c)
     if isinstance(result_c, dis.NoDisintegration):
         rec.expect(s, f"classical instance rejected: {result_c.violation}", False)
@@ -752,7 +762,7 @@ def _suite_characterization_fit(trials, seed, tol):
     changes, references = [], []
     for k in range(trials):
         family = _CLASSICAL if k % 3 == 0 else _DEFAULT
-        f, omega = generate_instance(family, seed.child(k))
+        f, omega = _sample_instance(family, seed.child(k).rng())
         change, pulled = ent._change_and_pullback(f, omega)
         changes.append(change)
         references.append(_reference_entropy(omega) - _reference_entropy(pulled))

@@ -1,11 +1,14 @@
 """Dense complex-matrix kernel and the one home of value validation.
 
 Hermitian eigendecompositions, the right partial trace, and seeded
-sampling of unitaries, density matrices, and simplex points.  Every other module decides "is
-this a density?" with ``check_density``, "is this a probability vector?"
-with ``check_probability_vector``, and takes Hermitian spectra from
-``hermitian_spectrum``, the package's one ``eigvalsh`` call; it reads a
-1x1 spectrum off the entry, with the bits ``eigvalsh`` would give.
+sampling of unitaries, density matrices, and simplex points: each sampler
+is a private core drawing from a given generator, with a public wrapper
+that opens the generator of a ``Seed`` substream.  Every other module
+decides "is this a density?" with ``check_density``, "is this a
+probability vector?" with ``check_probability_vector``, and takes
+Hermitian spectra from ``hermitian_spectrum``, the package's one
+``eigvalsh`` call; it reads a 1x1 spectrum off the entry, with the bits
+``eigvalsh`` would give.
 ``check_density`` checks at the caller's ``tol``; every other threshold
 here is ``DEFAULT_TOL``.  Everything here is a pure function of its
 inputs; matrices are plain ``numpy`` arrays of ``complex128``.
@@ -29,9 +32,11 @@ class Seed:
     """Deterministic RNG key: a 64-bit seed plus a substream index.
 
     Identical ``(seed, stream)`` pairs reproduce identical sample
-    sequences.  Substreams are derived counter-style via
-    ``numpy.random.SeedSequence`` spawn keys, so parallel consumers can
-    draw independently without sharing generator state.
+    sequences.  ``rng(*substream)`` is the generator of the
+    ``numpy.random.SeedSequence`` with spawn key ``(stream, *substream)``;
+    ``child(i)`` is the key of trial ``i``.  A harness trial builds one
+    generator, ``rng()``, from its key and draws everything from it in
+    program order; the public samplers below open one per call.
     """
 
     seed: int
@@ -152,17 +157,31 @@ def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:
     return np.einsum("iaja->ij", m.reshape(d_left, d_right, d_left, d_right))
 
 
+def _unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _density(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    k = n if rank is None else rank
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    w = g @ g.conj().T
+    return hermitian_part(w / w.trace().real)
+
+
+def _simplex(n: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.dirichlet(np.ones(n))
+
+
 def sample_unitary(n: int, seed: Seed, *substream: int) -> np.ndarray:
     """Haar-random ``n x n`` unitary (QR of a complex Ginibre matrix).
 
     The QR phase ambiguity is fixed by making the diagonal of R positive,
     which is what makes the distribution Haar rather than merely unitary.
     """
-    rng = seed.rng(*substream)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitary(n, seed.rng(*substream))
 
 
 def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None) -> np.ndarray:
@@ -171,17 +190,12 @@ def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None)
     ``rank`` restricts G to ``n x rank`` columns, producing a density of
     that rank almost surely.
     """
-    rng = seed.rng(*substream)
-    k = n if rank is None else rank
-    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    w = g @ g.conj().T
-    return hermitian_part(w / w.trace().real)
+    return _density(n, seed.rng(*substream), rank)
 
 
 def sample_simplex(n: int, seed: Seed, *substream: int) -> np.ndarray:
     """Uniform (Dirichlet(1,...,1)) point on the probability simplex."""
-    rng = seed.rng(*substream)
-    return rng.dirichlet(np.ones(n))
+    return _simplex(n, seed.rng(*substream))
 
 
 def matrix_to_json(m: np.ndarray) -> list:

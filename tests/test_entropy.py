@@ -164,7 +164,7 @@ def test_entropy_change_additive_under_composition():
 
     for k in range(10):
         g, _ = generate_instance(InstanceFamily(), Seed(14, k))
-        f = _sample_morphism_onto(g.codomain, InstanceFamily(), Seed(15, k), channel=2)
+        f = _sample_morphism_onto(g.codomain, InstanceFamily(), Seed(15, k).rng())
         omega = State(
             f.codomain,
             sample_simplex(len(f.codomain), Seed(16, k)),

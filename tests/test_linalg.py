@@ -191,6 +191,30 @@ def test_sample_simplex():
     assert np.array_equal(p, sample_simplex(5, Seed(6)))
 
 
+@pytest.mark.parametrize("seed, stream, substream", [(0, 0, ()), (42, 5, (1,)), (7, 123456, (2, 3)), (2**40, 1, (0, 9, 4))])
+def test_public_samplers_draw_from_their_seed_substream(seed, stream, substream):
+    # each public sampler opens exactly the generator of its key and draws as below
+    def inline():
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(stream, *substream))
+        return np.random.default_rng(key)
+
+    key = Seed(seed, stream)
+    for n in (1, 2, 4):
+        rng = inline()
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r)
+        assert sample_unitary(n, key, *substream).tobytes() == (q * (d / np.abs(d))).tobytes()
+        for rank in (None, 1):
+            rng = inline()
+            k = n if rank is None else rank
+            g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            w = g @ g.conj().T
+            w = w / w.trace().real
+            assert sample_density(n, key, *substream, rank=rank).tobytes() == ((w + w.conj().T) / 2).tobytes()
+        assert sample_simplex(n, key, *substream).tobytes() == inline().dirichlet(np.ones(n)).tobytes()
+
+
 def test_matrix_json_round_trip():
     m = np.array([[1.0 + 2.0j, 0.5], [-1.0j, 3.0]])
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)

@@ -202,7 +202,7 @@ def test_compose_random_chains():
         g, _ = generate_instance(InstanceFamily(max_blocks=3), Seed(55, k))
         from ncentropy.harness import _sample_morphism_onto
 
-        f = _sample_morphism_onto(g.codomain, InstanceFamily(max_blocks=3), Seed(56, k), channel=1)
+        f = _sample_morphism_onto(g.codomain, InstanceFamily(max_blocks=3), Seed(56, k).rng())
         comp = compose(f, g)
         c = _random_element(g.domain, k)
         direct = apply(comp, c)
@@ -244,7 +244,7 @@ def test_composite_unitary_matches_the_permutation_matrix():
 
     for k in range(30):
         g, _ = generate_instance(InstanceFamily(), Seed(57, k))
-        f = _sample_morphism_onto(g.codomain, InstanceFamily(), Seed(58, k), channel=1)
+        f = _sample_morphism_onto(g.codomain, InstanceFamily(), Seed(58, k).rng())
         for x in range(len(f.codomain)):
             assert np.array_equal(_composition_data(f, g, x), _regrouped_unitary_by_loops(f, g, x))
 
