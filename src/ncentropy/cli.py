@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -46,14 +47,31 @@ class _InputError(Exception):
 
 
 def _load_json(path: str):
+    """A state or morphism file, decoded; a JSON boolean, which the loaders would read as a number, raises."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if _has_boolean(text):
+        raise ShapeMismatch(f"{path}: JSON booleans are not accepted; no state or morphism field holds one")
+    return data
+
+
+def _has_boolean(text: str) -> bool:
+    """Whether ``true`` or ``false`` stands outside a string of JSON ``text``."""
+    # one-character scans run at memchr speed, unlike a word search over digits, and rule
+    # out most files: false holds an f, and true a u after tr
+    i = text.find("u")
+    while i >= 0 and not text.startswith("tr", i - 2):
+        i = text.find("u", i + 1)
+    if i < 0 and "f" not in text:
+        return False
+    bare = re.sub(r'"(?:[^"\\]|\\.)*"', '""', text)  # every string literal emptied
+    return "true" in bare or "false" in bare
 
 
 def _at_least(convert, low):

@@ -31,7 +31,7 @@ from .linalg import (
     max_abs,
     partial_trace_right,
 )
-from .morphism import Morphism, _pullback_with_blocks, _segments
+from .morphism import Morphism, _pullback_with_blocks
 from .state import State
 
 FACTOR_TOL = 1e-8  # the factorization test's tolerance, scaled per block
@@ -133,7 +133,7 @@ def quantum_disintegrate(f: Morphism, omega: State):
         if m is None:
             m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
         eff = FACTOR_TOL * max_abs(weighted)
-        segs = _segments(f, x)
+        segs = f.segments[x]
         for i, (y, rows, _, _) in enumerate(segs):
             for y2, cols, _, _ in segs[i + 1 :]:
                 block = m[rows, cols]
@@ -184,7 +184,7 @@ def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
     return block_diag(
         [
             np.kron(tau[(y, x)], q[y] * sigmas[y]) if (y, x) in tau else np.zeros((copies * n,) * 2)
-            for y, _, copies, n in _segments(f, x)
+            for y, _, copies, n in f.segments[x]
         ]
     )
 

@@ -30,7 +30,9 @@ from .linalg import (
     eigh,
     hermitian_part,
     hermitian_spectrum,
+    identity_matrix,
     max_abs,
+    placeholder,
 )
 from .state import State
 
@@ -137,7 +139,7 @@ def _solve_multiplicity_row(m: int, dims: tuple[int, ...], rng: np.random.Genera
 def _sample_shape(family: InstanceFamily, rng: np.random.Generator) -> AlgebraShape:
     k = int(rng.integers(family.min_blocks, family.max_blocks + 1))
     dims = rng.integers(family.min_block_dim, family.max_block_dim + 1, size=k)
-    return AlgebraShape(tuple(int(d) for d in dims))
+    return AlgebraShape(tuple(dims.tolist()))
 
 
 def _sample_morphism(family: InstanceFamily, rng: np.random.Generator) -> mor.Morphism:
@@ -205,7 +207,7 @@ def _sample_orthogonal_pair(shape: AlgebraShape, rng: np.random.Generator):
             span = (m - r) if use_complement else r
             cols = v[:, r:] if use_complement else v[:, :r]
             if span == 0:
-                densities.append(st.maximally_mixed_density(m))
+                densities.append(placeholder(m))
                 continue
             inner = _density(span, rng)
             rho = cols @ inner @ cols.conj().T
@@ -394,7 +396,7 @@ def _bell_states():
 
 def factor_inclusion(n: int, copies: int) -> mor.Morphism:
     """The inclusion of one tensor factor: ``b -> eye(copies) (x) b``."""
-    u = np.eye(copies * n, dtype=np.complex128)
+    u = identity_matrix(copies * n)
     return mor.Morphism(AlgebraShape((n,)), AlgebraShape((copies * n,)), np.array([[copies]]), (u,))
 
 
@@ -609,7 +611,7 @@ def _suite_continuity(rec, s, rng, i, tol):
     uniform = State(
         f.codomain,
         np.ones(len(f.codomain)) / len(f.codomain),
-        tuple(st.maximally_mixed_density(m) for m in f.codomain.blocks),
+        tuple(placeholder(m) for m in f.codomain.blocks),
     )
     omega = st.convex_combine(0.9, raw, uniform)
     # direction scale small enough that every step of the schedule stays
@@ -673,7 +675,7 @@ def _sample_disintegrable(rng: np.random.Generator):
         inner = dis._factored_block(f, x, tau, q, sigmas)
         block = f.unitaries[x] @ inner @ f.unitaries[x].conj().T
         weights[x] = np.trace(block).real
-        densities.append(_project_to_density(block / weights[x]) if weights[x] > 1e-12 else st.maximally_mixed_density(m))
+        densities.append(_project_to_density(block / weights[x]) if weights[x] > 1e-12 else placeholder(m))
     omega = State(f.codomain, weights / weights.sum(), tuple(densities))
     return f, omega, tau
 

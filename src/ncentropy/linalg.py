@@ -11,11 +11,14 @@ Hermitian spectra from ``hermitian_spectrum``, the package's one
 ``eigvalsh`` would give.
 ``check_density`` checks at the caller's ``tol``; every other threshold
 here is ``DEFAULT_TOL``.  Everything here is a pure function of its
-inputs; matrices are plain ``numpy`` arrays of ``complex128``.
+inputs; matrices are plain ``numpy`` arrays of ``complex128``, and
+``placeholder(n)``/``identity_matrix(n)`` are shared read-only, one per dimension.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,8 @@ from .errors import NotDensity, NotHermitian, NotProbabilityVector, NotSquare, S
 # One tolerance governs every "is zero / is PSD / is Hermitian" decision
 # so the verification suites stay coherent.
 DEFAULT_TOL = 1e-10
+
+_placeholders: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # n -> placeholder(n) and its spectrum
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,30 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
 
     A 1x1 matrix ``[[z]]`` is answered from its entry with the same bits:
     the deviation is ``|z - conj(z)|``, and the eigenvalue is the real part
-    of ``(z + conj(z))/2``, which is what LAPACK returns for n = 1.
+    of ``(z + conj(z))/2``, which is what LAPACK returns for n = 1.  A NaN
+    or infinite entry raises ShapeMismatch before any eigenvalue is taken.
     """
     if m.shape == (1, 1):
         z = m.item(0)
-        return abs(z - z.conjugate()), np.array([((z + z.conjugate()) / 2).real])
+        deviation = abs(z - z.conjugate())
+        if not math.isfinite(deviation):
+            raise ShapeMismatch("matrix entries must be finite")
+        return deviation, np.array([((z + z.conjugate()) / 2).real])
     adjoint = m.conj().T
-    return float(np.abs(m - adjoint).max()), np.linalg.eigvalsh((m + adjoint) / 2)
+    deviation = float(np.abs(m - adjoint).max())
+    if not math.isfinite(deviation):
+        raise ShapeMismatch("matrix entries must be finite")
+    return deviation, np.linalg.eigvalsh((m + adjoint) / 2)
 
 
 def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
-    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns ``hermitian_spectrum(rho)[1]``."""
+    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns ``hermitian_spectrum(rho)[1]``.
+
+    At ``tol >= DEFAULT_TOL`` the shared ``placeholder(n)`` itself (not an equal array) returns its kept spectrum.
+    """
+    kept = _placeholders.get(rho.shape[0])
+    if kept is not None and kept[0] is rho and tol >= DEFAULT_TOL:
+        return kept[1]
     if rho.shape[0] != rho.shape[1] or rho.size == 0:
         raise NotDensity(f"density must be a nonempty square matrix, got {rho.shape}")
     deviation, vals = hermitian_spectrum(rho)
@@ -119,13 +137,33 @@ def check_probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise NotProbabilityVector(f"expected a nonempty vector, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    total = p.sum()  # finite unless an entry is not, or the sum overflows
+    if not math.isfinite(total) and not np.isfinite(p).all():
         raise NotProbabilityVector("entries must be finite")
     if p.min() < -DEFAULT_TOL:
         raise NotProbabilityVector(f"entry {p.min():.3e} is negative")
-    if abs(p.sum() - 1.0) > DEFAULT_TOL:
-        raise NotProbabilityVector(f"entries sum to {p.sum():.12g}, not 1 within {DEFAULT_TOL:.3e}")
+    if abs(total - 1.0) > DEFAULT_TOL:
+        raise NotProbabilityVector(f"entries sum to {total:.12g}, not 1 within {DEFAULT_TOL:.3e}")
     return np.maximum(p, 0.0)
+
+
+def placeholder(n: int) -> np.ndarray:
+    """The shared ``eye(n) / n``, kept with its ``check_density`` spectrum at ``DEFAULT_TOL``."""
+    if n not in _placeholders:
+        rho = np.eye(n, dtype=np.complex128) / n
+        rho.flags.writeable = False
+        vals = check_density(rho, DEFAULT_TOL)
+        vals.flags.writeable = False
+        _placeholders[n] = rho, vals
+    return _placeholders[n][0]
+
+
+@functools.cache
+def identity_matrix(n: int) -> np.ndarray:
+    """The shared ``n x n`` complex identity; ``Morphism`` takes it as a unitary without a product."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def eigh(h):

@@ -8,16 +8,17 @@ block ``x`` is::
     U_x @ blockdiag_y( kron(eye(c[x,y]), b_y) ) @ U_x^dag
 
 with the segments laid out in ascending ``y`` order and copies contiguous.
-``_segments`` gives each segment as a slice of the block's rows and
-columns; every module that reads or builds a block in this layout takes
-its slices from there and assembles with ``linalg.block_diag``.  States
-pull back through the Hilbert-Schmidt adjoint, i.e. by partial tracing
-the multiplicity index of each diagonal segment.
+A ``Morphism`` keeps this layout from its construction: ``segments[x]``
+holds one ``(y, slice, copies, n_y)`` per segment of codomain block ``x``.
+Every module that reads or builds a block in this layout takes its slices
+from there and assembles with ``linalg.block_diag``.  States pull back
+through the Hilbert-Schmidt adjoint, i.e. by partial tracing the
+multiplicity index of each diagonal segment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import DEFAULT_TOL, as_matrix, max_abs
-from .state import State, are_orthogonal, maximally_mixed_density
+from .state import State, are_orthogonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +40,7 @@ class Morphism:
     codomain: AlgebraShape
     multiplicities: np.ndarray
     unitaries: tuple[np.ndarray, ...]
+    segments: tuple[tuple[tuple[int, slice, int, int], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.multiplicities)
@@ -53,31 +55,28 @@ class Morphism:
         if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or (c < 0).any():
             raise ShapeMismatch("multiplicities must be nonnegative integers")
         c = c.astype(np.int64)
-        dims = (c @ np.asarray(self.domain.blocks, dtype=np.int64)).tolist()
-        for x, (m, d) in enumerate(zip(self.codomain.blocks, dims)):
-            if d != m:
-                raise ShapeMismatch(f"codomain block {x} has dimension {m} but multiplicities give {d}")
+        segments = []
+        for x, (m, row) in enumerate(zip(self.codomain.blocks, c.tolist())):
+            layout, start = [], 0
+            for y, (n, copies) in enumerate(zip(self.domain.blocks, row)):
+                if copies > 0:
+                    layout.append((y, slice(start, start + copies * n), copies, n))
+                    start += copies * n
+            if start != m:
+                raise ShapeMismatch(f"codomain block {x} has dimension {m} but multiplicities give {start}")
+            segments.append(tuple(layout))
         mats = tuple(as_matrix(u) for u in self.unitaries)
         if len(mats) != len(self.codomain):
             raise ShapeMismatch(f"expected {len(self.codomain)} unitaries, got {len(mats)}")
         for m, u in zip(self.codomain.blocks, mats):
             if u.shape != (m, m):
                 raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
-            if max_abs(u.conj().T @ u - np.eye(m)) > DEFAULT_TOL:
+            eye = linalg.identity_matrix(m)
+            if u is not eye and max_abs(u.conj().T @ u - eye) > DEFAULT_TOL:
                 raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
         object.__setattr__(self, "multiplicities", c)
         object.__setattr__(self, "unitaries", mats)
-
-
-def _segments(f: Morphism, x: int) -> list:
-    """Ascending-``y`` layout of codomain block ``x``: (y, slice, copies, n_y) per segment."""
-    out = []
-    start = 0
-    for y, (n, copies) in enumerate(zip(f.domain.blocks, f.multiplicities[x].tolist())):
-        if copies > 0:
-            out.append((y, slice(start, start + copies * n), copies, n))
-            start += copies * n
-    return out
+        object.__setattr__(self, "segments", tuple(segments))
 
 
 def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
@@ -85,11 +84,8 @@ def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
     if b.shape != f.domain:
         raise ShapeMismatch(f"element on {b.shape.blocks} fed to morphism with domain {f.domain.blocks}")
     blocks = []
-    for x in range(len(f.codomain)):
-        inner = linalg.block_diag(
-            [np.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in _segments(f, x)]
-        )
-        u = f.unitaries[x]
+    for u, segments in zip(f.unitaries, f.segments):
+        inner = linalg.block_diag([np.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in segments])
         blocks.append(u @ inner @ u.conj().T)
     return AlgebraElement(f.codomain, tuple(blocks))
 
@@ -113,47 +109,33 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
         raise ShapeMismatch(f"state on {omega.shape.blocks} pulled through morphism with codomain {f.codomain.blocks}")
     accum = [np.zeros((n, n), dtype=np.complex128) for n in f.domain.blocks]
     blocks = []
-    for x, (p, rho) in enumerate(zip(omega.weights, omega.densities)):
+    for p, rho, u, segments in zip(omega.weights.tolist(), omega.densities, f.unitaries, f.segments):
         if p <= 0.0:
             blocks.append(None)
             continue
-        u = f.unitaries[x]
         m = u.conj().T @ (p * rho) @ u
         blocks.append(m)
-        for y, seg, copies, n in _segments(f, x):
+        for y, seg, copies, n in segments:
             diagonal = m[seg, seg]  # trace out the copy index: sum the copies' diagonal blocks in order
             traced = diagonal[:n, :n]
             for k in range(n, copies * n, n):
                 traced = traced + diagonal[k : k + n, k : k + n]
             accum[y] += traced
-    weights = np.array([max(a.trace().real, 0.0) for a in accum])
+    weights = np.maximum([a.trace().real for a in accum], 0.0)
     densities = []
-    for q, a, n in zip(weights, accum, f.domain.blocks):
+    for q, a, n in zip(weights.tolist(), accum, f.domain.blocks):
         if q > 1e-13:
-            densities.append(linalg.hermitian_part(a / q))
+            d = a / q
+            densities.append((d + d.conj().T) / 2)
         else:
-            densities.append(maximally_mixed_density(n))
+            densities.append(linalg.placeholder(n))
     return State(f.domain, weights / weights.sum(), tuple(densities)), blocks
-
-
-def identity_morphism(shape: AlgebraShape) -> Morphism:
-    return Morphism(
-        shape,
-        shape,
-        np.eye(len(shape), dtype=np.int64),
-        tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks),
-    )
 
 
 def initial(shape: AlgebraShape) -> Morphism:
     """The unique unital morphism from the scalars into ``shape``."""
     c = np.array([[m] for m in shape.blocks], dtype=np.int64)
-    return Morphism(
-        AlgebraShape((1,)),
-        shape,
-        c,
-        tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks),
-    )
+    return Morphism(AlgebraShape((1,)), shape, c, tuple(linalg.identity_matrix(m) for m in shape.blocks))
 
 
 def _composition_data(f: Morphism, g: Morphism, x: int) -> np.ndarray:
@@ -167,7 +149,7 @@ def _composition_data(f: Morphism, g: Morphism, x: int) -> np.ndarray:
     U_x @ blockdiag_y(kron(eye(c_f[x,y]), V_y)) with its columns taken in
     that order.
     """
-    segments = _segments(f, x)
+    segments = f.segments[x]
     spread = linalg.block_diag([np.kron(np.eye(copies), g.unitaries[y]) for y, _, copies, _ in segments])
     z_of_row = [
         np.tile(np.repeat(np.arange(len(g.domain)), g.multiplicities[y] * g.domain.blocks), copies)
@@ -243,7 +225,7 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     for x, mx in enumerate(codomain.blocks):
         if x != block:
             c[x, 0] = mx  # designated largest eigenvalue absorbs the other blocks
-    unitaries = [np.eye(mx, dtype=np.complex128) for mx in codomain.blocks]
+    unitaries = [linalg.identity_matrix(mx) for mx in codomain.blocks]
     unitaries[block] = vecs
     return Morphism(domain, codomain, c, tuple(unitaries))
 
@@ -254,7 +236,7 @@ def summand_projection(a: AlgebraShape, b: AlgebraShape) -> Morphism:
     c = np.zeros((len(a), len(domain)), dtype=np.int64)
     for x in range(len(a)):
         c[x, x] = 1
-    return Morphism(domain, a, c, tuple(np.eye(m, dtype=np.complex128) for m in a.blocks))
+    return Morphism(domain, a, c, tuple(linalg.identity_matrix(m) for m in a.blocks))
 
 
 def external_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
@@ -265,26 +247,6 @@ def external_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
     c[: len(f.codomain), : len(f.domain)] = f.multiplicities
     c[len(f.codomain) :, len(f.domain) :] = g.multiplicities
     return Morphism(domain, codomain, c, f.unitaries + g.unitaries)
-
-
-def extensionally_equal(f: Morphism, g: Morphism, tol: float = 1e-9) -> bool:
-    """Apply-equality on the matrix-unit basis of the domain.
-
-    The (multiplicities, unitaries) data is not unique, so value-level
-    equality of morphisms is decided extensionally.
-    """
-    if f.domain != g.domain or f.codomain != g.codomain:
-        return False
-    for y, n in enumerate(f.domain.blocks):
-        for i in range(n):
-            for j in range(n):
-                blocks = [np.zeros((d, d), dtype=np.complex128) for d in f.domain.blocks]
-                blocks[y][i, j] = 1.0
-                unit = AlgebraElement(f.domain, tuple(blocks))
-                fa, ga = apply(f, unit), apply(g, unit)
-                if any(max_abs(p - q) > tol for p, q in zip(fa.blocks, ga.blocks)):
-                    return False
-    return True
 
 
 def morphism_to_json(f: Morphism) -> dict:
@@ -303,7 +265,7 @@ def morphism_from_json(data) -> Morphism:
         c = np.asarray(data["multiplicities"])
         raw = data.get("unitaries")
         if raw is None:
-            unitaries = tuple(np.eye(m, dtype=np.complex128) for m in codomain.blocks)
+            unitaries = tuple(linalg.identity_matrix(m) for m in codomain.blocks)
         else:
             unitaries = tuple(linalg.matrix_from_json(u) for u in raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

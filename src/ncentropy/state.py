@@ -3,14 +3,15 @@
 A state is a probability weight per block together with a density
 matrix per block; it acts on an element by ``sum_x p_x tr(rho_x a_x)``.
 Blocks of weight zero carry a placeholder density (maximally mixed by
-convention) that no operation ever reads.
+convention) that no operation ever reads: the library's own is the shared
+read-only ``linalg.placeholder(n)``.
 
 Validating a density takes its spectrum, so a ``State`` keeps what
 ``linalg.check_density`` computed: per block, the ascending eigenvalues
-of ``(rho + rho^dag)/2``.  ``support_rank``, and the Segal entropy in
-``entropy``, read those values instead of decomposing the density
-again.  Supports, orthogonality and purity are decided at the fixed
-``linalg.DEFAULT_TOL``.
+of ``(rho + rho^dag)/2``; the shared placeholder's was kept when it was built.
+``support_rank``, and the Segal entropy in ``entropy``, read those values
+instead of decomposing the density again.  Supports, orthogonality and
+purity are decided at the fixed ``linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
 from .errors import OutOfRange, ShapeMismatch
-from .linalg import DEFAULT_TOL, as_matrix, max_abs
+from .linalg import DEFAULT_TOL, max_abs
 
 # A SupportProjection is an AlgebraElement satisfying is_projection,
 # with the zero matrix on weight-zero blocks.
@@ -47,12 +48,15 @@ class State:
         if w.shape != (len(self.shape),):
             raise ShapeMismatch(f"expected {len(self.shape)} weights, got shape {w.shape}")
         w = linalg.check_probability_vector(w)
-        mats = tuple(as_matrix(r) for r in self.densities)
+        # non-finite entries are caught by check_density
+        mats = tuple(np.asarray(r, dtype=np.complex128) for r in self.densities)
         if len(mats) != len(self.shape):
             raise ShapeMismatch(f"expected {len(self.shape)} densities, got {len(mats)}")
         spectra = []
         for m, rho in zip(self.shape.blocks, mats):
             if rho.shape != (m, m):
+                if rho.ndim != 2:
+                    raise ShapeMismatch(f"expected a matrix, got array of ndim {rho.ndim}")
                 raise ShapeMismatch(f"density of shape {rho.shape} does not match block dimension {m}")
             spectra.append(linalg.check_density(rho, DEFAULT_TOL))
         object.__setattr__(self, "weights", w)
@@ -61,6 +65,7 @@ class State:
 
 
 def maximally_mixed_density(n: int) -> np.ndarray:
+    """A fresh writable ``eye(n) / n``; the library's own placeholders are ``linalg.placeholder(n)``."""
     return np.eye(n, dtype=np.complex128) / n
 
 
@@ -80,7 +85,7 @@ def block_pure_state(shape: AlgebraShape, block: int, vector) -> State:
     v = v / np.linalg.norm(v)
     weights = np.zeros(len(shape))
     weights[block] = 1.0
-    densities = [maximally_mixed_density(m) for m in shape.blocks]
+    densities = [linalg.placeholder(m) for m in shape.blocks]
     densities[block] = np.outer(v, v.conj())
     return State(shape, weights, tuple(densities))
 
@@ -144,7 +149,7 @@ def convex_combine(lam: float, omega: State, xi: State) -> State:
         if w > 0.0:
             densities.append(linalg.hermitian_part((lam * p * rho + (1.0 - lam) * q * sig) / w))
         else:
-            densities.append(maximally_mixed_density(m))
+            densities.append(linalg.placeholder(m))
     return State(omega.shape, weights / weights.sum(), tuple(densities))
 
 

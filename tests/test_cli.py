@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ncentropy import cli
-from ncentropy.morphism import extensionally_equal, morphism_from_json
+from ncentropy.morphism import morphism_from_json
 from ncentropy.state import state_from_json
+from predicates import extensionally_equal
 
 
 LOG2 = math.log(2.0)
@@ -253,6 +254,27 @@ def test_malformed_values_exit_2(tmp_path, capsys, monkeypatch, command, payload
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and error in err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ('{"shape": [1], "weights": [true], "densities": [[[[true, false]]]]}', 2),
+        ('{"shape": [1], "weights": [1.0], "densities": [[[[1, 0]]]], "note": true}', 2),
+        ('{"unit": "u", "shape": [1], "weights": [1.0], "densities": [[[[1, 0]]]], "mark": true}', 2),
+        ('{"shape": [1], "weights": [1.0], "densities": [[[[1, 0]]]], "note": "true, not \\"false\\""}', 0),
+    ],
+    ids=["boolean-numbers", "boolean-extra-field", "boolean-after-other-u", "boolean-words-in-a-string"],
+)
+def test_json_booleans_exit_2(tmp_path, capsys, text, code):
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    got, out, err = _run(capsys, "entropy", str(path))
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("error:") and "boolean" in err
+    else:
+        assert float(out) == 0.0 and err == ""
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

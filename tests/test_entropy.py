@@ -23,8 +23,13 @@ from ncentropy.entropy import LOG2, holevo_changes
 from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import DEFAULT_TOL, sample_density, sample_simplex, sample_unitary
-from ncentropy.morphism import identity_morphism
 import ncentropy.linalg as linalg
+
+
+def _identity_morphism(shape):
+    """The identity of ``shape``: one copy of each block and identity unitaries."""
+    eyes = tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks)
+    return Morphism(shape, shape, np.eye(len(shape), dtype=np.int64), eyes)
 
 
 def test_shannon_values():
@@ -187,7 +192,7 @@ def test_coboundary_identity():
 
 def test_holevo_change_identity_vanishes():
     shape = AlgebraShape((2,))
-    f = identity_morphism(shape)
+    f = _identity_morphism(shape)
     omega = State(shape, [1.0], (sample_density(2, Seed(19)),))
     xi = State(shape, [1.0], (sample_density(2, Seed(20)),))
     assert abs(holevo_change(f, 0.4, omega, xi)) < 1e-12
@@ -210,7 +215,7 @@ def test_holevo_changes_has_the_bits_of_one_weight_at_a_time():
 def test_holevo_changes_checks_every_weight_before_any_entropy_change(monkeypatch, lams):
     calls = []
     monkeypatch.setattr(entropy, "_change_and_pullback", lambda f, omega: calls.append(f) or (0.0, omega))
-    f = identity_morphism(AlgebraShape((2,)))
+    f = _identity_morphism(AlgebraShape((2,)))
     omega = State(f.codomain, [1.0], (sample_density(2, Seed(19)),))
     with pytest.raises(OutOfRange):
         holevo_changes(f, lams, omega, omega)
@@ -320,11 +325,19 @@ def test_entropy_change_decomposes_each_domain_block_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    for n in range(1, 5):
+        linalg.placeholder(n)  # each dimension's placeholder is checked once, when first built
+    placeholders = 0
     for k in range(10):
         f, omega = generate_instance(InstanceFamily(), Seed(22, k))
+        weights = pullback(f, omega).weights
         calls.update(eigvalsh=0, eigh=0)
         entropy_change(f, omega)
-        # validating the pullback decomposes each domain density once, and a
-        # 1x1 density is read off its entry; the codomain state's spectrum
-        # was kept when it was built
-        assert calls == {"eigvalsh": sum(n > 1 for n in f.domain.blocks), "eigh": 0}
+        # validating the pullback decomposes each domain density of positive
+        # weight once, and a 1x1 density is read off its entry; a block of
+        # weight zero takes the placeholder's kept spectrum, and the codomain
+        # state's spectrum was kept when it was built
+        expected = sum(n > 1 and q > 0.0 for n, q in zip(f.domain.blocks, weights))
+        assert calls == {"eigvalsh": expected, "eigh": 0}
+        placeholders += sum(n > 1 and q == 0.0 for n, q in zip(f.domain.blocks, weights))
+    assert placeholders > 0

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncentropy import InstanceFamily, Seed, are_orthogonal, generate_instance, run_all, run_suite
+from ncentropy import InstanceFamily, Seed, are_orthogonal, entropy_change, generate_instance, run_all, run_suite
 from ncentropy import harness
+from ncentropy.cli import _worked_examples
 from ncentropy.errors import UnknownSuite
 from ncentropy.harness import SUITES, _sample_orthogonal_pair, _sample_shape
 from ncentropy.morphism import pullback
@@ -266,3 +267,19 @@ def test_continuity_rejects_an_offset_away_from_the_base_state(monkeypatch):
     monkeypatch.setattr(entropy, "_change_and_pullback", offset)
     report = run_suite("continuity", 16, Seed(42), 1e-9)
     assert not report.passed
+
+
+def test_reference_entropy_matches_the_closed_forms():
+    examples = _worked_examples()
+    quartic = np.diag(examples["remark-quartic"][1].densities[0]).real
+    closed = {
+        "bell": -np.log(2.0),
+        "plus-measurement": -np.log(2.0),
+        "remark-quartic": harness._remark_quartic_change(quartic),
+    }
+    changes = []
+    for name, (f, omega) in examples.items():
+        reference = harness._reference_entropy(omega) - harness._reference_entropy(pullback(f, omega))
+        assert abs(reference - closed[name]) < 1e-12, name
+        changes.append(entropy_change(f, omega))
+    assert abs(harness.fit_scaling_constant(changes, [closed[name] for name in examples]) - 1.0) < 1e-12

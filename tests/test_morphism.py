@@ -30,14 +30,16 @@ from ncentropy.algebra import adjoint, is_positive, multiply
 from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
-from ncentropy.morphism import (
-    _segments,
-    extensionally_equal,
-    identity_morphism,
-    morphism_from_json,
-    morphism_to_json,
-)
+from ncentropy import linalg, morphism
+from ncentropy.morphism import morphism_from_json, morphism_to_json
 from ncentropy.state import maximally_mixed_density
+from predicates import extensionally_equal
+
+
+def _identity_morphism(shape):
+    """The identity of ``shape``: one copy of each block and identity unitaries."""
+    eyes = tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks)
+    return Morphism(shape, shape, np.eye(len(shape), dtype=np.int64), eyes)
 
 
 def _random_element(shape, seed):
@@ -85,7 +87,7 @@ def test_morphism_validation():
 
 def test_apply_identity_morphism():
     shape = AlgebraShape((2, 3))
-    f = identity_morphism(shape)
+    f = _identity_morphism(shape)
     a = _random_element(shape, 0)
     out = apply(f, a)
     assert all(max_abs(p - q) < 1e-12 for p, q in zip(out.blocks, a.blocks))
@@ -155,7 +157,7 @@ def _pullback_by_einsum(f, omega):
             continue
         u = f.unitaries[x]
         m = u.conj().T @ (p * rho) @ u
-        for y, seg, copies, n in _segments(f, x):
+        for y, seg, copies, n in f.segments[x]:
             accum[y] += np.einsum("aiaj->ij", m[seg, seg].reshape(copies, n, copies, n))
     weights = np.array([max(np.trace(a).real, 0.0) for a in accum])
     densities = [
@@ -181,8 +183,8 @@ def test_pullback_has_the_bits_of_the_einsum_partial_trace():
 
 def test_compose_with_identity_and_terminal():
     f, _ = generate_instance(InstanceFamily(), Seed(8, 0))
-    assert extensionally_equal(compose(f, identity_morphism(f.domain)), f)
-    assert extensionally_equal(compose(identity_morphism(f.codomain), f), f)
+    assert extensionally_equal(compose(f, _identity_morphism(f.domain)), f)
+    assert extensionally_equal(compose(_identity_morphism(f.codomain), f), f)
     assert extensionally_equal(compose(f, initial(f.domain)), initial(f.codomain))
 
 
@@ -251,14 +253,14 @@ def test_composite_unitary_matches_the_permutation_matrix():
 
 def test_initial_morphism():
     one = initial(AlgebraShape((1,)))
-    assert extensionally_equal(one, identity_morphism(AlgebraShape((1,))))
+    assert extensionally_equal(one, _identity_morphism(AlgebraShape((1,))))
     f = initial(AlgebraShape((2,)))
     scalar = AlgebraElement(AlgebraShape((1,)), (np.array([[1.0]]),))
     assert max_abs(apply(f, scalar).blocks[0] - np.eye(2)) < 1e-12
 
 
 def test_is_isomorphism():
-    assert is_isomorphism(identity_morphism(AlgebraShape((2, 3))))
+    assert is_isomorphism(_identity_morphism(AlgebraShape((2, 3))))
     assert not is_isomorphism(factor_inclusion(2, 2))
     swap = Morphism(
         AlgebraShape((3, 2)),
@@ -326,10 +328,10 @@ def test_summand_projection():
 
 
 def test_external_sum_morphism():
-    f = identity_morphism(AlgebraShape((2,)))
-    g = identity_morphism(AlgebraShape((1, 1)))
+    f = _identity_morphism(AlgebraShape((2,)))
+    g = _identity_morphism(AlgebraShape((1, 1)))
     both = external_sum_morphism(f, g)
-    assert extensionally_equal(both, identity_morphism(both.domain))
+    assert extensionally_equal(both, _identity_morphism(both.domain))
 
     f2, omega = generate_instance(InstanceFamily(), Seed(31, 0))
     g2, xi = generate_instance(InstanceFamily(), Seed(31, 1))
@@ -385,3 +387,54 @@ def test_morphism_json_round_trip():
     data["unitaries"] = None
     bare = morphism_from_json(data)
     assert all(max_abs(u - np.eye(m)) < 1e-15 for u, m in zip(bare.unitaries, bare.codomain.blocks))
+
+
+def test_library_identity_unitaries_are_one_read_only_object_per_dimension():
+    eye = linalg.identity_matrix(3)
+    assert eye is linalg.identity_matrix(3) and not eye.flags.writeable
+    assert np.array_equal(eye, np.eye(3))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+    shape = AlgebraShape((3, 2))
+    assert all(u is linalg.identity_matrix(m) for u, m in zip(initial(shape).unitaries, shape.blocks))
+    assert all(u is linalg.identity_matrix(m) for u, m in zip(summand_projection(shape, shape).unitaries, shape.blocks))
+    f = measurement_morphism(shape, 1, np.diag([1.0, 2.0]))
+    assert f.unitaries[0] is linalg.identity_matrix(3)
+    g = morphism_from_json({"domain": [3, 2], "codomain": [3, 2], "multiplicities": [[1, 0], [0, 1]]})
+    assert all(u is linalg.identity_matrix(m) for u, m in zip(g.unitaries, shape.blocks))
+
+
+def test_unitaries_other_than_the_shared_identity_are_checked_by_product(monkeypatch):
+    checked = []
+    monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
+    shape = AlgebraShape((2,))
+    Morphism(shape, shape, np.array([[1]]), (linalg.identity_matrix(2),))
+    assert checked == []
+    Morphism(shape, shape, np.array([[1]]), (np.eye(2, dtype=np.complex128),))
+    assert checked == [(2, 2)]
+    near = np.eye(2, dtype=np.complex128)
+    near[0, 0] = 1.0 + 1e-6
+    with pytest.raises(NotUnitary):
+        Morphism(shape, shape, np.array([[1]]), (near,))
+    with pytest.raises(NotUnitary):
+        Morphism(shape, shape, np.array([[1]]), (np.eye(2) * 2,))
+
+
+def test_stored_layout_is_the_ascending_y_layout():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+        c = rng.integers(0, 3, size=(int(rng.integers(1, 5)), len(n)))
+        c[:, rng.random(len(n)) < 0.3] = 0  # some domain blocks reach no codomain block
+        c[c.sum(axis=1) == 0, 0] = 1
+        dims = c @ n
+        domain, codomain = AlgebraShape(tuple(n.tolist())), AlgebraShape(tuple(dims.tolist()))
+        f = Morphism(domain, codomain, c, tuple(np.eye(m) for m in dims))
+        for x, row in enumerate(c):
+            ends = np.cumsum(row * n)
+            expected = tuple(
+                (y, slice(int(ends[y] - row[y] * n[y]), int(ends[y])), int(row[y]), int(n[y]))
+                for y in range(len(n))
+                if row[y] > 0
+            )
+            assert f.segments[x] == expected

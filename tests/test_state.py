@@ -19,8 +19,9 @@ from ncentropy import (
 )
 from ncentropy.algebra import is_projection, multiply
 from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
+from ncentropy import linalg
 from ncentropy.linalg import max_abs, sample_density, sample_simplex
-from ncentropy.state import support_rank
+from ncentropy.state import maximally_mixed_density, support_rank
 
 
 def _random_state(shape, seed):
@@ -191,3 +192,67 @@ def test_external_sum():
         tilde_omega = external_sum_state(1.0, omega, xi)
         tilde_xi = external_sum_state(0.0, omega, xi)
         assert are_orthogonal(tilde_omega, tilde_xi)
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+def test_placeholder_is_one_read_only_object_per_dimension(monkeypatch):
+    for n in (1, 2, 3, 7):
+        rho = linalg.placeholder(n)
+        assert rho is linalg.placeholder(n)
+        assert np.array_equal(rho, np.eye(n) / n)
+        assert not rho.flags.writeable
+        with pytest.raises(ValueError):
+            rho[0, 0] = 0.0
+        kept = linalg.check_density(rho, linalg.DEFAULT_TOL)
+        assert kept is linalg.check_density(rho, 1.0) and not kept.flags.writeable
+        assert kept.tobytes() == linalg.check_density(np.eye(n, dtype=complex) / n, linalg.DEFAULT_TOL).tobytes()
+    calls = _count_eigvalsh(monkeypatch)
+    omega = State(AlgebraShape((3, 7)), [1.0, 0.0], (linalg.placeholder(3), linalg.placeholder(7)))
+    assert calls == []
+    assert omega.densities[1] is linalg.placeholder(7)
+    assert omega.spectra[1] is linalg.check_density(linalg.placeholder(7), linalg.DEFAULT_TOL)
+    assert calls == []
+    linalg.check_density(linalg.placeholder(3), 1e-12)  # a tighter tol checks it again
+    assert calls == [1]
+
+
+def test_library_zero_weight_blocks_share_the_placeholder():
+    pure = block_pure_state(AlgebraShape((2, 3)), 0, [1.0, 0.0])
+    assert pure.densities[1] is linalg.placeholder(3)
+    mix = convex_combine(0.5, pure, pure)
+    assert mix.densities[1] is linalg.placeholder(3)
+
+
+def test_an_equal_density_is_still_decomposed_and_checked(monkeypatch):
+    linalg.placeholder(3)
+    fresh = maximally_mixed_density(3)
+    assert fresh is not linalg.placeholder(3) and fresh.flags.writeable
+    assert maximally_mixed_density(3) is not fresh
+    calls = _count_eigvalsh(monkeypatch)
+    omega = State(AlgebraShape((3,)), [1.0], (fresh,))
+    assert len(calls) == 1
+    assert linalg.check_density(fresh, linalg.DEFAULT_TOL) is not omega.spectra[0]
+    assert len(calls) == 2
+    fresh[0, 0] = 2.0  # a writable copy is the caller's own: it is checked as any density
+    with pytest.raises(NotDensity):
+        State(AlgebraShape((3,)), [1.0], (fresh,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+@pytest.mark.parametrize("n, where", [(1, (0, 0)), (2, (0, 0)), (2, (0, 1))])
+def test_non_finite_density_still_raises(bad, n, where):
+    rho = np.eye(n, dtype=np.complex128) / n
+    rho[where] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ShapeMismatch, match="finite"):
+        State(AlgebraShape((n,)), [1.0], (rho,))
+
+
+def test_nan_weight_still_raises():
+    with pytest.raises(NotProbabilityVector, match="finite"):
+        State(AlgebraShape((1, 1)), [np.nan, 1.0], (np.ones((1, 1)), np.ones((1, 1))))

@@ -2,8 +2,8 @@
 
 ``von_neumann`` and ``check_density`` are called at both ``DEFAULT_TOL``
 and ``FACTOR_TOL``; ``run_suite``/``run_all`` carry ``nce verify --tol``;
-the algebra and morphism predicates are test helpers whose tests use
-several values.  Every other threshold is a named module constant.
+the algebra predicates are test helpers whose tests use several values
+(the morphism equality test lives in ``tests/predicates.py``).  Every other threshold is a named module constant.
 """
 
 import inspect
@@ -18,7 +18,6 @@ TAKES_TOL = {
     "run_all",
     "is_positive",
     "is_projection",
-    "extensionally_equal",
 }
 
 
