@@ -23,9 +23,9 @@ from ncentropy import (
 )
 
 # 1. A unitary rotation of a qutrit: entropy change is zero.
-u = sample_unitary(3, Seed(0))
+u = sample_unitary(3, Seed(0).rng())
 rotation = Morphism(AlgebraShape((3,)), AlgebraShape((3,)), np.array([[1]]), (u,))
-omega = State(AlgebraShape((3,)), [1.0], (sample_density(3, Seed(1)),))
+omega = State(AlgebraShape((3,)), [1.0], (sample_density(3, Seed(1).rng()),))
 print("isomorphism:", entropy_change(rotation, omega))
 
 # 2. Merging two classical outcomes loses information, so entropy drops

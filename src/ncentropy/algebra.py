@@ -2,7 +2,7 @@
 
 An algebra here is a direct sum of full complex matrix blocks, recorded
 as the list of block dimensions.  An element is one square matrix per
-block.  Multiplication, adjoints, and positivity are all blockwise.
+block.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ShapeMismatch
-from .linalg import DEFAULT_TOL, as_matrix, max_abs
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -59,36 +59,8 @@ class AlgebraElement:
         object.__setattr__(self, "blocks", mats)
 
 
-def _check_same_shape(a: AlgebraElement, b: AlgebraElement):
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"shapes differ: {a.shape.blocks} vs {b.shape.blocks}")
-
-
 def identity(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks))
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_shape(a, b)
-    return AlgebraElement(a.shape, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
-
-
-def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(a.shape, tuple(x.conj().T for x in a.blocks))
-
-
-def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Blockwise Hermitian with all eigenvalues at least ``-tol``."""
-    for b in a.blocks:
-        deviation, vals = linalg.hermitian_spectrum(b)
-        if deviation > tol or vals[0] < -tol:
-            return False
-    return True
-
-
-def is_projection(p: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """Checks ``p* p = p`` blockwise in max-norm."""
-    return all(max_abs(b.conj().T @ b - b) <= tol for b in p.blocks)
 
 
 def direct_sum_shape(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:

@@ -50,12 +50,14 @@ def _load_json(path: str):
     """A state or morphism file, decoded; a JSON boolean, which the loaders would read as a number, raises."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path}: JSON nested too deeply") from exc
     if _has_boolean(text):
         raise ShapeMismatch(f"{path}: JSON booleans are not accepted; no state or morphism field holds one")
     return data
@@ -208,13 +210,16 @@ def _cmd_example(args) -> int:
     examples = _worked_examples()
     f, omega = examples[args.name]
     out_dir = Path(args.dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     morphism_path = out_dir / f"{args.name}_morphism.json"
     state_path = out_dir / f"{args.name}_state.json"
     morphism_json = mor.morphism_to_json(f)
     state_json = st.state_to_json(omega)
-    morphism_path.write_text(json.dumps(morphism_json, indent=2))
-    state_path.write_text(json.dumps(state_json, indent=2))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        morphism_path.write_text(json.dumps(morphism_json, indent=2))
+        state_path.write_text(json.dumps(state_json, indent=2))
+    except OSError as exc:
+        raise _InputError(f"cannot write to {out_dir}: {exc}") from exc
     bundle = {
         "name": args.name,
         "files": {"morphism": str(morphism_path), "state": str(state_path)},

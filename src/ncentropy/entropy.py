@@ -65,7 +65,7 @@ def entropy_change(f: Morphism, omega: State) -> float:
 
 
 def _holevo_changes(f: Morphism, lams, omega: State, xi: State) -> tuple[list[float], list[tuple[State, State]]]:
-    """``holevo_changes`` plus ``(state, pullback)`` for ``omega``, ``xi`` and the mixture at each weight."""
+    """``holevo_change`` at each weight in ``lams``, all checked first, and ``(state, pullback)`` of ``omega``, ``xi`` and each mixture."""
     for lam in lams:
         if not 0.0 <= lam <= 1.0:
             raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
@@ -76,17 +76,9 @@ def _holevo_changes(f: Morphism, lams, omega: State, xi: State) -> tuple[list[fl
     return deviations, list(zip(states, pulled))
 
 
-def holevo_changes(f: Morphism, lams, omega: State, xi: State) -> list[float]:
-    """``holevo_change`` at each weight in ``lams``, taking the endpoints' entropy changes once.
-
-    Every weight is checked before any entropy change is computed.
-    """
-    return _holevo_changes(f, lams, omega, xi)[0]
-
-
 def holevo_change(f: Morphism, lam: float, omega: State, xi: State) -> float:
     """Deviation of the entropy change from affinity on a two-state mixture."""
-    return holevo_changes(f, (lam,), omega, xi)[0]
+    return _holevo_changes(f, (lam,), omega, xi)[0][0]
 
 
 def _block_weight_change(omega: State, pulled: State) -> float:

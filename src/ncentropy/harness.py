@@ -23,9 +23,6 @@ from .algebra import AlgebraShape
 from .errors import InfeasibleShapes, UnknownSuite
 from .linalg import (
     Seed,
-    _density,
-    _simplex,
-    _unitary,
     block_diag,
     eigh,
     hermitian_part,
@@ -33,6 +30,9 @@ from .linalg import (
     identity_matrix,
     max_abs,
     placeholder,
+    sample_density,
+    sample_simplex,
+    sample_unitary,
 )
 from .state import State
 
@@ -153,7 +153,7 @@ def _sample_morphism(family: InstanceFamily, rng: np.random.Generator) -> mor.Mo
                 break
             rows.append(row)
         else:
-            unitaries = tuple(_unitary(m, rng) for m in codomain.blocks)
+            unitaries = tuple(sample_unitary(m, rng) for m in codomain.blocks)
             return mor.Morphism(domain, codomain, np.array(rows), unitaries)
     raise InfeasibleShapes("no multiplicity solution found after 200 shape draws")
 
@@ -173,13 +173,13 @@ def _sample_morphism_onto(domain: AlgebraShape, family: InstanceFamily, rng: np.
     c = np.array(rows)
     dims = tuple(int(r @ np.asarray(domain.blocks)) for r in rows)
     codomain = AlgebraShape(dims)
-    unitaries = tuple(_unitary(m, rng) for m in codomain.blocks)
+    unitaries = tuple(sample_unitary(m, rng) for m in codomain.blocks)
     return mor.Morphism(domain, codomain, c, unitaries)
 
 
 def _sample_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
-    weights = _simplex(len(shape), rng)
-    densities = tuple(_density(m, rng) for m in shape.blocks)
+    weights = sample_simplex(len(shape), rng)
+    densities = tuple(sample_density(m, rng) for m in shape.blocks)
     return State(shape, weights, densities)
 
 
@@ -197,7 +197,7 @@ def _sample_orthogonal_pair(shape: AlgebraShape, rng: np.random.Generator):
         # total_dim >= 2, so one rank-1 support always leaves a complement
         ranks = np.zeros(k, dtype=np.int64)
         ranks[int(np.argmax(dims))] = 1
-    bases = [_unitary(m, rng) for m in shape.blocks]
+    bases = [sample_unitary(m, rng) for m in shape.blocks]
 
     def build(use_complement: bool) -> State:
         weights = np.zeros(k)
@@ -209,11 +209,11 @@ def _sample_orthogonal_pair(shape: AlgebraShape, rng: np.random.Generator):
             if span == 0:
                 densities.append(placeholder(m))
                 continue
-            inner = _density(span, rng)
+            inner = sample_density(span, rng)
             rho = cols @ inner @ cols.conj().T
             densities.append(hermitian_part(rho))
             active.append(x)
-        probs = _simplex(len(active), rng)
+        probs = sample_simplex(len(active), rng)
         for i, x in enumerate(active):
             weights[x] = probs[i]
         return State(shape, weights, tuple(densities))
@@ -239,7 +239,7 @@ def _sample_isomorphism(family: InstanceFamily, rng: np.random.Generator) -> mor
     for x, y in enumerate(perm):
         domain_dims[y] = codomain.blocks[x]
         c[x, y] = 1
-    unitaries = tuple(_unitary(m, rng) for m in codomain.blocks)
+    unitaries = tuple(sample_unitary(m, rng) for m in codomain.blocks)
     return mor.Morphism(AlgebraShape(tuple(domain_dims)), codomain, c, unitaries)
 
 
@@ -334,7 +334,7 @@ def _suite_iso_invariance(rec, s, rng, i, tol):
 def _sample_pure_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
     block = int(rng.integers(0, len(shape)))
     m = shape.blocks[block]
-    v = _unitary(m, rng)[:, 0] if m > 1 else np.ones(1)
+    v = sample_unitary(m, rng)[:, 0] if m > 1 else np.ones(1)
     return st.block_pure_state(shape, block, v)
 
 
@@ -354,9 +354,9 @@ def _suite_concavity(rec, s, rng, i, tol):
     count = int(rng.integers(2, 4))
     dim = int(rng.integers(2, 5))
     # generic overlapping family; the floor keeps all weights bounded away from 0
-    raw = _simplex(count, rng)
+    raw = sample_simplex(count, rng)
     p = (raw + 0.2) / (1.0 + 0.2 * count)
-    rhos = [_density(dim, rng) for _ in range(count)]
+    rhos = [sample_density(dim, rng) for _ in range(count)]
     mixture = sum(w * r for w, r in zip(p, rhos))
     left = sum(w * ent.von_neumann(r) for w, r in zip(p, rhos))
     mid = ent.von_neumann(mixture)
@@ -366,10 +366,10 @@ def _suite_concavity(rec, s, rng, i, tol):
     rec.check(s, "overlapping family saturates the Shannon bound", 1e-4 - (right - mid), 0.0)
     # orthogonal family: supports in complementary subspaces saturate the bound
     ranks = [int(rng.integers(1, 3)) for _ in range(count)]
-    basis = _unitary(sum(ranks), rng)
-    q = _simplex(count, rng)
+    basis = sample_unitary(sum(ranks), rng)
+    q = sample_simplex(count, rng)
     parts = [
-        cols @ _density(cols.shape[1], rng) @ cols.conj().T
+        cols @ sample_density(cols.shape[1], rng) @ cols.conj().T
         for cols in np.split(basis, np.cumsum(ranks)[:-1], axis=1)
     ]
     mix = hermitian_part(sum(w * r for w, r in zip(q, parts)))
@@ -383,7 +383,7 @@ def _suite_holevo_nonneg(rec, s, rng, i, tol):
     omega = _sample_state(f.codomain, rng)
     xi = _sample_state(f.codomain, rng)
     lams = _LAMBDAS + (float(rng.uniform()),)
-    for lam, chi in zip(lams, ent.holevo_changes(f, lams, omega, xi)):
+    for lam, chi in zip(lams, ent._holevo_changes(f, lams, omega, xi)[0]):
         rec.check(s, f"negative mixing deviation at weight {lam:.3f}", -chi, tol)
 
 
@@ -412,7 +412,7 @@ def _diagonal_measurement_pair(dim: int, rng: np.random.Generator):
     left, right = idx[:cut], idx[cut:]
 
     def diag_state(support_idx):
-        probs = _simplex(len(support_idx), rng)
+        probs = sample_simplex(len(support_idx), rng)
         d = np.zeros(dim)
         d[np.asarray(support_idx)] = probs
         return State(shape, np.ones(1), (np.diag(d).astype(np.complex128),))
@@ -471,11 +471,11 @@ def _suite_commutative_positivity(rec, s, rng, i, tol):
 
 
 def _sample_rank_deficient_state(shape: AlgebraShape, rng: np.random.Generator) -> State:
-    weights = _simplex(len(shape), rng)
+    weights = sample_simplex(len(shape), rng)
     densities = []
     for m in shape.blocks:
         r = int(rng.integers(1, m + 1))
-        densities.append(_density(m, rng, rank=r))
+        densities.append(sample_density(m, rng, rank=r))
     return State(shape, weights, tuple(densities))
 
 
@@ -520,7 +520,7 @@ def _suite_negative_existence(rec, s, rng, i, tol):
     m = shape.blocks[block]
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     f = mor.measurement_morphism(shape, block, hermitian_part(g))
-    omega = st.block_pure_state(shape, block, _unitary(m, rng)[:, 0])
+    omega = st.block_pure_state(shape, block, sample_unitary(m, rng)[:, 0])
     rec.check(s, "measurement of a noncommuting pure state did not lose entropy", ent.entropy_change(f, omega) + 1e-6, 0.0)
 
 
@@ -571,7 +571,6 @@ def _suite_k_counterexample(rec, s, rng, i, tol):
 
 def _project_to_density(rho: np.ndarray) -> np.ndarray:
     vals, vecs = eigh(hermitian_part(rho))
-    vals, vecs = vals[::-1], vecs[:, ::-1]  # back to LAPACK's ascending order, which the sum below keeps
     vals = np.clip(vals, 0.0, None)
     vals /= vals.sum()
     return (vecs * vals) @ vecs.conj().T
@@ -653,9 +652,9 @@ def _sample_disintegrable(rng: np.random.Generator):
     f = _sample_morphism(family, rng)
     c = f.multiplicities
     hit = c.sum(axis=0) > 0
-    q = _simplex(len(f.domain), rng) * hit
+    q = sample_simplex(len(f.domain), rng) * hit
     q /= q.sum()
-    sigmas = [_density(n, rng) for n in f.domain.blocks]
+    sigmas = [sample_density(n, rng) for n in f.domain.blocks]
     tau: dict = {}
     for y in range(len(f.domain)):
         pairs = [x for x in range(len(f.codomain)) if c[x, y] > 0]

@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel and the one home of value validation.
 
-Hermitian eigendecompositions, the right partial trace, and seeded
-sampling of unitaries, density matrices, and simplex points: each sampler
-is a private core drawing from a given generator, with a public wrapper
-that opens the generator of a ``Seed`` substream.  Every other module
+Hermitian eigendecompositions in LAPACK's ascending order, the right
+partial trace, and sampling of unitaries, density matrices, and simplex
+points: each sampler draws from the ``numpy.random.Generator`` it is
+given, such as ``Seed(...).rng()``.  Every other module
 decides "is this a density?" with ``check_density``, "is this a
 probability vector?" with ``check_probability_vector``, and takes
 Hermitian spectra from ``hermitian_spectrum``, the package's one
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDensity, NotHermitian, NotProbabilityVector, NotSquare, ShapeMismatch
+from .errors import IndexOutOfRange, NotDensity, NotHermitian, NotProbabilityVector, NotSquare, ShapeMismatch
 
 # One tolerance governs every "is zero / is PSD / is Hermitian" decision
 # so the verification suites stay coherent.
@@ -41,7 +41,7 @@ class Seed:
     ``numpy.random.SeedSequence`` with spawn key ``(stream, *substream)``;
     ``child(i)`` is the key of trial ``i``.  A harness trial builds one
     generator, ``rng()``, from its key and draws everything from it in
-    program order; the public samplers below open one per call.
+    program order; the samplers below draw from the generator they are given.
     """
 
     seed: int
@@ -59,6 +59,12 @@ class Seed:
 def is_integer(v) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_block_index(block, count: int) -> None:
+    """Raise IndexOutOfRange unless ``block`` is an integer in ``0..count - 1``."""
+    if not (is_integer(block) and 0 <= block < count):
+        raise IndexOutOfRange(f"block index {block!r} is not an integer in 0..{count - 1}")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -169,9 +175,9 @@ def identity_matrix(n: int) -> np.ndarray:
 def eigh(h):
     """Eigendecomposition of a Hermitian matrix.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as the matching unitary columns,
-    so that ``h == V @ diag(vals) @ V.conj().T``.
+    Returns ``(eigenvalues, eigenvectors)`` in ``np.linalg.eigh``'s
+    ascending order, eigenvectors as the matching unitary columns, so
+    that ``h == V @ diag(vals) @ V.conj().T``.
 
     Raises NotSquare / NotHermitian if ``h`` deviates from its adjoint
     by more than ``DEFAULT_TOL``.
@@ -181,9 +187,7 @@ def eigh(h):
         raise NotSquare(f"expected a square matrix, got shape {h.shape}")
     if max_abs(h - h.conj().T) > DEFAULT_TOL:
         raise NotHermitian(f"matrix deviates from its adjoint by {max_abs(h - h.conj().T):.3e} > {DEFAULT_TOL:.3e}")
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    return np.linalg.eigh(h)
 
 
 def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:
@@ -195,45 +199,33 @@ def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:
     return np.einsum("iaja->ij", m.reshape(d_left, d_right, d_left, d_right))
 
 
-def _unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random ``n x n`` unitary (QR of a complex Ginibre matrix).
+
+    The QR phase ambiguity is fixed by making the diagonal of R positive,
+    which is what makes the distribution Haar rather than merely unitary.
+    """
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def _density(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+def sample_density(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random density matrix ``G G^dag / tr(G G^dag)`` for complex Gaussian G.
+
+    ``rank`` restricts G to ``n x rank`` columns, producing a density of
+    that rank almost surely.
+    """
     k = n if rank is None else rank
     g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     w = g @ g.conj().T
     return hermitian_part(w / w.trace().real)
 
 
-def _simplex(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(np.ones(n))
-
-
-def sample_unitary(n: int, seed: Seed, *substream: int) -> np.ndarray:
-    """Haar-random ``n x n`` unitary (QR of a complex Ginibre matrix).
-
-    The QR phase ambiguity is fixed by making the diagonal of R positive,
-    which is what makes the distribution Haar rather than merely unitary.
-    """
-    return _unitary(n, seed.rng(*substream))
-
-
-def sample_density(n: int, seed: Seed, *substream: int, rank: int | None = None) -> np.ndarray:
-    """Random density matrix ``G G^dag / tr(G G^dag)`` for complex Gaussian G.
-
-    ``rank`` restricts G to ``n x rank`` columns, producing a density of
-    that rank almost surely.
-    """
-    return _density(n, seed.rng(*substream), rank)
-
-
-def sample_simplex(n: int, seed: Seed, *substream: int) -> np.ndarray:
+def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform (Dirichlet(1,...,1)) point on the probability simplex."""
-    return _simplex(n, seed.rng(*substream))
+    return rng.dirichlet(np.ones(n))
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -203,6 +203,7 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     ``block``; the largest eigenvalue additionally carries the identity
     of every other codomain block so the morphism is unital.
     """
+    linalg.check_block_index(block, len(codomain))
     m = codomain.blocks[block]
     if m < 2:
         raise ShapeMismatch("measurement needs a block of dimension at least 2")
@@ -210,6 +211,7 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     if obs.shape != (m, m):
         raise ShapeMismatch(f"observable of shape {obs.shape} does not fit block dimension {m}")
     vals, vecs = linalg.eigh(obs)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending: the largest eigenvalue is point 0
     cluster_sizes = [1]
     for i in range(1, len(vals)):
         if vals[i - 1] - vals[i] <= DEFAULT_TOL:

@@ -25,7 +25,7 @@ from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
 from .errors import OutOfRange, ShapeMismatch
 from .linalg import DEFAULT_TOL, max_abs
 
-# A SupportProjection is an AlgebraElement satisfying is_projection,
+# A SupportProjection is an AlgebraElement with p^dag p = p blockwise,
 # with the zero matrix on weight-zero blocks.
 SupportProjection = AlgebraElement
 
@@ -64,11 +64,6 @@ class State:
         object.__setattr__(self, "spectra", tuple(spectra))
 
 
-def maximally_mixed_density(n: int) -> np.ndarray:
-    """A fresh writable ``eye(n) / n``; the library's own placeholders are ``linalg.placeholder(n)``."""
-    return np.eye(n, dtype=np.complex128) / n
-
-
 def classical_state(p) -> State:
     """State on the commutative algebra with one 1-dim block per outcome."""
     p = np.asarray(p, dtype=np.float64)
@@ -79,6 +74,7 @@ def classical_state(p) -> State:
 
 def block_pure_state(shape: AlgebraShape, block: int, vector) -> State:
     """Dirac weight on ``block`` with the rank-1 density of ``vector``."""
+    linalg.check_block_index(block, len(shape))
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     if v.shape[0] != shape.blocks[block]:
         raise ShapeMismatch(f"vector of length {v.shape[0]} does not fit block of dimension {shape.blocks[block]}")
@@ -111,7 +107,7 @@ def support(omega: State) -> SupportProjection:
     for p, rho, m in zip(omega.weights, omega.densities, omega.shape.blocks):
         if p > DEFAULT_TOL:
             vals, vecs = linalg.eigh(rho)
-            cols = vecs[:, vals > DEFAULT_TOL]
+            cols = vecs[:, vals > DEFAULT_TOL][:, ::-1]  # descending: the product's rounding depends on the column order
             blocks.append(cols @ cols.conj().T)
         else:
             blocks.append(np.zeros((m, m), dtype=np.complex128))

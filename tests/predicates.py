@@ -1,9 +1,32 @@
-"""Predicates that only the tests use, kept out of the library."""
+"""Algebra operations and predicates that only the tests use, kept out of the library."""
 
 import numpy as np
 
 from ncentropy import AlgebraElement, apply
-from ncentropy.linalg import max_abs
+from ncentropy.linalg import DEFAULT_TOL, hermitian_spectrum, max_abs
+
+
+def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Blockwise product of two elements of one algebra."""
+    return AlgebraElement(a.shape, tuple(x @ y for x, y in zip(a.blocks, b.blocks)))
+
+
+def adjoint(a: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(a.shape, tuple(x.conj().T for x in a.blocks))
+
+
+def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
+    """Blockwise Hermitian with all eigenvalues at least ``-tol``."""
+    for b in a.blocks:
+        deviation, vals = hermitian_spectrum(b)
+        if deviation > tol or vals[0] < -tol:
+            return False
+    return True
+
+
+def is_projection(p: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
+    """Checks ``p* p = p`` blockwise in max-norm."""
+    return all(max_abs(b.conj().T @ b - b) <= tol for b in p.blocks)
 
 
 def extensionally_equal(f, g, tol: float = 1e-9) -> bool:

@@ -158,6 +158,14 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_example_into_unwritable_dir_exits_2(tmp_path, capsys):
+    occupied = tmp_path / "file"
+    occupied.write_text("")
+    code, out, err = _run(capsys, "example", "bell", "--dir", str(occupied))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write to")
+
+
 def test_verify_single_suite(capsys):
     code, out, err = _run(capsys, "verify", "--suite", "coboundary", "--trials", "20", "--seed", "7")
     assert code == 0
@@ -206,6 +214,8 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         ("verify", ["--tol", "nan"], "--tol: must be at least 0.0 and finite"),
         ("verify", ["--tol", "-1"], "--tol: must be at least 0.0 and finite"),
         ("verify", ["--tol", "inf"], "--tol: must be at least 0.0 and finite"),
+        ("entropy", b"[" * 100_000, "nested too deeply"),
+        ("entropy", json.dumps(_STATE).encode() + b"\xff", "cannot read"),
     ],
     ids=[
         "nan-weight",
@@ -226,11 +236,16 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         "nan-tol",
         "negative-tol",
         "infinite-tol",
+        "deep-nesting",
+        "not-utf8",
     ],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, monkeypatch, command, payload, error):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):  # raw file content
+        bad.write_bytes(payload)
+    else:
+        bad.write_text(json.dumps(payload))
     if command == "verify":  # payload: extra options, or environment variables
         argv = ["verify", "--suite", "coboundary", "--trials", "2"]
         if isinstance(payload, dict):

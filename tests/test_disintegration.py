@@ -55,7 +55,7 @@ def test_classical_diagrams_hold():
         n_x = int(rng.integers(1, 7))
         n_y = int(rng.integers(1, 5))
         phi = [int(v) for v in rng.integers(0, n_y, size=n_x)]
-        p = sample_simplex(n_x, Seed(101, k))
+        p = sample_simplex(n_x, Seed(101, k).rng())
         psi = classical_disintegrate(phi, p, n_targets=n_y)
         q = np.zeros(n_y)
         for x, y in enumerate(phi):
@@ -116,9 +116,9 @@ def test_quartic_criterion_is_the_product_condition():
 
 
 def test_quantum_isomorphism_always_disintegrates():
-    u = sample_unitary(3, Seed(102))
+    u = sample_unitary(3, Seed(102).rng())
     iso = Morphism(AlgebraShape((3,)), AlgebraShape((3,)), np.array([[1]]), (u,))
-    omega = State(AlgebraShape((3,)), [1.0], (sample_density(3, Seed(103)),))
+    omega = State(AlgebraShape((3,)), [1.0], (sample_density(3, Seed(103).rng()),))
     result = quantum_disintegrate(iso, omega)
     assert isinstance(result, QuantumDisintegrationData)
     assert abs(result.tau[(0, 0)][0, 0] - 1.0) < 1e-10
@@ -182,7 +182,7 @@ def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
         AlgebraShape((2,)),
         AlgebraShape((4, 2)),
         np.array([[2], [1]]),
-        (sample_unitary(4, Seed(23)), np.eye(2)),
+        (sample_unitary(4, Seed(23).rng()), np.eye(2)),
     )
     u = f.unitaries[0]
     inner = np.diag([0.4, 0.1, 0.4, 0.1]).astype(complex)

@@ -26,14 +26,12 @@ from ncentropy import (
     summand_projection,
     support,
 )
-from ncentropy.algebra import adjoint, is_positive, multiply
 from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
 from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
-from ncentropy.state import maximally_mixed_density
-from predicates import extensionally_equal
+from predicates import adjoint, extensionally_equal, is_positive, multiply
 
 
 def _identity_morphism(shape):
@@ -51,8 +49,8 @@ def _random_element(shape, seed):
 
 
 def _random_state(shape, seed):
-    weights = sample_simplex(len(shape), Seed(seed, 90))
-    densities = tuple(sample_density(m, Seed(seed, 91 + x)) for x, m in enumerate(shape.blocks))
+    weights = sample_simplex(len(shape), Seed(seed, 90).rng())
+    densities = tuple(sample_density(m, Seed(seed, 91 + x).rng()) for x, m in enumerate(shape.blocks))
     return State(shape, weights, densities)
 
 
@@ -161,7 +159,7 @@ def _pullback_by_einsum(f, omega):
             accum[y] += np.einsum("aiaj->ij", m[seg, seg].reshape(copies, n, copies, n))
     weights = np.array([max(np.trace(a).real, 0.0) for a in accum])
     densities = [
-        hermitian_part(a / q) if q > 1e-13 else maximally_mixed_density(n)
+        hermitian_part(a / q) if q > 1e-13 else np.eye(n) / n
         for q, a, n in zip(weights, accum, f.domain.blocks)
     ]
     return weights / weights.sum(), densities
@@ -273,7 +271,7 @@ def test_is_isomorphism():
 
 def test_preserves_orthogonality_cases():
     # any isomorphism preserves every orthogonal pair
-    u = sample_unitary(2, Seed(3))
+    u = sample_unitary(2, Seed(3).rng())
     iso = Morphism(AlgebraShape((2,)), AlgebraShape((2,)), np.array([[1]]), (u,))
     e0 = State(AlgebraShape((2,)), [1.0], (np.diag([1.0, 0.0]),))
     e1 = State(AlgebraShape((2,)), [1.0], (np.diag([0.0, 1.0]),))
@@ -371,7 +369,7 @@ def test_overlap_persistence_lemma():
 
 
 def test_isomorphism_transport():
-    u = sample_unitary(3, Seed(17))
+    u = sample_unitary(3, Seed(17).rng())
     iso = Morphism(AlgebraShape((3,)), AlgebraShape((3,)), np.array([[1]]), (u,))
     pure = block_pure_state(AlgebraShape((3,)), 0, [1.0, 1.0j, 0.0])
     assert is_pure(pullback(iso, pure))

@@ -2,7 +2,7 @@
 
 Every entropy change in the package is computed by
 ``entropy._change_and_pullback``, which returns the change together with
-the pullback it took; ``entropy_change``, ``holevo_changes`` and the
+the pullback it took; ``entropy_change``, ``holevo_change`` and the
 suites all call the module's binding of that name.  Each mutant is
 installed there as an adapter returning ``(mutant(f, omega),
 pullback(f, omega))``, so it sees every entropy change while the suites

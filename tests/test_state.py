@@ -14,19 +14,21 @@ from ncentropy import (
     external_sum_state,
     identity,
     is_pure,
+    measurement_morphism,
     segal,
     support,
 )
-from ncentropy.algebra import is_projection, multiply
-from ncentropy.errors import NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
+from ncentropy.errors import IndexOutOfRange, NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
 from ncentropy import linalg
 from ncentropy.linalg import max_abs, sample_density, sample_simplex
-from ncentropy.state import maximally_mixed_density, support_rank
+from ncentropy.state import support_rank
+
+from predicates import is_projection, multiply
 
 
 def _random_state(shape, seed):
-    weights = sample_simplex(len(shape), Seed(seed, 0))
-    densities = tuple(sample_density(m, Seed(seed, 1 + x)) for x, m in enumerate(shape.blocks))
+    weights = sample_simplex(len(shape), Seed(seed, 0).rng())
+    densities = tuple(sample_density(m, Seed(seed, 1 + x).rng()) for x, m in enumerate(shape.blocks))
     return State(shape, weights, densities)
 
 
@@ -231,9 +233,8 @@ def test_library_zero_weight_blocks_share_the_placeholder():
 
 def test_an_equal_density_is_still_decomposed_and_checked(monkeypatch):
     linalg.placeholder(3)
-    fresh = maximally_mixed_density(3)
+    fresh = np.eye(3, dtype=np.complex128) / 3
     assert fresh is not linalg.placeholder(3) and fresh.flags.writeable
-    assert maximally_mixed_density(3) is not fresh
     calls = _count_eigvalsh(monkeypatch)
     omega = State(AlgebraShape((3,)), [1.0], (fresh,))
     assert len(calls) == 1
@@ -256,3 +257,19 @@ def test_non_finite_density_still_raises(bad, n, where):
 def test_nan_weight_still_raises():
     with pytest.raises(NotProbabilityVector, match="finite"):
         State(AlgebraShape((1, 1)), [np.nan, 1.0], (np.ones((1, 1)), np.ones((1, 1))))
+
+
+@pytest.mark.parametrize("block", [-1, 2, 1.0, True], ids=["negative", "past-the-end", "float", "bool"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda shape, block: block_pure_state(shape, block, [1.0, 0.0]),
+        lambda shape, block: measurement_morphism(shape, block, np.diag([1.0, 2.0])),
+    ],
+    ids=["block_pure_state", "measurement_morphism"],
+)
+def test_block_index_must_be_an_integer_in_range(build, block):
+    # unchecked, -1 silently picks the last block, 2 and 1.0 raise untyped errors,
+    # and measurement_morphism at -1 reports a misleading multiplicity ShapeMismatch
+    with pytest.raises(IndexOutOfRange, match="block index"):
+        build(AlgebraShape((2, 3)), block)

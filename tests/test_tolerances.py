@@ -1,9 +1,9 @@
 """Each library decision has one threshold: only these functions take ``tol``.
 
 ``von_neumann`` and ``check_density`` are called at both ``DEFAULT_TOL``
-and ``FACTOR_TOL``; ``run_suite``/``run_all`` carry ``nce verify --tol``;
-the algebra predicates are test helpers whose tests use several values
-(the morphism equality test lives in ``tests/predicates.py``).  Every other threshold is a named module constant.
+and ``FACTOR_TOL``; ``run_suite``/``run_all`` carry ``nce verify --tol``.
+The predicates whose tests use several values live in ``tests/predicates.py``.
+Every other threshold is a named module constant.
 """
 
 import inspect
@@ -16,8 +16,6 @@ TAKES_TOL = {
     "check_density",
     "run_suite",
     "run_all",
-    "is_positive",
-    "is_projection",
 }
 
 
