@@ -100,8 +100,12 @@ def _load_state(path: str) -> State:
     return st.state_from_json(_load_json(path))
 
 
-def _load_morphism(path: str) -> mor.Morphism:
-    return mor.morphism_from_json(_load_json(path))
+def _load_morphism(path: str, codomain: AlgebraShape) -> mor.Morphism:
+    """The morphism in ``path``, refused before any block is built unless it maps into ``codomain``, a loaded state's shape."""
+    data = _load_json(path)
+    if isinstance(data, dict) and data.get("codomain", list(codomain.blocks)) != list(codomain.blocks):
+        raise ShapeMismatch(f"{path}: morphism codomain differs from the state's shape {codomain.blocks}")
+    return mor.morphism_from_json(data)
 
 
 def _cmd_entropy(args) -> int:
@@ -111,23 +115,23 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    f = _load_morphism(args.morphism)
     omega = _load_state(args.state)
+    f = _load_morphism(args.morphism, omega.shape)
     print(json.dumps(st.state_to_json(mor.pullback(f, omega))))
     return 0
 
 
 def _cmd_change(args) -> int:
-    f = _load_morphism(args.morphism)
     omega = _load_state(args.state)
+    f = _load_morphism(args.morphism, omega.shape)
     print(_fmt(ent.entropy_change(f, omega), args.bits))
     return 0
 
 
 def _cmd_holevo(args) -> int:
-    f = _load_morphism(args.morphism)
     omega = _load_state(args.state_a)
     xi = _load_state(args.state_b)
+    f = _load_morphism(args.morphism, omega.shape)
     print(_fmt(ent.holevo_change(f, args.lam, omega, xi), args.bits))
     return 0
 
@@ -146,8 +150,8 @@ def _cmd_orthogonal(args) -> int:
 
 
 def _cmd_disintegrate(args) -> int:
-    f = _load_morphism(args.morphism)
     omega = _load_state(args.state)
+    f = _load_morphism(args.morphism, omega.shape)
     scale = 1.0 / ent.LOG2 if args.bits else 1.0
     if args.classical:
         try:

@@ -261,6 +261,10 @@ def morphism_to_json(f: Morphism) -> dict:
 
 
 def morphism_from_json(data) -> Morphism:
+    """The morphism a decoded JSON object encodes; null ``unitaries`` stand for identities.
+
+    Those are allocated however large the declared codomain is: ``nce`` checks it against its state first.
+    """
     try:
         domain = AlgebraShape(tuple(data["domain"]))
         codomain = AlgebraShape(tuple(data["codomain"]))

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +271,30 @@ def test_malformed_values_exit_2(tmp_path, capsys, monkeypatch, command, payload
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and error in err
+
+
+# The child caps its own address space, then runs ``nce``: building the
+# declared 100000-dimensional identity would need 149 GiB.
+_CAPPED_NCE = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    "from ncentropy import cli; sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("command", ["pullback", "change", "disintegrate"])
+def test_codomain_is_checked_before_any_block_is_built(tmp_path, command):
+    morphism = tmp_path / "morphism.json"
+    morphism.write_text(json.dumps({"domain": [1], "codomain": [100000], "multiplicities": [[100000]], "unitaries": None}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"shape": [2], "weights": [1.0], "densities": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_NCE, command, str(morphism), str(state)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ShapeMismatch") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
