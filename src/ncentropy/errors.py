@@ -46,7 +46,7 @@ class IndexOutOfRange(InvariantViolation):
 
 
 class InfeasibleShapes(RuntimeError):
-    """No nonnegative-integer multiplicity solution was found within the retry budget."""
+    """An orthogonal pair of states was asked for on an algebra of total dimension below 2."""
 
 
 class UnknownSuite(InvariantViolation):

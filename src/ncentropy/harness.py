@@ -99,80 +99,36 @@ class _Recorder:
         )
 
 
-def _row_is_solvable(m: int, dims: tuple[int, ...]) -> bool:
-    """Whether nonnegative integers c with ``sum c_y dims_y == m`` exist: bit t of ``reach`` marks t as a sum."""
-    if 1 in dims:
-        return True
-    reach = 1
-    for n in set(dims):
-        for _ in range(m // n):
-            reach |= reach << n
-    return bool(reach >> m & 1)
-
-
-def _solve_multiplicity_row(m: int, dims: tuple[int, ...], rng: np.random.Generator, tries: int = 60):
-    """Nonnegative integers c with ``sum c_y dims_y == m``, randomized greedy, in Python ints.
-
-    A row with no solution returns ``None`` without drawing.
-    """
-    if not _row_is_solvable(m, dims):
-        return None
-    ones = [y for y, n in enumerate(dims) if n == 1]
-    for _ in range(tries):
-        row = [0] * len(dims)
-        remaining = m
-        for y in rng.permutation(len(dims)).tolist():
-            if remaining <= 0:
-                break
-            cap = remaining // dims[y]
-            if cap > 0:
-                row[y] = int(rng.integers(0, cap + 1))
-                remaining -= row[y] * dims[y]
-        if remaining > 0 and ones:
-            row[ones[int(rng.integers(0, len(ones)))]] += remaining
-            remaining = 0
-        if remaining == 0:
-            return np.array(row, dtype=np.int64)
-    return None
-
-
 def _sample_shape(family: InstanceFamily, rng: np.random.Generator) -> AlgebraShape:
     k = int(rng.integers(family.min_blocks, family.max_blocks + 1))
     dims = rng.integers(family.min_block_dim, family.max_block_dim + 1, size=k)
     return AlgebraShape(tuple(dims.tolist()))
 
 
-def _sample_morphism(family: InstanceFamily, rng: np.random.Generator) -> mor.Morphism:
-    for _ in range(200):
+def _sample_morphism(
+    family: InstanceFamily, rng: np.random.Generator, domain: AlgebraShape | None = None
+) -> mor.Morphism:
+    """Random morphism out of ``domain``, or out of a shape drawn from ``family``, built from its multiplicities.
+
+    Each codomain row draws ``c_y ~ U{0 .. room // n_y}`` over the domain blocks
+    in a random order, ``room`` starting at ``max_block_dim`` and shrinking by
+    ``c_y n_y``; an empty row takes one copy of a random domain block.  The
+    codomain is ``c n``, and a row over one-dimensional blocks is a single 1.
+    """
+    if domain is None:
         domain = _sample_shape(family, rng)
-        codomain = _sample_shape(family, rng)
-        rows = []
-        for m in codomain.blocks:
-            row = _solve_multiplicity_row(m, domain.blocks, rng)
-            if row is None:
-                break
-            rows.append(row)
-        else:
-            unitaries = tuple(sample_unitary(m, rng) for m in codomain.blocks)
-            return mor.Morphism(domain, codomain, np.array(rows), unitaries)
-    raise InfeasibleShapes("no multiplicity solution found after 200 shape draws")
-
-
-def _sample_morphism_onto(domain: AlgebraShape, family: InstanceFamily, rng: np.random.Generator) -> mor.Morphism:
-    """Random morphism out of a fixed domain; always succeeds by falling back
-    to single-block copies when the greedy solver misses."""
-    k = int(rng.integers(family.min_blocks, family.max_blocks + 1))
     rows = []
-    for _ in range(k):
-        target = int(rng.integers(1, family.max_block_dim + 1))
-        row = _solve_multiplicity_row(target, domain.blocks, rng, tries=20)
-        if row is None:
-            row = np.zeros(len(domain), dtype=np.int64)
+    for _ in range(int(rng.integers(family.min_blocks, family.max_blocks + 1))):
+        row = [0] * len(domain)
+        room = family.max_block_dim
+        for y in rng.permutation(len(domain)).tolist():
+            row[y] = int(rng.integers(0, room // domain.blocks[y] + 1))
+            room -= row[y] * domain.blocks[y]
+        if not any(row):
             row[int(rng.integers(0, len(domain)))] = 1
         rows.append(row)
-    c = np.array(rows)
-    dims = tuple(int(r @ np.asarray(domain.blocks)) for r in rows)
-    codomain = AlgebraShape(dims)
+    c = np.array(rows, dtype=np.int64)
+    codomain = AlgebraShape(tuple((c @ np.array(domain.blocks)).tolist()))
     unitaries = tuple(sample_unitary(m, rng) for m in codomain.blocks)
     return mor.Morphism(domain, codomain, c, unitaries)
 
@@ -300,7 +256,7 @@ def _suite_coboundary(rec, s, rng, i, tol):
 @_per_trial
 def _suite_functoriality(rec, s, rng, i, tol):
     g = _sample_morphism(_DEFAULT, rng)
-    f = _sample_morphism_onto(g.codomain, _DEFAULT, rng)
+    f = _sample_morphism(_DEFAULT, rng, g.codomain)
     omega = _sample_state(f.codomain, rng)
     composite = mor.compose(f, g)
     lhs = ent.entropy_change(composite, omega)

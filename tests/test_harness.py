@@ -1,4 +1,3 @@
-import itertools
 import json
 import re
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncentropy import InstanceFamily, Seed, are_orthogonal, entropy_change, generate_instance, run_all, run_suite
+from ncentropy import AlgebraShape, InstanceFamily, Seed, are_orthogonal, entropy_change, generate_instance, run_all, run_suite
 from ncentropy import harness
 from ncentropy.cli import _worked_examples
 from ncentropy.errors import UnknownSuite
@@ -30,14 +29,25 @@ def test_generator_is_deterministic():
 
 
 def test_generator_respects_family():
-    for k in range(20):
-        f, omega = generate_instance(InstanceFamily(max_block_dim=1), Seed(11, k))
-        assert f.domain.is_commutative() and f.codomain.is_commutative()
-        assert all(int(f.multiplicities[x].sum()) == 1 for x in range(len(f.codomain)))
-
-        g, _ = generate_instance(InstanceFamily(max_blocks=2, max_block_dim=3), Seed(12, k))
-        assert len(g.codomain) <= 2 and max(g.codomain.blocks) <= 3
-        assert len(g.domain) <= 2 and max(g.domain.blocks) <= 3
+    given = AlgebraShape((2, 3))
+    cases = [
+        (harness._CLASSICAL, None),
+        (InstanceFamily(max_blocks=2, max_block_dim=3), None),
+        (InstanceFamily(max_block_dim=9), None),
+        (InstanceFamily(min_block_dim=2), None),
+        (InstanceFamily(min_blocks=4, max_blocks=4), None),
+        (InstanceFamily(), given),
+    ]
+    for j, (family, domain) in enumerate(cases):
+        for k in range(20):
+            f = harness._sample_morphism(family, Seed(11 + j, k).rng(), domain)
+            for shape in (f.codomain,) if domain is not None else (f.domain, f.codomain):
+                assert family.min_blocks <= len(shape) <= family.max_blocks
+                assert all(family.min_block_dim <= m <= family.max_block_dim for m in shape.blocks)
+            assert f.multiplicities.any(axis=1).all()  # no codomain block is empty
+            assert domain is None or f.domain == domain
+            if family == harness._CLASSICAL:  # a function: one 1 per row
+                assert set(f.multiplicities.sum(axis=1).tolist()) == {1}
 
 
 def test_generator_orthogonal_pairs():
@@ -54,62 +64,6 @@ def test_constraint_rows_solve_dimensions():
         n = np.asarray(f.domain.blocks)
         for x, m in enumerate(f.codomain.blocks):
             assert int(f.multiplicities[x] @ n) == m
-
-
-def _numpy_multiplicity_row(m, dims, rng, tries):
-    """The numpy-scalar form of the row solver, kept as the reference for its draws."""
-    ones = [y for y, n in enumerate(dims) if n == 1]
-    for _ in range(tries):
-        row = np.zeros(len(dims), dtype=np.int64)
-        remaining = m
-        for y in rng.permutation(len(dims)):
-            if remaining <= 0:
-                break
-            cap = remaining // dims[y]
-            if cap > 0:
-                row[y] = rng.integers(0, cap + 1)
-                remaining -= row[y] * dims[y]
-        if remaining > 0 and ones:
-            y = ones[int(rng.integers(0, len(ones)))]
-            row[y] += remaining
-            remaining = 0
-        if remaining == 0:
-            return row
-    return None
-
-
-def _brute_force_solvable(m, dims):
-    return any(
-        sum(c * n for c, n in zip(row, dims)) == m
-        for row in itertools.product(*(range(m // n + 1) for n in dims))
-    )
-
-
-def test_row_solver_makes_the_reference_draws():
-    cases = [(3, (2, 4)), (5, (2, 4)), (7, (2, 2, 3)), (4, (1, 2)), (6, (1, 1, 4)), (1, (2, 3)), (4, (3, 1, 2, 4))]
-    shapes = np.random.default_rng(5)
-    for _ in range(60):
-        dims = tuple(int(n) for n in shapes.integers(1, 5, size=int(shapes.integers(1, 5))))
-        cases.append((int(shapes.integers(1, 13)), dims))
-    outcomes = set()
-    for k, (m, dims) in enumerate(cases):
-        solvable = _brute_force_solvable(m, dims)
-        assert harness._row_is_solvable(m, dims) == solvable
-        outcomes.add(solvable)
-        for tries in (20, 60):
-            ours, ref = np.random.default_rng(k), np.random.default_rng(k)
-            untouched = ours.bit_generator.state
-            row = harness._solve_multiplicity_row(m, dims, ours, tries)
-            if not solvable:  # no tries, so no draws
-                assert row is None and ours.bit_generator.state == untouched
-                continue
-            expected = _numpy_multiplicity_row(m, dims, ref, tries)
-            if expected is None:
-                assert row is None
-            else:
-                assert row.dtype == np.int64 and np.array_equal(row, expected)
-            assert ours.bit_generator.state == ref.bit_generator.state
-    assert outcomes == {True, False}  # both solvable and unsolvable rows were exercised
 
 
 @pytest.mark.parametrize("name", list(SUITES))
@@ -230,9 +184,10 @@ def test_characterization_fit_reports_constant():
 
 
 def test_continuity_passes_where_the_entropy_change_is_not_monotone(monkeypatch):
-    # On this seed |dS| grows along the schedule in trial 5: from n = 10 to
-    # n = 100 it rises about 150-fold, as the first- and second-order terms
-    # of the change cancel at n = 10.  The continuity bound holds all the same.
+    # On this seed |dS| grows along the schedule in trial 14: from n = 10 to
+    # n = 100 it rises about 25-fold, from 1.7e-8 to 4.2e-7, as the first- and
+    # second-order terms of the change cancel at n = 10.  The continuity bound
+    # holds all the same.
     from ncentropy import entropy
 
     exact = entropy._change_and_pullback
@@ -244,9 +199,9 @@ def test_continuity_passes_where_the_entropy_change_is_not_monotone(monkeypatch)
         return change, pulled
 
     monkeypatch.setattr(entropy, "_change_and_pullback", recorded)
-    report = run_suite("continuity", 16, Seed(959), 1e-9)
+    report = run_suite("continuity", 16, Seed(2775), 1e-9)
     assert report.passed, report.failures[:3]
-    _, base, *moved = list(changes.values())[5]
+    _, base, *moved = list(changes.values())[14]
     assert len(moved) == len(harness._CONTINUITY_SCHEDULE)
     diffs = [abs(change - base) for change in moved]
     assert diffs[1] > 10 * diffs[0] > 0.0

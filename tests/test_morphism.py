@@ -200,9 +200,9 @@ def test_compose_inclusion_after_measurement():
 def test_compose_random_chains():
     for k in range(20):
         g, _ = generate_instance(InstanceFamily(max_blocks=3), Seed(55, k))
-        from ncentropy.harness import _sample_morphism_onto
+        from ncentropy.harness import _sample_morphism
 
-        f = _sample_morphism_onto(g.codomain, InstanceFamily(max_blocks=3), Seed(56, k).rng())
+        f = _sample_morphism(InstanceFamily(max_blocks=3), Seed(56, k).rng(), g.codomain)
         comp = compose(f, g)
         c = _random_element(g.domain, k)
         direct = apply(comp, c)
@@ -239,12 +239,12 @@ def _regrouped_unitary_by_loops(f, g, x):
 
 
 def test_composite_unitary_matches_the_permutation_matrix():
-    from ncentropy.harness import _sample_morphism_onto
+    from ncentropy.harness import _sample_morphism
     from ncentropy.morphism import _composition_data
 
     for k in range(30):
         g, _ = generate_instance(InstanceFamily(), Seed(57, k))
-        f = _sample_morphism_onto(g.codomain, InstanceFamily(), Seed(58, k).rng())
+        f = _sample_morphism(InstanceFamily(), Seed(58, k).rng(), g.codomain)
         for x in range(len(f.codomain)):
             assert np.array_equal(_composition_data(f, g, x), _regrouped_unitary_by_loops(f, g, x))
 

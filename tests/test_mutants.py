@@ -56,18 +56,31 @@ MUTANTS = {
     ),
     "renyi-2": (
         _change(lambda omega: -np.log(_collision(omega))),
-        ["coboundary", "orthogonal-affinity", "external-affinity", "disintegration", "characterization-fit"],
-    ),
-    "tsallis-2": (
-        _change(lambda omega: 1.0 - _collision(omega)),
-        # holevo-nonneg catches it on 27 of seeds 1-30, but not on seed 42
-        ["coboundary", "orthogonal-affinity", "external-affinity", "disintegration", "characterization-fit"],
-    ),
-    "k-functor": (
-        entropy.k_functor,
         [
             "coboundary",
             "holevo-nonneg",
+            "orthogonal-affinity",
+            "external-affinity",
+            "disintegration",
+            "characterization-fit",
+        ],
+    ),
+    "tsallis-2": (
+        _change(lambda omega: 1.0 - _collision(omega)),
+        [
+            "coboundary",
+            "holevo-nonneg",
+            "orthogonal-affinity",
+            "external-affinity",
+            "disintegration",
+            "characterization-fit",
+        ],
+    ),
+    "k-functor": (
+        entropy.k_functor,
+        # holevo-nonneg catches it on 22 of seeds 1-30, but not on seed 42
+        [
+            "coboundary",
             "orthogonal-affinity",
             "k-counterexample",
             "disintegration",
