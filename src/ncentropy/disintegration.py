@@ -28,6 +28,7 @@ from .linalg import (
     hermitian_part,
     hermitian_spectrum,
     is_integer,
+    kron,
     max_abs,
     partial_trace_right,
 )
@@ -158,7 +159,7 @@ def quantum_disintegrate(f: Morphism, omega: State):
                     f"candidate factor for domain block {y} in codomain block {x} is not PSD",
                     float(-lowest),
                 )
-            residual = max_abs(seg - np.kron(cand, q[y] * sigmas[y]))
+            residual = max_abs(seg - kron(cand, q[y] * sigmas[y]))
             if residual > eff:
                 return NoDisintegration(
                     f"segment for domain block {y} in codomain block {x} does not factor through the pullback density",
@@ -183,7 +184,7 @@ def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
     """
     return block_diag(
         [
-            np.kron(tau[(y, x)], q[y] * sigmas[y]) if (y, x) in tau else np.zeros((copies * n,) * 2)
+            kron(tau[(y, x)], q[y] * sigmas[y]) if (y, x) in tau else np.zeros((copies * n,) * 2)
             for y, _, copies, n in f.segments[x]
         ]
     )

@@ -20,7 +20,7 @@ LOG2 = float(np.log(2.0))
 def _plogp(values: np.ndarray) -> float:
     """``-sum v log v`` over the entries above zero; no validation."""
     v = values[values > 0.0]
-    return float(-(v * np.log(v)).sum()) if v.size else 0.0
+    return float(-np.add.reduce(v * np.log(v))) if v.size else 0.0
 
 
 def shannon(p) -> float:
@@ -41,7 +41,7 @@ def segal(omega: State) -> float:
     density is decomposed or checked again.
     """
     total = _plogp(omega.weights)
-    for p, vals in zip(omega.weights, omega.spectra):
+    for p, vals in zip(omega.weights.tolist(), omega.spectra):
         if p > 0.0:
             total += p * _plogp(vals)
     return total

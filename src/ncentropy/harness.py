@@ -28,6 +28,7 @@ from .linalg import (
     hermitian_part,
     hermitian_spectrum,
     identity_matrix,
+    kron,
     max_abs,
     placeholder,
     sample_density,
@@ -681,7 +682,7 @@ def _suite_disintegration(rec, s, rng, i, tol):
     rec.check(s, "quartic entropy change differs from closed form", abs(change - _remark_quartic_change(p)), 1e-9)
     rec.check(s, "quartic entropy change negative", -change, tol)
     x_w, y_w = rng.uniform(0.1, 0.9, size=2)
-    prod = np.kron(np.diag([x_w, 1 - x_w]), np.diag([y_w, 1 - y_w])).astype(np.complex128)
+    prod = kron(np.diag([x_w, 1 - x_w]), np.diag([y_w, 1 - y_w])).astype(np.complex128)
     prod_state = State(AlgebraShape((4,)), np.ones(1), (prod,))
     rec.expect(
         s,

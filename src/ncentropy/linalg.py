@@ -1,14 +1,17 @@
 """Dense complex-matrix kernel and the one home of value validation.
 
-Hermitian eigendecompositions in LAPACK's ascending order, the right
-partial trace, and sampling of unitaries, density matrices, and simplex
-points: each sampler draws from the ``numpy.random.Generator`` it is
-given, such as ``Seed(...).rng()``.  Every other module
-decides "is this a density?" with ``check_density``, "is this a
-probability vector?" with ``check_probability_vector``, and takes
+Hermitian eigendecompositions in LAPACK's ascending order, Kronecker
+products, the right partial trace, and sampling of unitaries, density
+matrices, and simplex points: each sampler draws from the
+``numpy.random.Generator`` it is given, such as ``Seed(...).rng()``.
+Every other module decides "is this a density?" with ``check_density``,
+"is this a probability vector?" with ``check_probability_vector``, takes
 Hermitian spectra from ``hermitian_spectrum``, the package's one
-``eigvalsh`` call; it reads a 1x1 spectrum off the entry, with the bits
-``eigvalsh`` would give.
+``eigvalsh`` call (a 1x1 spectrum is read off the entry, and an exactly
+Hermitian matrix is decomposed without symmetrizing it), and forms
+Kronecker products with ``kron``, which has ``np.kron``'s bits.  Hot
+reductions call the ufuncs' ``reduce``, skipping the Python wrappers of
+``ndarray.sum``/``max``/``min``.
 ``check_density`` checks at the caller's ``tol``; every other threshold
 here is ``DEFAULT_TOL``.  Everything here is a pure function of its
 inputs; matrices are plain ``numpy`` arrays of ``complex128``, and
@@ -78,12 +81,18 @@ def as_matrix(m) -> np.ndarray:
 
 def max_abs(m: np.ndarray) -> float:
     """Max-norm ``max |m_ij|``; 0 for empty arrays."""
-    return float(np.abs(m).max()) if m.size else 0.0
+    return float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     """``(x + x^dag) / 2``."""
     return (x + x.conj().T) / 2
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices: the products ``np.kron`` forms, by one broadcast multiply."""
+    (p, q), (r, t) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * t)
 
 
 def block_diag(blocks) -> np.ndarray:
@@ -102,8 +111,11 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
 
     A 1x1 matrix ``[[z]]`` is answered from its entry with the same bits:
     the deviation is ``|z - conj(z)|``, and the eigenvalue is the real part
-    of ``(z + conj(z))/2``, which is what LAPACK returns for n = 1.  A NaN
-    or infinite entry raises ShapeMismatch before any eigenvalue is taken.
+    of ``(z + conj(z))/2``, which is what LAPACK returns for n = 1.  At
+    deviation 0.0 ``m`` itself is decomposed: it equals ``(m + m^dag)/2``,
+    in bits too unless it holds a negative zero, whose sign the sum may flip
+    (and with it the eigenvalues' last bits).  A NaN or infinite entry
+    raises ShapeMismatch before any eigenvalue is taken.
     """
     if m.shape == (1, 1):
         z = m.item(0)
@@ -112,10 +124,10 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
             raise ShapeMismatch("matrix entries must be finite")
         return deviation, np.array([((z + z.conjugate()) / 2).real])
     adjoint = m.conj().T
-    deviation = float(np.abs(m - adjoint).max())
+    deviation = float(np.maximum.reduce(np.abs(m - adjoint), axis=None))
     if not math.isfinite(deviation):
         raise ShapeMismatch("matrix entries must be finite")
-    return deviation, np.linalg.eigvalsh((m + adjoint) / 2)
+    return deviation, np.linalg.eigvalsh(m if deviation == 0.0 else (m + adjoint) / 2)
 
 
 def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
@@ -133,8 +145,9 @@ def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
     if vals[0] < -tol:
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
-    if abs(vals.sum() - 1.0) > tol:
-        raise NotDensity(f"density trace {vals.sum():.12g} != 1 within {tol:.3e}")
+    trace = np.add.reduce(vals)
+    if abs(trace - 1.0) > tol:
+        raise NotDensity(f"density trace {trace:.12g} != 1 within {tol:.3e}")
     return vals
 
 
@@ -143,11 +156,12 @@ def check_probability_vector(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise NotProbabilityVector(f"expected a nonempty vector, got shape {p.shape}")
-    total = p.sum()  # finite unless an entry is not, or the sum overflows
+    total = np.add.reduce(p)  # finite unless an entry is not, or the sum overflows
     if not math.isfinite(total) and not np.isfinite(p).all():
         raise NotProbabilityVector("entries must be finite")
-    if p.min() < -DEFAULT_TOL:
-        raise NotProbabilityVector(f"entry {p.min():.3e} is negative")
+    lowest = np.minimum.reduce(p)
+    if lowest < -DEFAULT_TOL:
+        raise NotProbabilityVector(f"entry {lowest:.3e} is negative")
     if abs(total - 1.0) > DEFAULT_TOL:
         raise NotProbabilityVector(f"entries sum to {total:.12g}, not 1 within {DEFAULT_TOL:.3e}")
     return np.maximum(p, 0.0)
@@ -205,9 +219,10 @@ def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     The QR phase ambiguity is fixed by making the diagonal of R positive,
     which is what makes the distribution Haar rather than merely unitary.
     """
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    re, im = rng.standard_normal((2, n, n))
+    g = re + 1j * im
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    d = r.diagonal()
     return q * (d / np.abs(d))
 
 
@@ -218,7 +233,8 @@ def sample_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
     that rank almost surely.
     """
     k = n if rank is None else rank
-    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    re, im = rng.standard_normal((2, n, k))
+    g = re + 1j * im
     w = g @ g.conj().T
     return hermitian_part(w / w.trace().real)
 

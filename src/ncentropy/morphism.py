@@ -85,7 +85,7 @@ def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
         raise ShapeMismatch(f"element on {b.shape.blocks} fed to morphism with domain {f.domain.blocks}")
     blocks = []
     for u, segments in zip(f.unitaries, f.segments):
-        inner = linalg.block_diag([np.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in segments])
+        inner = linalg.block_diag([linalg.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in segments])
         blocks.append(u @ inner @ u.conj().T)
     return AlgebraElement(f.codomain, tuple(blocks))
 
@@ -150,7 +150,7 @@ def _composition_data(f: Morphism, g: Morphism, x: int) -> np.ndarray:
     that order.
     """
     segments = f.segments[x]
-    spread = linalg.block_diag([np.kron(np.eye(copies), g.unitaries[y]) for y, _, copies, _ in segments])
+    spread = linalg.block_diag([linalg.kron(np.eye(copies), g.unitaries[y]) for y, _, copies, _ in segments])
     z_of_row = [
         np.tile(np.repeat(np.arange(len(g.domain)), g.multiplicities[y] * g.domain.blocks), copies)
         for y, _, copies, _ in segments

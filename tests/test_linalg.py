@@ -11,6 +11,7 @@ from ncentropy.linalg import (
     eigh,
     hermitian_part,
     hermitian_spectrum,
+    kron,
     matrix_from_json,
     matrix_to_json,
     max_abs,
@@ -77,6 +78,78 @@ def test_hermitian_spectrum_is_bit_identical_on_the_hermitian_part():
                 expected = np.linalg.eigvalsh((m + adjoint) / 2)
             assert vals.dtype == expected.dtype and vals.tobytes() == expected.tobytes()
             assert np.float64(deviation).tobytes() == np.float64(max_abs(m - adjoint)).tobytes()
+
+
+def _hermitian_with_zeros(rng, n, zeros):
+    """A random exactly Hermitian matrix, some of whose entries' parts are zeros drawn from ``zeros``.
+
+    The partner of an entry ``a + bi`` is ``a - bi``, with ``-b`` a zero of
+    ``zeros`` again when ``b`` is zero.
+    """
+    m = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    for i, j in zip(*np.nonzero(rng.random((n, n)) < 0.3)):
+        re = rng.choice(zeros) if rng.random() < 0.5 else m[i, j].real
+        if i == j:
+            m[i, i] = complex(re, rng.choice(zeros))
+        else:
+            im = rng.choice(zeros) if rng.random() < 0.5 else m[i, j].imag
+            m[i, j] = complex(re, im)
+            m[j, i] = complex(re, -im if im != 0.0 else rng.choice(zeros))
+    return m
+
+
+def _has_negative_zero(m):
+    parts = np.stack((m.real, m.imag))
+    return bool(((parts == 0.0) & np.signbit(parts)).any())
+
+
+def test_hermitian_spectrum_takes_an_exactly_hermitian_matrix_as_it_is():
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 4, 8):
+        for _ in range(50):
+            # without a negative zero, (m + m^dag) / 2 is m bit for bit, so
+            # the spectrum keeps the bits of the symmetrized matrix's
+            m = _hermitian_with_zeros(rng, n, (0.0,))
+            half = (m + m.conj().T) / 2
+            assert not _has_negative_zero(m) and half.tobytes() == m.tobytes()
+            deviation, vals = hermitian_spectrum(m)
+            assert deviation == 0.0
+            assert vals.tobytes() == np.linalg.eigvalsh(half).tobytes()
+            # a negative zero can change sign in (m + m^dag) / 2, and with it
+            # LAPACK's reflections and the last bits of the eigenvalues; m
+            # itself is what is decomposed
+            m = _hermitian_with_zeros(rng, n, (0.0, -0.0))
+            deviation, vals = hermitian_spectrum(m)
+            assert deviation == 0.0
+            assert vals.tobytes() == np.linalg.eigvalsh(m).tobytes()
+            assert np.allclose(vals, np.linalg.eigvalsh((m + m.conj().T) / 2), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_spectrum_rejects_non_finite_entries(bad, n):
+    for i, j in ((0, 0), (0, n - 1), (n - 1, 0)):
+        m = np.eye(n, dtype=np.complex128) / n
+        m[i, j] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ShapeMismatch, match="finite"):
+            hermitian_spectrum(m)
+
+
+def test_kron_is_np_kron_byte_for_byte():
+    rng = np.random.default_rng(23)
+    factors = []
+    for p in range(1, 5):
+        for q in range(1, 5):
+            factors.append(rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
+            factors.append(rng.standard_normal((p, q)))
+        factors.append(np.eye(p))
+    factors.append(np.array([[complex(-0.0, 0.0), complex(1.0, -0.0)], [-1.0, complex(-0.0, -0.0)]]))
+    for a in factors:
+        for b in factors:
+            expected = np.kron(a, b)
+            out = kron(a, b)
+            assert out.shape == expected.shape and out.dtype == expected.dtype
+            assert out.tobytes() == expected.tobytes()
 
 
 _NOT_PROBABILITY_VECTORS = {
@@ -199,13 +272,13 @@ def test_public_samplers_draw_from_their_seed_substream(seed, stream, substream)
         return np.random.default_rng(key)
 
     key = Seed(seed, stream)
-    for n in (1, 2, 4):
+    for n in (1, 2, 4, 8):
         rng = inline()
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q, r = np.linalg.qr(g)
         d = np.diagonal(r)
         assert sample_unitary(n, key.rng(*substream)).tobytes() == (q * (d / np.abs(d))).tobytes()
-        for rank in (None, 1):
+        for rank in (None, 1, 2):
             rng = inline()
             k = n if rank is None else rank
             g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))

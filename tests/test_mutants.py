@@ -10,12 +10,19 @@ still get the exact pullback.  Each runs only the suites listed for it,
 at 20 trials, and each listed suite must report a failure.  The exact
 functor passing every suite is covered by
 ``test_harness.test_each_suite_passes``.
+
+A kernel mutant replaces a function below the entropy change at every
+module binding of it in the package, and each suite listed for it must
+report a failure too.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
-from ncentropy import Seed, entropy, run_suite
+from ncentropy import Seed, entropy, linalg, run_suite
+from ncentropy.linalg import max_abs
 from ncentropy.morphism import pullback
 
 EXACT = entropy._change_and_pullback  # captured here: the adapter replaces the binding
@@ -96,3 +103,37 @@ def test_mutant_is_caught_by_its_suites(name, monkeypatch):
     monkeypatch.setattr(entropy, "_change_and_pullback", lambda f, omega: (mutant(f, omega), pullback(f, omega)))
     passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in suites}
     assert passed == dict.fromkeys(suites, False)
+
+
+def _diagonal_spectrum(m):
+    """A wrong Hermitian spectrum: the sorted real diagonal, as if ``m`` were diagonal."""
+    return max_abs(m - m.conj().T), np.sort(np.diagonal(m).real)
+
+
+# A pure state off the standard basis gets positive entropy, and every
+# entropy but a diagonal state's grows, so the suites with a closed form or
+# an inequality that the dephased spectrum breaks report it.
+DIAGONAL_SPECTRUM_SUITES = [
+    "iso-invariance",
+    "adjoin-zero",
+    "concavity",
+    "holevo-nonneg",
+    "orthogonal-affinity",
+    "pure-vanishing",
+    "negative-existence",
+    "disintegration",
+]
+
+
+def test_diagonal_spectrum_is_caught_by_its_suites(monkeypatch):
+    exact = linalg.hermitian_spectrum
+    bindings = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("ncentropy") and getattr(module, "hermitian_spectrum", None) is exact
+    ]
+    assert {module.__name__ for module in bindings} >= {"ncentropy.linalg", "ncentropy.harness", "ncentropy.disintegration"}
+    for module in bindings:
+        monkeypatch.setattr(module, "hermitian_spectrum", _diagonal_spectrum)
+    passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in DIAGONAL_SPECTRUM_SUITES}
+    assert passed == dict.fromkeys(DIAGONAL_SPECTRUM_SUITES, False)
