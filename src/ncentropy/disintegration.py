@@ -124,8 +124,6 @@ def quantum_disintegrate(f: Morphism, omega: State):
     success and a ``NoDisintegration`` describing the first failed check
     otherwise.
     """
-    if omega.shape != f.codomain:
-        raise ShapeMismatch("state must live on the codomain of the morphism")
     pulled, conjugated = _pullback_with_blocks(f, omega)
     q, sigmas = pulled.weights, pulled.densities
     tau: dict = {}

@@ -23,6 +23,7 @@ from .algebra import AlgebraShape
 from .errors import InfeasibleShapes, UnknownSuite
 from .linalg import (
     Seed,
+    _ginibre,
     block_diag,
     eigh,
     hermitian_part,
@@ -71,7 +72,7 @@ class SuiteReport:
 
 
 class _Recorder:
-    """Accumulates worst residuals and failure records across trials."""
+    """Runs a suite's trials and accumulates worst residuals and failure records across them."""
 
     def __init__(self, suite: str, trials: int):
         self.suite = suite
@@ -88,6 +89,19 @@ class _Recorder:
     def expect(self, seed: Seed, description: str, ok: bool):
         if not ok:
             self.failures.append(((seed.seed, seed.stream), description, 1.0))
+
+    def run(self, trial, seed: Seed, tol: float) -> "_Recorder":
+        """The one trial loop: ``trial(self, s, s.rng(), i, tol)`` on each key ``s = seed.child(i)``.
+
+        A trial that raises fails with ``raised <ExceptionType>`` at its key, and the next trial runs.
+        """
+        for i in range(self.trials):
+            s = seed.child(i)
+            try:
+                trial(self, s, s.rng(), i, tol)
+            except Exception as exc:
+                self.expect(s, f"raised {type(exc).__name__}", False)
+        return self
 
     def report(self, fitted_constant: float | None = None) -> SuiteReport:
         return SuiteReport(
@@ -183,6 +197,12 @@ def _sample_instance(family: InstanceFamily, rng: np.random.Generator):
     return f, _sample_state(f.codomain, rng)
 
 
+def _sample_instance_pair(family: InstanceFamily, rng: np.random.Generator):
+    """Two instances ``(f_a, omega_a), (f_b, omega_b)``, both morphisms drawn before both states."""
+    fa, fb = _sample_morphism(family, rng), _sample_morphism(family, rng)
+    return (fa, _sample_state(fa.codomain, rng)), (fb, _sample_state(fb.codomain, rng))
+
+
 def generate_instance(family: InstanceFamily, seed: Seed):
     """Random ``(f, omega)`` instance: the one a suite trial keyed by ``seed`` draws first."""
     return _sample_instance(family, seed.rng())
@@ -212,21 +232,14 @@ def _per_trial(check):
     """Register ``check(rec, s, rng, i, tol)``, one trial of a suite, as that suite.
 
     The suite is named after the function: ``_suite_iso_invariance`` runs
-    as ``iso-invariance``.  Its runner owns the trial loop, the key
-    ``s = seed.child(i)`` of trial ``i``, the trial's one generator
-    ``rng = s.rng()`` and the recorder; it calls the module's binding of
-    the name, as a plain call from this module would, so a wrapper
-    installed over ``_suite_<name>`` sees every trial.
+    as ``iso-invariance``.  Its runner hands ``_Recorder.run`` the module's
+    binding of the name, as a plain call from this module would, so a
+    wrapper installed over ``_suite_<name>`` sees every trial.
     """
     name = check.__name__.removeprefix("_suite_").replace("_", "-")
 
     def run(trials: int, seed: Seed, tol: float) -> SuiteReport:
-        rec = _Recorder(name, trials)
-        trial = globals()[check.__name__]
-        for i in range(trials):
-            s = seed.child(i)
-            trial(rec, s, s.rng(), i, tol)
-        return rec.report()
+        return _Recorder(name, trials).run(globals()[check.__name__], seed, tol).report()
 
     SUITES[name] = run
     return check
@@ -336,8 +349,7 @@ def _suite_concavity(rec, s, rng, i, tol):
 
 @_per_trial
 def _suite_holevo_nonneg(rec, s, rng, i, tol):
-    f = _sample_morphism(_DEFAULT, rng)
-    omega = _sample_state(f.codomain, rng)
+    f, omega = _sample_instance(_DEFAULT, rng)
     xi = _sample_state(f.codomain, rng)
     lams = _LAMBDAS + (float(rng.uniform()),)
     for lam, chi in zip(lams, ent._holevo_changes(f, lams, omega, xi)[0]):
@@ -391,10 +403,7 @@ def _suite_orthogonal_affinity(rec, s, rng, i, tol):
         f, omega, xi = _diagonal_measurement_pair(dim, rng)
         preserving = True
     elif kind == 2:
-        fa = _sample_morphism(_DEFAULT, rng)
-        fb = _sample_morphism(_DEFAULT, rng)
-        wa = _sample_state(fa.codomain, rng)
-        wb = _sample_state(fb.codomain, rng)
+        (fa, wa), (fb, wb) = _sample_instance_pair(_DEFAULT, rng)
         f = mor.external_sum_morphism(fa, fb)
         omega = st.external_sum_state(1.0, wa, wb)
         xi = st.external_sum_state(0.0, wa, wb)
@@ -475,19 +484,14 @@ def _suite_negative_existence(rec, s, rng, i, tol):
     shape = _sample_shape(InstanceFamily(min_block_dim=2), rng)
     block = int(rng.integers(0, len(shape)))
     m = shape.blocks[block]
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    f = mor.measurement_morphism(shape, block, hermitian_part(g))
+    f = mor.measurement_morphism(shape, block, hermitian_part(_ginibre(m, m, rng)))
     omega = st.block_pure_state(shape, block, sample_unitary(m, rng)[:, 0])
     rec.check(s, "measurement of a noncommuting pure state did not lose entropy", ent.entropy_change(f, omega) + 1e-6, 0.0)
 
 
 @_per_trial
 def _suite_external_affinity(rec, s, rng, i, tol):
-    family = _CLASSICAL if i % 2 == 0 else _DEFAULT
-    fa = _sample_morphism(family, rng)
-    fb = _sample_morphism(family, rng)
-    wa = _sample_state(fa.codomain, rng)
-    wb = _sample_state(fb.codomain, rng)
+    (fa, wa), (fb, wb) = _sample_instance_pair(_CLASSICAL if i % 2 == 0 else _DEFAULT, rng)
     lam = float(rng.uniform())
     pairs = ((mor.external_sum_morphism(fa, fb), st.external_sum_state(lam, wa, wb)), (fa, wa), (fb, wb))
     changes, pulled = zip(*(ent._change_and_pullback(h, w) for h, w in pairs))
@@ -561,8 +565,7 @@ _CONTINUITY_SCHEDULE = (10, 100, 1000, 10000, 1000000)
 
 @_per_trial
 def _suite_continuity(rec, s, rng, i, tol):
-    f = _sample_morphism(_DEFAULT, rng)
-    raw = _sample_state(f.codomain, rng)
+    f, raw = _sample_instance(_DEFAULT, rng)
     # mix toward the maximally mixed state so log-derivatives stay bounded
     uniform = State(
         f.codomain,
@@ -579,7 +582,7 @@ def _suite_continuity(rec, s, rng, i, tol):
     w_dir *= scale / max(np.max(np.abs(w_dir)), 1e-9)
     dirs = []
     for m in f.codomain.blocks:
-        h = hermitian_part(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        h = hermitian_part(_ginibre(m, m, rng))
         h -= np.trace(h).real / m * np.eye(m)
         dirs.append(scale * h / max(max_abs(h), 1e-9))
     base, pulled = ent._change_and_pullback(f, omega)
@@ -620,7 +623,7 @@ def _sample_disintegrable(rng: np.random.Generator):
         raws = []
         for x in pairs:
             k = int(c[x, y])
-            g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            g = _ginibre(k, k, rng)
             raws.append(g @ g.conj().T)
         total = sum(np.trace(r).real for r in raws)
         for x, r in zip(pairs, raws):
@@ -671,7 +674,7 @@ def _suite_disintegration(rec, s, rng, i, tol):
         rec.check(s, "negative entropy production", -production, tol)
     # (b) the diagonal quartic family: existence iff p1 p4 == p2 p3
     while True:
-        p = rng.dirichlet(np.ones(4))
+        p = sample_simplex(4, rng)
         if abs(p[0] * p[3] - p[1] * p[2]) > 1e-2 and np.min(p) > 1e-3:
             break
     rho = np.diag(p).astype(np.complex128)
@@ -713,20 +716,20 @@ def fit_scaling_constant(functor_values, reference_values):
 
 def _suite_characterization_fit(trials, seed, tol):
     """The one whole-suite function: the fit needs every trial's values first."""
-    rec = _Recorder("characterization-fit", trials)
     # The axioms force H = c * (S(omega) - S(f* omega)): fit the entropy
     # change against that difference of reference entropies, which must
     # give c = 1 with every residual at rounding level.
-    changes, references = [], []
-    for k in range(trials):
-        family = _CLASSICAL if k % 3 == 0 else _DEFAULT
-        f, omega = _sample_instance(family, seed.child(k).rng())
+    values = []  # (s, change, reference) of each trial that did not raise
+
+    def trial(rec, s, rng, i, tol):
+        f, omega = _sample_instance(_CLASSICAL if i % 3 == 0 else _DEFAULT, rng)
         change, pulled = ent._change_and_pullback(f, omega)
-        changes.append(change)
-        references.append(_reference_entropy(omega) - _reference_entropy(pulled))
-    c = fit_scaling_constant(changes, references)
-    for k, (h, r) in enumerate(zip(changes, references)):
-        rec.check(seed.child(k), "fit residual", abs(h - c * r), tol)
+        values.append((s, change, _reference_entropy(omega) - _reference_entropy(pulled)))
+
+    rec = _Recorder("characterization-fit", trials).run(trial, seed, tol)
+    c = fit_scaling_constant([h for _, h, _ in values], [r for _, _, r in values])
+    for s, h, r in values:
+        rec.check(s, "fit residual", abs(h - c * r), tol)
     rec.check(seed, "fitted constant differs from 1", abs(c - 1.0), tol)
     return rec.report(fitted_constant=c)
 

@@ -74,7 +74,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.isfinite(a).all():  # a complex entry is finite iff both parts are
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):  # a complex entry is finite iff both parts are
         raise ShapeMismatch("matrix entries must be finite")
     return a
 
@@ -213,15 +213,19 @@ def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:
     return np.einsum("iaja->ij", m.reshape(d_left, d_right, d_left, d_right))
 
 
+def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Ginibre ``n x k`` matrix from one ``standard_normal`` draw: the stream of two, real part first."""
+    re, im = rng.standard_normal((2, n, k))
+    return re + 1j * im
+
+
 def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random ``n x n`` unitary (QR of a complex Ginibre matrix).
 
     The QR phase ambiguity is fixed by making the diagonal of R positive,
     which is what makes the distribution Haar rather than merely unitary.
     """
-    re, im = rng.standard_normal((2, n, n))
-    g = re + 1j * im
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_ginibre(n, n, rng))
     d = r.diagonal()
     return q * (d / np.abs(d))
 
@@ -232,9 +236,7 @@ def sample_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
     ``rank`` restricts G to ``n x rank`` columns, producing a density of
     that rank almost surely.
     """
-    k = n if rank is None else rank
-    re, im = rng.standard_normal((2, n, k))
-    g = re + 1j * im
+    g = _ginibre(n, n if rank is None else rank, rng)
     w = g @ g.conj().T
     return hermitian_part(w / w.trace().real)
 

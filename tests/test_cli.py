@@ -183,6 +183,18 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
+def test_verify_reports_a_raising_trial_as_a_failure(capsys, monkeypatch):
+    from ncentropy import morphism, state
+
+    for module in (state, morphism):
+        monkeypatch.setattr(module, "are_orthogonal", lambda omega, xi: False)
+    code, out, _ = _run(capsys, "verify", "--suite", "all", "--trials", "20", "--seed", "42")
+    assert code == 1
+    failing = {r["suite"]: {f["description"] for f in r["failures"]} for r in json.loads(out)["suites"] if not r["pass"]}
+    raised = {"raised NotOrthogonalInput"}
+    assert failing == {"iso-invariance": raised, "orthogonal-affinity": raised, "k-counterexample": raised}
+
+
 def test_verify_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("NCE_SEED", "123")
     parser = cli.build_parser()

@@ -183,6 +183,25 @@ def test_characterization_fit_reports_constant():
     assert abs(report.fitted_constant - 1.0) < 1e-9
 
 
+def test_characterization_fit_reports_a_raising_trial_and_fits_the_others(monkeypatch):
+    from ncentropy import entropy
+
+    exact = entropy._change_and_pullback
+    calls = []
+
+    def raising_once(f, omega):
+        calls.append(f)
+        if len(calls) == 3:
+            raise RuntimeError("injected fault")
+        return exact(f, omega)
+
+    monkeypatch.setattr(entropy, "_change_and_pullback", raising_once)
+    report = run_suite("characterization-fit", 10, Seed(2), 1e-9)
+    assert len(calls) == 10
+    assert report.failures == (((2, Seed(2).child(2).stream), "raised RuntimeError", 1.0),)
+    assert abs(report.fitted_constant - 1.0) < 1e-9
+
+
 def test_continuity_passes_where_the_entropy_change_is_not_monotone(monkeypatch):
     # On this seed |dS| grows along the schedule in trial 14: from n = 10 to
     # n = 100 it rises about 25-fold, from 1.7e-8 to 4.2e-7, as the first- and

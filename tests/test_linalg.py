@@ -6,6 +6,7 @@ import pytest
 from ncentropy import AlgebraShape, Seed, State, StochasticMap, classical_disintegrate, shannon
 from ncentropy.errors import NotHermitian, NotProbabilityVector, NotSquare, ShapeMismatch
 from ncentropy.linalg import (
+    _ginibre,
     as_matrix,
     check_probability_vector,
     eigh,
@@ -286,6 +287,10 @@ def test_public_samplers_draw_from_their_seed_substream(seed, stream, substream)
             w = w / w.trace().real
             assert sample_density(n, key.rng(*substream), rank=rank).tobytes() == ((w + w.conj().T) / 2).tobytes()
         assert sample_simplex(n, key.rng(*substream)).tobytes() == inline().dirichlet(np.ones(n)).tobytes()
+        for k in (1, n, 3):
+            rng = inline()
+            reference = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            assert _ginibre(n, k, key.rng(*substream)).tobytes() == reference.tobytes()
 
 
 def test_matrix_json_round_trip():

@@ -259,7 +259,13 @@ def test_initial_morphism():
 
 def test_is_isomorphism():
     assert is_isomorphism(_identity_morphism(AlgebraShape((2, 3))))
-    assert not is_isomorphism(factor_inclusion(2, 2))
+    for f in (
+        factor_inclusion(2, 2),
+        factor_inclusion(3, 2),
+        initial(AlgebraShape((1, 1))),
+        summand_projection(AlgebraShape((2,)), AlgebraShape((2,))),
+    ):
+        assert not is_isomorphism(f)
     swap = Morphism(
         AlgebraShape((3, 2)),
         AlgebraShape((2, 3)),
