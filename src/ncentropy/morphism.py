@@ -13,7 +13,11 @@ holds one ``(y, slice, copies, n_y)`` per segment of codomain block ``x``.
 Every module that reads or builds a block in this layout takes its slices
 from there and assembles with ``linalg.block_diag``.  States pull back
 through the Hilbert-Schmidt adjoint, i.e. by partial tracing the
-multiplicity index of each diagonal segment.
+multiplicity index of each diagonal segment.  ``pullback`` forms only the
+diagonal copy blocks of ``U_x^dag (p_x rho_x) U_x``, one ``m^3`` product
+and one ``n x m`` by ``m x n`` product per copy, where conjugating the
+whole block would cost two ``m^3`` products; ``quantum_disintegrate``,
+which reads the off-diagonal segments too, conjugates whole blocks.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class Morphism:
         kind = c.dtype.kind
         if kind not in "iuf":  # signed, unsigned, float: no bool, complex or object
             raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
-        if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or (c < 0).any():
+        if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or np.logical_or.reduce(c < 0, axis=None):
             raise ShapeMismatch("multiplicities must be nonnegative integers")
         c = c.astype(np.int64)
         segments = []
@@ -93,21 +97,31 @@ def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
 def pullback(f: Morphism, omega: State) -> State:
     """State on the domain dual to ``apply``: evaluate(pullback(f, w), b) == evaluate(w, apply(f, b)).
 
-    Each weighted domain density arises by summing, over codomain blocks,
-    the partial trace over the multiplicity index of the matching
-    diagonal segment of ``U_x^dag (p_x rho_x) U_x``.
+    Each weighted domain density is the sum, over codomain blocks ``x`` and
+    over the copies of its segment in copy order, of the diagonal copy
+    blocks of ``U_x^dag (p_x rho_x) U_x``.  Only those blocks are formed:
+    ``a = U_x^dag (p_x rho_x)`` once, then ``a[k:k+n] @ U_x[:, k:k+n]`` per
+    copy starting at row ``k``, so a block of dimension ``m`` costs
+    ``m^3 + m sum_y c[x,y] n_y^2`` multiply-adds instead of ``2 m^3``.
     """
-    return _pullback_with_blocks(f, omega)[0]
+    accum = _accumulators(f, omega)
+    for p, rho, u, segments in zip(omega.weights.tolist(), omega.densities, f.unitaries, f.segments):
+        if p <= 0.0:
+            continue
+        a = u.conj().T @ (p * rho)
+        for y, seg, _, n in segments:
+            for k in range(seg.start, seg.stop, n):
+                accum[y] += a[k : k + n] @ u[:, k : k + n]
+    return _pulled_state(f.domain, accum)
 
 
 def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
-    """``pullback`` plus the canonical-layout blocks ``U_x^dag (p_x rho_x) U_x`` it traced.
+    """``pullback`` through the whole canonical-layout blocks ``U_x^dag (p_x rho_x) U_x``, returned with it.
 
-    The block of a codomain block of weight zero is ``None``.
+    ``quantum_disintegrate`` reads their off-diagonal segments too.  The
+    block of a codomain block of weight zero is ``None``.
     """
-    if omega.shape != f.codomain:
-        raise ShapeMismatch(f"state on {omega.shape.blocks} pulled through morphism with codomain {f.codomain.blocks}")
-    accum = [np.zeros((n, n), dtype=np.complex128) for n in f.domain.blocks]
+    accum = _accumulators(f, omega)
     blocks = []
     for p, rho, u, segments in zip(omega.weights.tolist(), omega.densities, f.unitaries, f.segments):
         if p <= 0.0:
@@ -121,15 +135,30 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
             for k in range(n, copies * n, n):
                 traced = traced + diagonal[k : k + n, k : k + n]
             accum[y] += traced
+    return _pulled_state(f.domain, accum), blocks
+
+
+def _accumulators(f: Morphism, omega: State) -> list:
+    """One zero matrix per domain block of ``f``, once ``omega`` is known to live on its codomain."""
+    if omega.shape != f.codomain:
+        raise ShapeMismatch(f"state on {omega.shape.blocks} pulled through morphism with codomain {f.codomain.blocks}")
+    return [np.zeros((n, n), dtype=np.complex128) for n in f.domain.blocks]
+
+
+def _pulled_state(domain: AlgebraShape, accum: list) -> State:
+    """The state whose weighted block densities are ``accum``, weights clipped at 0.
+
+    A block of weight at most 1e-13 gets the placeholder density.
+    """
     weights = np.maximum([a.trace().real for a in accum], 0.0)
     densities = []
-    for q, a, n in zip(weights.tolist(), accum, f.domain.blocks):
+    for q, a, n in zip(weights.tolist(), accum, domain.blocks):
         if q > 1e-13:
             d = a / q
             densities.append((d + d.conj().T) / 2)
         else:
             densities.append(linalg.placeholder(n))
-    return State(f.domain, weights / weights.sum(), tuple(densities)), blocks
+    return State(domain, weights / np.add.reduce(weights), tuple(densities))
 
 
 def initial(shape: AlgebraShape) -> Morphism:

@@ -146,7 +146,7 @@ def convex_combine(lam: float, omega: State, xi: State) -> State:
             densities.append(linalg.hermitian_part((lam * p * rho + (1.0 - lam) * q * sig) / w))
         else:
             densities.append(linalg.placeholder(m))
-    return State(omega.shape, weights / weights.sum(), tuple(densities))
+    return State(omega.shape, weights / np.add.reduce(weights), tuple(densities))
 
 
 def is_pure(omega: State) -> bool:

@@ -27,7 +27,8 @@ from ncentropy import (
     support,
 )
 from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
-from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
+from ncentropy.disintegration import QuantumDisintegrationData, _factored_block, quantum_disintegrate
+from ncentropy.harness import _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
@@ -165,18 +166,77 @@ def _pullback_by_einsum(f, omega):
     return weights / weights.sum(), densities
 
 
-def test_pullback_has_the_bits_of_the_einsum_partial_trace():
+def _einsum_cases():
+    """Random instances with up to 5 copies, and factor inclusions of 1- to 3-dimensional blocks."""
     cases = [generate_instance(InstanceFamily(max_block_dim=9), Seed(31, k)) for k in range(60)]
     for n, copies in ((1, 5), (2, 3), (3, 4)):
         cases.append((factor_inclusion(n, copies), _random_state(AlgebraShape((copies * n,)), copies)))
+    return cases
+
+
+def test_pullback_with_blocks_has_the_bits_of_the_einsum_partial_trace():
     most_copies = 0
-    for f, omega in cases:
+    for f, omega in _einsum_cases():
         weights, densities = _pullback_by_einsum(f, omega)
-        pulled = pullback(f, omega)
+        pulled = morphism._pullback_with_blocks(f, omega)[0]
         assert np.array_equal(pulled.weights, weights)
         assert all(np.array_equal(a, b) for a, b in zip(pulled.densities, densities))
         most_copies = max(most_copies, int(f.multiplicities.max()))
     assert most_copies >= 4  # sums of three or more copies, where the order of addition shows
+
+
+# Morphisms with several segments per codomain block and blocks of dimension 8-64.
+MULTI_SEGMENT = [
+    ((8, 16), [[2, 1], [0, 3], [4, 2]]),
+    ((8, 24), [[1, 1], [5, 1]]),
+    ((16, 8, 16), [[1, 2, 1], [2, 0, 0], [0, 1, 0]]),
+]
+
+
+def _large_cases():
+    """Factor inclusions of M_16 and M_64 by 4 copies, and multi-segment morphisms with Haar unitaries."""
+    cases = [(factor_inclusion(n, 4), _random_state(AlgebraShape((4 * n,)), n)) for n in (16, 64)]
+    for k, (domain, c) in enumerate(MULTI_SEGMENT):
+        rng = Seed(41, k).rng()
+        codomain = AlgebraShape(tuple((np.array(c) @ np.array(domain)).tolist()))
+        unitaries = tuple(sample_unitary(m, rng) for m in codomain.blocks)
+        f = Morphism(AlgebraShape(domain), codomain, np.array(c), unitaries)
+        cases.append((f, _random_state(codomain, 50 + k)))
+    return cases
+
+
+def _pullback_error(pulled, weights, densities):
+    return max(max_abs(pulled.weights - weights), *(max_abs(a - b) for a, b in zip(pulled.densities, densities)))
+
+
+def test_pullback_matches_the_einsum_partial_trace():
+    # pullback forms only the diagonal copy blocks, whose products round
+    # differently from slices of the whole conjugated block
+    for f, omega in _einsum_cases() + _large_cases():
+        assert _pullback_error(pullback(f, omega), *_pullback_by_einsum(f, omega)) < 1e-14
+
+
+def _factored_state(f, rng):
+    """A state that disintegrates through ``f``: codomain block ``x`` is ``U_x blockdiag_y(tau_yx (x) q_y sigma_y) U_x^dag``."""
+    c = f.multiplicities
+    q = sample_simplex(len(f.domain), rng)
+    sigmas = [sample_density(n, rng) for n in f.domain.blocks]
+    tau = {}
+    for (x, y), copies in np.ndenumerate(c):
+        if copies > 0:
+            tau[(y, x)] = sample_density(int(copies), rng) / np.count_nonzero(c[:, y])
+    blocks = [u @ _factored_block(f, x, tau, q, sigmas) @ u.conj().T for x, u in enumerate(f.unitaries)]
+    weights = np.array([b.trace().real for b in blocks])
+    return State(f.codomain, weights, tuple(hermitian_part(b / w) for b, w in zip(blocks, weights)))
+
+
+def test_pullback_agrees_with_the_disintegration_pullback():
+    cases = [_sample_disintegrable(Seed(43, k).rng())[:2] for k in range(40)]
+    cases += [(f, _factored_state(f, Seed(44, k).rng())) for k, (f, _) in enumerate(_large_cases())]
+    for f, omega in cases:
+        data = quantum_disintegrate(f, omega)
+        assert isinstance(data, QuantumDisintegrationData)
+        assert _pullback_error(pullback(f, omega), data.pullback_weights, data.pullback_densities) < 1e-14
 
 
 def test_compose_with_identity_and_terminal():
