@@ -89,7 +89,10 @@ def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
         raise ShapeMismatch(f"element on {b.shape.blocks} fed to morphism with domain {f.domain.blocks}")
     blocks = []
     for u, segments in zip(f.unitaries, f.segments):
-        inner = linalg.block_diag([linalg.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in segments])
+        inner = np.zeros(u.shape, dtype=np.complex128)
+        for y, seg, _, n in segments:
+            for k in range(seg.start, seg.stop, n):
+                inner[k : k + n, k : k + n] = b.blocks[y]
         blocks.append(u @ inner @ u.conj().T)
     return AlgebraElement(f.codomain, tuple(blocks))
 

@@ -90,11 +90,11 @@ def evaluate(omega: State, a: AlgebraElement) -> complex:
     """Expectation ``sum_x p_x tr(rho_x a_x)``."""
     if omega.shape != a.shape:
         raise ShapeMismatch(f"state on {omega.shape.blocks} applied to element on {a.shape.blocks}")
-    total = 0.0 + 0.0j
-    for p, rho, blk in zip(omega.weights, omega.densities, a.blocks):
+    total = 0j
+    for p, rho, blk in zip(omega.weights.tolist(), omega.densities, a.blocks):
         if p > 0.0:
-            total += p * np.trace(rho @ blk)
-    return complex(total)
+            total += p * complex(np.add.reduce(rho * blk.T, axis=None))  # tr(rho a) without the matrix product
+    return total
 
 
 def support(omega: State) -> SupportProjection:
