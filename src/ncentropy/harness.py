@@ -11,6 +11,7 @@ independent of execution order.  The samplers take that generator.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import disintegration as dis
 from . import entropy as ent
 from . import morphism as mor
 from . import state as st
-from .algebra import AlgebraShape
+from .algebra import AlgebraElement, AlgebraShape
 from .errors import InfeasibleShapes, UnknownSuite
 from .linalg import (
     Seed,
@@ -255,6 +256,19 @@ def _reference_entropy(omega: State) -> float:
     return ent._plogp(hermitian_spectrum(block_diag([p * rho for p, rho in zip(omega.weights, omega.densities)]))[1])
 
 
+def _check_duality(rec, s, rng, f, omega, pulled, tol):
+    """Check ``pulled(a) == omega(f(a))`` at two Ginibre domain elements ``a``, both drawn by one ``_ginibre`` call.
+
+    ``apply`` and ``evaluate`` share only ``Morphism.segments`` with the
+    pullback, so this is the pullback's own contract checked independently.
+    """
+    dims = f.domain.blocks
+    ends = list(itertools.accumulate(n * n for n in dims))
+    for row in _ginibre(2, ends[-1], rng):
+        a = AlgebraElement(f.domain, tuple(row[j - n * n : j].reshape(n, n) for j, n in zip(ends, dims)))
+        rec.check(s, "pullback is not dual to apply", abs(st.evaluate(pulled, a) - st.evaluate(omega, mor.apply(f, a))), tol)
+
+
 @_per_trial
 def _suite_coboundary(rec, s, rng, i, tol):
     f, omega = _sample_instance(_DEFAULT, rng)
@@ -265,6 +279,7 @@ def _suite_coboundary(rec, s, rng, i, tol):
     rec.check(s, "entropy change differs from its coboundary expression", abs(lhs - (at_codomain - at_domain)), tol)
     rec.check(s, "potential on the codomain differs from the reference entropy", abs(at_codomain - _reference_entropy(omega)), tol)
     rec.check(s, "potential on the domain differs from the reference entropy", abs(at_domain - _reference_entropy(pulled)), tol)
+    _check_duality(rec, s, rng, f, omega, pulled, tol)
 
 
 @_per_trial
@@ -725,6 +740,7 @@ def _suite_characterization_fit(trials, seed, tol):
         f, omega = _sample_instance(_CLASSICAL if i % 3 == 0 else _DEFAULT, rng)
         change, pulled = ent._change_and_pullback(f, omega)
         values.append((s, change, _reference_entropy(omega) - _reference_entropy(pulled)))
+        _check_duality(rec, s, rng, f, omega, pulled, tol)
 
     rec = _Recorder("characterization-fit", trials).run(trial, seed, tol)
     c = fit_scaling_constant([h for _, h, _ in values], [r for _, _, r in values])
