@@ -11,13 +11,14 @@ with the segments laid out in ascending ``y`` order and copies contiguous.
 A ``Morphism`` keeps this layout from its construction: ``segments[x]``
 holds one ``(y, slice, copies, n_y)`` per segment of codomain block ``x``.
 Every module that reads or builds a block in this layout takes its slices
-from there and assembles with ``linalg.block_diag``.  States pull back
-through the Hilbert-Schmidt adjoint, i.e. by partial tracing the
-multiplicity index of each diagonal segment.  ``pullback`` forms only the
-diagonal copy blocks of ``U_x^dag (p_x rho_x) U_x``, one ``m^3`` product
-and one ``n x m`` by ``m x n`` product per copy, where conjugating the
-whole block would cost two ``m^3`` products; ``quantum_disintegrate``,
-which reads the off-diagonal segments too, conjugates whole blocks.
+from there; ``apply`` writes each copy of ``b_y`` into a zeroed block at
+its copy start.  States pull back through the Hilbert-Schmidt adjoint,
+i.e. by partial tracing the multiplicity index of each diagonal segment.
+``pullback`` forms only the diagonal copy blocks of
+``U_x^dag (p_x rho_x) U_x``, one ``m^3`` product and one ``n x m`` by
+``m x n`` product per copy, where conjugating the whole block would cost
+two ``m^3`` products; ``quantum_disintegrate``, which reads the
+off-diagonal segments too, conjugates whole blocks.
 """
 
 from __future__ import annotations

@@ -216,6 +216,15 @@ def test_pullback_matches_the_einsum_partial_trace():
         assert _pullback_error(pullback(f, omega), *_pullback_by_einsum(f, omega)) < 1e-14
 
 
+def test_apply_has_the_bits_of_the_kron_layout():
+    for k, (f, _) in enumerate(_einsum_cases() + _large_cases()):
+        b = _random_element(f.domain, k)
+        image = apply(f, b)
+        for u, segments, blk in zip(f.unitaries, f.segments, image.blocks):
+            inner = linalg.block_diag([linalg.kron(np.eye(copies), b.blocks[y]) for y, _, copies, _ in segments])
+            assert np.array_equal(blk, u @ inner @ u.conj().T)
+
+
 def _factored_state(f, rng):
     """A state that disintegrates through ``f``: codomain block ``x`` is ``U_x blockdiag_y(tau_yx (x) q_y sigma_y) U_x^dag``."""
     c = f.multiplicities

@@ -17,6 +17,7 @@ report a failure too.
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ def test_mutant_is_caught_by_its_suites(name, monkeypatch):
     assert passed == dict.fromkeys(suites, False)
 
 
+def _bindings(name, exact):
+    """The package's modules that bind ``name`` to ``exact``."""
+    return [
+        module
+        for module_name, module in sys.modules.items()
+        if module_name.startswith("ncentropy") and getattr(module, name, None) is exact
+    ]
+
+
 def _diagonal_spectrum(m):
     """A wrong Hermitian spectrum: the sorted real diagonal, as if ``m`` were diagonal."""
     return max_abs(m - m.conj().T), np.sort(np.diagonal(m).real)
@@ -126,14 +136,37 @@ DIAGONAL_SPECTRUM_SUITES = [
 
 
 def test_diagonal_spectrum_is_caught_by_its_suites(monkeypatch):
-    exact = linalg.hermitian_spectrum
-    bindings = [
-        module
-        for name, module in sys.modules.items()
-        if name.startswith("ncentropy") and getattr(module, "hermitian_spectrum", None) is exact
-    ]
+    bindings = _bindings("hermitian_spectrum", linalg.hermitian_spectrum)
     assert {module.__name__ for module in bindings} >= {"ncentropy.linalg", "ncentropy.harness", "ncentropy.disintegration"}
     for module in bindings:
         monkeypatch.setattr(module, "hermitian_spectrum", _diagonal_spectrum)
     passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in DIAGONAL_SPECTRUM_SUITES}
     assert passed == dict.fromkeys(DIAGONAL_SPECTRUM_SUITES, False)
+
+
+def _pullback_with_unitaries(block_unitary):
+    """A wrong pullback: the exact one through ``f`` with each block unitary ``U`` replaced by ``block_unitary(U)``."""
+    return lambda f, omega: pullback(replace(f, unitaries=tuple(block_unitary(u) for u in f.unitaries)), omega)
+
+
+# coboundary and characterization-fit check the duality omega(f(a)) = (f* omega)(a)
+# through apply; support-image pushes the pullback's support forward through
+# apply; disintegration compares the entropy change with the production of a
+# witness built from the exact whole-block pullback.  Each catches both mutants
+# on all of seeds 1-30.
+PULLBACK_SUITES = ["coboundary", "support-image", "disintegration", "characterization-fit"]
+PULLBACK_MUTANTS = {
+    "conjugation-skipped": _pullback_with_unitaries(lambda u: linalg.identity_matrix(len(u))),
+    # U^T (p rho) conj(U): the adjoint taken without its complex conjugation
+    "transpose-for-adjoint": _pullback_with_unitaries(np.conj),
+}
+
+
+@pytest.mark.parametrize("name", list(PULLBACK_MUTANTS))
+def test_pullback_mutant_is_caught_by_its_suites(name, monkeypatch):
+    bindings = _bindings("pullback", pullback)
+    assert {module.__name__ for module in bindings} >= {"ncentropy.morphism", "ncentropy.entropy"}
+    for module in bindings:
+        monkeypatch.setattr(module, "pullback", PULLBACK_MUTANTS[name])
+    passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in PULLBACK_SUITES}
+    assert passed == dict.fromkeys(PULLBACK_SUITES, False)
