@@ -15,11 +15,11 @@ from ncentropy import (
     entropy_change,
     quantum_disintegrate,
 )
-from ncentropy.disintegration import classical_function
+from ncentropy.disintegration import FACTOR_TOL, _factored_block, classical_function
 from ncentropy.entropy import LOG2
 from ncentropy.errors import InconsistentData, IndexOutOfRange, NotProbabilityVector
-from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamily
-from ncentropy.linalg import max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.harness import _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
+from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 
 
 INCLUSION = factor_inclusion(2, 2)
@@ -195,3 +195,88 @@ def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
     production = disintegration_entropy(f, omega, result)
     assert abs(production - LOG2) < 1e-9
     assert abs(production - entropy_change(f, omega)) < 1e-9
+
+
+def _factorable_state(f, rng):
+    """A state that factors through ``f`` by construction: random tau blocks, weights q and densities sigma."""
+    q = sample_simplex(len(f.domain), rng)
+    sigmas = [sample_density(n, rng) for n in f.domain.blocks]
+    tau = {}
+    for y in range(len(f.domain)):
+        xs = [x for x in range(len(f.codomain)) if f.multiplicities[x, y] > 0]
+        raws = [rng.uniform(0.5, 1.0) * sample_density(int(f.multiplicities[x, y]), rng) for x in xs]
+        total = sum(np.trace(r).real for r in raws)
+        tau.update({(y, x): r / total for x, r in zip(xs, raws)})
+    blocks = [u @ _factored_block(f, x, tau, q, sigmas) @ u.conj().T for x, u in enumerate(f.unitaries)]
+    weights = np.array([np.trace(b).real for b in blocks])
+    return State(f.codomain, weights / weights.sum(), tuple(hermitian_part(b) / w for b, w in zip(blocks, weights)))
+
+
+def _random_morphism(domain, codomain, c, rng):
+    return Morphism(AlgebraShape(domain), AlgebraShape(codomain), np.array(c), tuple(sample_unitary(m, rng) for m in codomain))
+
+
+def _dense_residuals(f, omega, data):
+    """Per codomain block, ``U^dag (p rho) U - R`` with R dense from ``_factored_block``, and the check's threshold."""
+    for x, (p, rho, u) in enumerate(zip(omega.weights, omega.densities, f.unitaries)):
+        rebuilt = _factored_block(f, x, data.tau, data.pullback_weights, data.pullback_densities)
+        yield u.conj().T @ (p * rho) @ u - rebuilt, FACTOR_TOL * max(1.0, max_abs(p * rho))
+
+
+def _entrywise_excess(f, omega, data):
+    """How far the entrywise check that preceded the Frobenius one was over its threshold (> 1: rejected)."""
+    return max(max_abs(diff) / bound for diff, bound in _dense_residuals(f, omega, data))
+
+
+def _perturbed(data, kind, eps, rng):
+    """``data`` with its tau blocks, pullback weights or pullback densities moved by ``eps`` times a Hermitian Ginibre draw."""
+    def nudge(m):
+        if np.ndim(m) == 1:
+            return m + eps * rng.standard_normal(len(m))
+        return m + eps * hermitian_part(rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+
+    if kind == "tau":
+        return replace(data, tau={key: nudge(t) for key, t in data.tau.items()})
+    if kind == "q":
+        return replace(data, pullback_weights=nudge(data.pullback_weights))
+    return replace(data, pullback_densities=tuple(nudge(s) for s in data.pullback_densities))
+
+
+def _witness_cases():
+    rng = Seed(105).rng()
+    yield "factor_inclusion(16, 4)", factor_inclusion(16, 4), rng
+    yield "factor_inclusion(64, 4)", factor_inclusion(64, 4), rng
+    yield "two blocks of 64 and 112", _random_morphism((16, 32), (64, 112), [[2, 1], [1, 3]], rng), rng
+    yield "three blocks of 112, 88, 16", _random_morphism((16, 24, 32), (112, 88, 16), [[2, 2, 1], [0, 1, 2], [1, 0, 0]], rng), rng
+
+
+def test_witness_check_bounds_the_frobenius_residual():
+    # Every valid witness passes with a Frobenius residual of at most 1e-12;
+    # every perturbed witness that the entrywise check (the reference here)
+    # rejected is still rejected, since ||.||_F >= max |.|.
+    instances = [(f, _factorable_state(f, rng), rng) for _, f, rng in _witness_cases()]
+    for k in range(200):
+        f, omega, _ = _sample_disintegrable(Seed(106, k).rng())
+        instances.append((f, omega, Seed(107, k).rng()))
+    rejected = 0
+    for f, omega, rng in instances:
+        data = quantum_disintegrate(f, omega)
+        assert isinstance(data, QuantumDisintegrationData)
+        assert max(np.linalg.norm(diff) for diff, _ in _dense_residuals(f, omega, data)) <= 1e-12
+        assert abs(disintegration_entropy(f, omega, data) - entropy_change(f, omega)) < 1e-8
+        for kind in ("tau", "q", "sigma"):
+            for eps in (1e-9, 1e-7, 1e-5, 1e-3):
+                bad = _perturbed(data, kind, eps, rng)
+                if _entrywise_excess(f, omega, bad) > 1.0:
+                    rejected += 1
+                    with pytest.raises(InconsistentData, match="Frobenius residual"):
+                        disintegration_entropy(f, omega, bad)
+    assert rejected > len(instances) * 3 * 2  # every 1e-5 and 1e-3 nudge, at least
+
+
+def test_witness_with_non_finite_tau_is_inconsistent():
+    omega = State(AlgebraShape((4,)), np.ones(1), (np.eye(4) / 4,))
+    data = quantum_disintegrate(INCLUSION, omega)
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.5])):
+        with np.errstate(invalid="ignore"), pytest.raises(InconsistentData, match="Frobenius residual nan"):
+            disintegration_entropy(INCLUSION, omega, replace(data, tau={(0, 0): bad}))
