@@ -2,7 +2,8 @@
 
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit
 codes: 0 on success (and passing suites), 1 on suite failure, 2 on
-malformed input or usage errors.
+malformed input, on input too large to hold in memory, or on usage
+errors.
 
 ``main`` builds its parser once per process and reuses it on later calls
 while ``NCE_SEED``, which supplies the ``verify --seed`` default, keeps
@@ -336,6 +337,8 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
     except InvariantViolation as exc:
         return _usage_error(f"{type(exc).__name__}: {exc}")
+    except MemoryError as exc:  # an input that declares blocks too large to build
+        return _usage_error(f"MemoryError: {exc}")
 
 
 if __name__ == "__main__":

@@ -285,28 +285,42 @@ def test_malformed_values_exit_2(tmp_path, capsys, monkeypatch, command, payload
     assert err.startswith("error:") and error in err
 
 
-# The child caps its own address space, then runs ``nce``: building the
-# declared 100000-dimensional identity would need 149 GiB.
+# The child caps its own address space, then runs ``nce``: building a
+# declared 100000-dimensional block would need 149 GiB.
 _CAPPED_NCE = (
     "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
     "from ncentropy import cli; sys.exit(cli.main(sys.argv[1:]))"
 )
 
 
-@pytest.mark.parametrize("command", ["pullback", "change", "disintegrate"])
-def test_codomain_is_checked_before_any_block_is_built(tmp_path, command):
+def _run_capped(tmp_path, command, morphism_data):
+    """``nce command morphism state`` on a 2-dimensional pure state in a child process capped at 2 GiB."""
     morphism = tmp_path / "morphism.json"
-    morphism.write_text(json.dumps({"domain": [1], "codomain": [100000], "multiplicities": [[100000]], "unitaries": None}))
+    morphism.write_text(json.dumps(morphism_data))
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"shape": [2], "weights": [1.0], "densities": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]}))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_NCE, command, str(morphism), str(state)],
+    extra = [str(state), "--lambda", "0.5"] if command == "holevo" else []
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_NCE, command, str(morphism), str(state), *extra],
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("command", ["pullback", "change", "holevo", "disintegrate"])
+def test_codomain_is_checked_before_any_block_is_built(tmp_path, command):
+    proc = _run_capped(tmp_path, command, {"domain": [1], "codomain": [100000], "multiplicities": [[100000]], "unitaries": None})
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ShapeMismatch") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["pullback", "change", "holevo", "disintegrate"])
+def test_a_domain_block_too_large_to_build_exits_2(tmp_path, command):
+    # the codomain matches the state; the weight-zero domain block's accumulator cannot be built
+    proc = _run_capped(tmp_path, command, {"domain": [2, 100000], "codomain": [2], "multiplicities": [[1, 0]], "unitaries": None})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: MemoryError: Unable to allocate") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
