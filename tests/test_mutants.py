@@ -22,8 +22,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ncentropy import Seed, entropy, linalg, run_suite
-from ncentropy.linalg import max_abs
+from ncentropy import Seed, entropy, linalg, run_suite, state
+from ncentropy.algebra import AlgebraElement
+from ncentropy.linalg import DEFAULT_TOL, max_abs
 from ncentropy.morphism import pullback
 
 EXACT = entropy._change_and_pullback  # captured here: the adapter replaces the binding
@@ -80,6 +81,19 @@ MUTANTS = {
             "holevo-nonneg",
             "orthogonal-affinity",
             "external-affinity",
+            "disintegration",
+            "characterization-fit",
+        ],
+    ),
+    # The sign flip S(f* omega) - S(omega) is negative wherever the change is
+    # positive, so the suites with an inequality or a closed form see it.
+    "sign-flipped": (
+        lambda f, omega: -EXACT(f, omega)[0],
+        [
+            "coboundary",
+            "holevo-nonneg",
+            "commutative-positivity",
+            "negative-existence",
             "disintegration",
             "characterization-fit",
         ],
@@ -170,3 +184,67 @@ def test_pullback_mutant_is_caught_by_its_suites(name, monkeypatch):
         monkeypatch.setattr(module, "pullback", PULLBACK_MUTANTS[name])
     passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in PULLBACK_SUITES}
     assert passed == dict.fromkeys(PULLBACK_SUITES, False)
+
+
+def _support_above(cut):
+    """A wrong ``support``: in each block of positive weight, the spectral projection onto the eigenvalues above ``cut``."""
+
+    def support(omega):
+        blocks = []
+        for p, rho, m in zip(omega.weights, omega.densities, omega.shape.blocks):
+            if p > DEFAULT_TOL:
+                vals, vecs = linalg.eigh(rho)
+                cols = vecs[:, vals > cut]
+                blocks.append(cols @ cols.conj().T)
+            else:
+                blocks.append(np.zeros((m, m), dtype=np.complex128))
+        return AlgebraElement(omega.shape, tuple(blocks))
+
+    return support
+
+
+def _renyi_2(rho, tol=DEFAULT_TOL):
+    """A wrong ``von_neumann``: the Renyi-2 entropy ``-log tr(rho^2)`` of the checked spectrum."""
+    return -float(np.log(np.add.reduce(linalg.check_density(linalg.as_matrix(rho), tol) ** 2)))
+
+
+def _segal_without_block_weights(omega):
+    """A wrong ``segal``: the weighted block entropies without the Shannon entropy of the block weights."""
+    return sum(p * entropy._plogp(vals) for p, vals in zip(omega.weights.tolist(), omega.spectra) if p > 0.0)
+
+
+# name -> (exact function, mutant, suites that must report it).  A support
+# that fills whole blocks, and an orthogonality test that always says no,
+# make the suites that need an orthogonal pair raise NotOrthogonalInput,
+# which their trial loop reports as a failure.
+KERNEL_MUTANTS = {
+    "support-whole-blocks": (state.support, _support_above(-np.inf), ["iso-invariance", "orthogonal-affinity", "k-counterexample"]),
+    "support-above-0.2": (state.support, _support_above(0.2), ["support-image"]),
+    "orthogonal-always": (state.are_orthogonal, lambda omega, xi: True, ["orthogonal-affinity", "overlap-persistence"]),
+    "orthogonal-never": (state.are_orthogonal, lambda omega, xi: False, ["iso-invariance", "orthogonal-affinity", "k-counterexample"]),
+    "von-neumann-renyi-2": (entropy.von_neumann, _renyi_2, ["concavity", "disintegration"]),
+    "segal-without-block-weights": (
+        entropy.segal,
+        _segal_without_block_weights,
+        [
+            "coboundary",
+            "holevo-nonneg",
+            "orthogonal-affinity",
+            "negative-existence",
+            "k-counterexample",
+            "disintegration",
+            "characterization-fit",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MUTANTS))
+def test_kernel_mutant_is_caught_by_its_suites(name, monkeypatch):
+    exact, mutant, suites = KERNEL_MUTANTS[name]
+    bindings = _bindings(exact.__name__, exact)
+    assert exact.__module__ in {module.__name__ for module in bindings}
+    for module in bindings:
+        monkeypatch.setattr(module, exact.__name__, mutant)
+    passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in suites}
+    assert passed == dict.fromkeys(suites, False)
