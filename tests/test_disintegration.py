@@ -229,7 +229,7 @@ def _entrywise_excess(f, omega, data):
 
 
 def _perturbed(data, kind, eps, rng):
-    """``data`` with its tau blocks, pullback weights or pullback densities moved by ``eps`` times a Hermitian Ginibre draw."""
+    """``data`` with its tau blocks, pullback weights or pullback densities moved by ``eps`` times a Gaussian draw, Hermitian for a matrix."""
     def nudge(m):
         if np.ndim(m) == 1:
             return m + eps * rng.standard_normal(len(m))
@@ -242,19 +242,22 @@ def _perturbed(data, kind, eps, rng):
     return replace(data, pullback_densities=tuple(nudge(s) for s in data.pullback_densities))
 
 
-def _witness_cases():
-    rng = Seed(105).rng()
-    yield "factor_inclusion(16, 4)", factor_inclusion(16, 4), rng
-    yield "factor_inclusion(64, 4)", factor_inclusion(64, 4), rng
-    yield "two blocks of 64 and 112", _random_morphism((16, 32), (64, 112), [[2, 1], [1, 3]], rng), rng
-    yield "three blocks of 112, 88, 16", _random_morphism((16, 24, 32), (112, 88, 16), [[2, 2, 1], [0, 1, 2], [1, 0, 0]], rng), rng
+def _witness_morphisms(rng):
+    """Factor inclusions into M_64 and M_256, and multi-segment morphisms with blocks of dimension 16-112."""
+    return [
+        factor_inclusion(16, 4),
+        factor_inclusion(64, 4),
+        _random_morphism((16, 32), (64, 112), [[2, 1], [1, 3]], rng),
+        _random_morphism((16, 24, 32), (112, 88, 16), [[2, 2, 1], [0, 1, 2], [1, 0, 0]], rng),
+    ]
 
 
 def test_witness_check_bounds_the_frobenius_residual():
     # Every valid witness passes with a Frobenius residual of at most 1e-12;
     # every perturbed witness that the entrywise check (the reference here)
     # rejected is still rejected, since ||.||_F >= max |.|.
-    instances = [(f, _factorable_state(f, rng), rng) for _, f, rng in _witness_cases()]
+    rng = Seed(105).rng()
+    instances = [(f, _factorable_state(f, rng), rng) for f in _witness_morphisms(rng)]
     for k in range(200):
         f, omega, _ = _sample_disintegrable(Seed(106, k).rng())
         instances.append((f, omega, Seed(107, k).rng()))
