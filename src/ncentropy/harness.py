@@ -623,8 +623,15 @@ def _suite_continuity(rec, s, rng, i, tol):
 
 def _sample_disintegrable(rng: np.random.Generator):
     """Build (f, omega) that factors by construction, from random tau blocks."""
-    family = InstanceFamily(max_blocks=3)
-    f = _sample_morphism(family, rng)
+    f = _sample_morphism(InstanceFamily(max_blocks=3), rng)
+    return (f, *_disintegrable_state(f, rng))
+
+
+def _disintegrable_state(f: mor.Morphism, rng: np.random.Generator):
+    """A state that factors through ``f`` by construction, and its tau blocks.
+
+    Domain blocks that ``f`` does not hit get pullback weight zero.
+    """
     c = f.multiplicities
     hit = c.sum(axis=0) > 0
     q = sample_simplex(len(f.domain), rng) * hit
@@ -651,7 +658,7 @@ def _sample_disintegrable(rng: np.random.Generator):
         weights[x] = np.trace(block).real
         densities.append(_project_to_density(block / weights[x]) if weights[x] > 1e-12 else placeholder(m))
     omega = State(f.codomain, weights / weights.sum(), tuple(densities))
-    return f, omega, tau
+    return omega, tau
 
 
 def _remark_quartic_change(p: np.ndarray) -> float:

@@ -27,8 +27,8 @@ from ncentropy import (
     support,
 )
 from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
-from ncentropy.disintegration import QuantumDisintegrationData, _factored_block, quantum_disintegrate
-from ncentropy.harness import _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
+from ncentropy.disintegration import QuantumDisintegrationData, quantum_disintegrate
+from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
@@ -225,23 +225,9 @@ def test_apply_has_the_bits_of_the_kron_layout():
             assert np.array_equal(blk, u @ inner @ u.conj().T)
 
 
-def _factored_state(f, rng):
-    """A state that disintegrates through ``f``: codomain block ``x`` is ``U_x blockdiag_y(tau_yx (x) q_y sigma_y) U_x^dag``."""
-    c = f.multiplicities
-    q = sample_simplex(len(f.domain), rng)
-    sigmas = [sample_density(n, rng) for n in f.domain.blocks]
-    tau = {}
-    for (x, y), copies in np.ndenumerate(c):
-        if copies > 0:
-            tau[(y, x)] = sample_density(int(copies), rng) / np.count_nonzero(c[:, y])
-    blocks = [u @ _factored_block(f, x, tau, q, sigmas) @ u.conj().T for x, u in enumerate(f.unitaries)]
-    weights = np.array([b.trace().real for b in blocks])
-    return State(f.codomain, weights, tuple(hermitian_part(b / w) for b, w in zip(blocks, weights)))
-
-
 def test_pullback_agrees_with_the_disintegration_pullback():
     cases = [_sample_disintegrable(Seed(43, k).rng())[:2] for k in range(40)]
-    cases += [(f, _factored_state(f, Seed(44, k).rng())) for k, (f, _) in enumerate(_large_cases())]
+    cases += [(f, _disintegrable_state(f, Seed(44, k).rng())[0]) for k, (f, _) in enumerate(_large_cases())]
     for f, omega in cases:
         data = quantum_disintegrate(f, omega)
         assert isinstance(data, QuantumDisintegrationData)
