@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +16,14 @@ from ncentropy import (
     entropy_change,
     quantum_disintegrate,
 )
-from ncentropy.disintegration import FACTOR_TOL, _factored_block, classical_function
+from ncentropy import cli
+from ncentropy.disintegration import FACTOR_TOL, _factored_block, _verify_witness, classical_function
 from ncentropy.entropy import LOG2
 from ncentropy.errors import InconsistentData, IndexOutOfRange, NotProbabilityVector
-from ncentropy.harness import _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
-from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
+from ncentropy.linalg import DEFAULT_TOL, hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.morphism import morphism_to_json
+from ncentropy.state import state_to_json
 
 
 INCLUSION = factor_inclusion(2, 2)
@@ -197,21 +201,6 @@ def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
     assert abs(production - entropy_change(f, omega)) < 1e-9
 
 
-def _factorable_state(f, rng):
-    """A state that factors through ``f`` by construction: random tau blocks, weights q and densities sigma."""
-    q = sample_simplex(len(f.domain), rng)
-    sigmas = [sample_density(n, rng) for n in f.domain.blocks]
-    tau = {}
-    for y in range(len(f.domain)):
-        xs = [x for x in range(len(f.codomain)) if f.multiplicities[x, y] > 0]
-        raws = [rng.uniform(0.5, 1.0) * sample_density(int(f.multiplicities[x, y]), rng) for x in xs]
-        total = sum(np.trace(r).real for r in raws)
-        tau.update({(y, x): r / total for x, r in zip(xs, raws)})
-    blocks = [u @ _factored_block(f, x, tau, q, sigmas) @ u.conj().T for x, u in enumerate(f.unitaries)]
-    weights = np.array([np.trace(b).real for b in blocks])
-    return State(f.codomain, weights / weights.sum(), tuple(hermitian_part(b) / w for b, w in zip(blocks, weights)))
-
-
 def _random_morphism(domain, codomain, c, rng):
     return Morphism(AlgebraShape(domain), AlgebraShape(codomain), np.array(c), tuple(sample_unitary(m, rng) for m in codomain))
 
@@ -224,8 +213,13 @@ def _dense_residuals(f, omega, data):
 
 
 def _entrywise_excess(f, omega, data):
-    """How far the entrywise check that preceded the Frobenius one was over its threshold (> 1: rejected)."""
+    """The largest entry of the residual over its threshold (> 1: the witness must be rejected)."""
     return max(max_abs(diff) / bound for diff, bound in _dense_residuals(f, omega, data))
+
+
+def _frobenius_excess(f, omega, data):
+    """The largest Frobenius norm of a residual over the same threshold."""
+    return max(np.linalg.norm(diff) / bound for diff, bound in _dense_residuals(f, omega, data))
 
 
 def _perturbed(data, kind, eps, rng):
@@ -252,34 +246,113 @@ def _witness_morphisms(rng):
     ]
 
 
-def test_witness_check_bounds_the_frobenius_residual():
-    # Every valid witness passes with a Frobenius residual of at most 1e-12;
-    # every perturbed witness that the entrywise check (the reference here)
-    # rejected is still rejected, since ||.||_F >= max |.|.
-    rng = Seed(105).rng()
-    instances = [(f, _factorable_state(f, rng), rng) for f in _witness_morphisms(rng)]
-    for k in range(200):
-        f, omega, _ = _sample_disintegrable(Seed(106, k).rng())
-        instances.append((f, omega, Seed(107, k).rng()))
-    rejected = 0
+def _check_decides_as_the_entrywise_residual(instances):
+    """Perturb each witness's tau, q or sigma by 1e-9 ... 1e-3; the check must reject exactly those
+    whose entrywise residual, formed densely, exceeds the threshold.  Returns how many perturbed
+    witnesses were rejected, and how many were accepted with a Frobenius residual over it."""
+    rejected = accepted_over_frobenius = 0
     for f, omega, rng in instances:
         data = quantum_disintegrate(f, omega)
         assert isinstance(data, QuantumDisintegrationData)
-        assert max(np.linalg.norm(diff) for diff, _ in _dense_residuals(f, omega, data)) <= 1e-12
-        assert abs(disintegration_entropy(f, omega, data) - entropy_change(f, omega)) < 1e-8
         for kind in ("tau", "q", "sigma"):
-            for eps in (1e-9, 1e-7, 1e-5, 1e-3):
+            for eps in (1e-9, 3e-9, 1e-7, 1e-5, 1e-3):
                 bad = _perturbed(data, kind, eps, rng)
                 if _entrywise_excess(f, omega, bad) > 1.0:
                     rejected += 1
-                    with pytest.raises(InconsistentData, match="Frobenius residual"):
+                    with pytest.raises(InconsistentData, match="does not reproduce"):
                         disintegration_entropy(f, omega, bad)
+                else:
+                    accepted_over_frobenius += _frobenius_excess(f, omega, bad) > 1.0
+                    _verify_witness(f, omega, bad)  # the entropy may still refuse tau of trace != 1
+    return rejected, accepted_over_frobenius
+
+
+def test_witness_check_decides_as_the_entrywise_residual():
+    # Valid witnesses pass with a residual of at most 1e-12.  A perturbed
+    # witness is rejected exactly when an entry of its residual exceeds the
+    # threshold, also when its Frobenius norm does and no entry does.
+    rng = Seed(105).rng()
+    instances = [(f, _disintegrable_state(f, rng)[0], rng) for f in _witness_morphisms(rng)]
+    for k in range(200):
+        f, omega, _ = _sample_disintegrable(Seed(106, k).rng())
+        instances.append((f, omega, Seed(107, k).rng()))
+    for f, omega, _ in instances:
+        data = quantum_disintegrate(f, omega)
+        assert max(np.linalg.norm(diff) for diff, _ in _dense_residuals(f, omega, data)) <= 1e-12
+        assert abs(disintegration_entropy(f, omega, data) - entropy_change(f, omega)) < 1e-8
+    rejected, accepted_over_frobenius = _check_decides_as_the_entrywise_residual(instances)
     assert rejected > len(instances) * 3 * 2  # every 1e-5 and 1e-3 nudge, at least
+    assert accepted_over_frobenius > 0
+
+
+def test_witness_check_with_unitaries_at_the_morphism_tolerance():
+    # U = Q (I + 4e-11 H) keeps every entry of U^dag U - I within DEFAULT_TOL, so
+    # ||(p rho) U - U R||_F is no longer ||U^dag (p rho) U - R||_F; the decision
+    # still follows the entrywise residual.
+    rng = Seed(108).rng()
+    instances = []
+    for f in _witness_morphisms(rng)[1:]:
+        def skew(u):
+            h = hermitian_part(rng.uniform(-1.0, 1.0, u.shape) + 1j * rng.uniform(-1.0, 1.0, u.shape))
+            return u @ (np.eye(len(u)) + 4e-11 * h / max_abs(h))
+
+        g = Morphism(f.domain, f.codomain, f.multiplicities, tuple(skew(u) for u in f.unitaries))
+        assert max(max_abs(u.conj().T @ u - np.eye(len(u))) for u in g.unitaries) > 1e-11
+        instances.append((g, _disintegrable_state(g, rng)[0], rng))
+    rejected, _ = _check_decides_as_the_entrywise_residual(instances)
+    assert rejected > 0
+
+
+def test_witness_check_counts_the_unitarity_slack():
+    # U = sqrt(I + delta J) with J all ones: U^dag U - I = delta J is within
+    # DEFAULT_TOL.  With E = delta J R + a e_0 e_0^dag and p rho =
+    # U^-1 (R + E) U^-1, G = (p rho) U - U R = a U^-1 e_0 has ||G||_F < a,
+    # while E_00 = a + delta (J R)_00 exceeds the threshold for a just under it.
+    c, n, delta = 4, 64, 0.99 * DEFAULT_TOL
+    m = c * n
+    ones = np.ones((m, m))
+    u = np.eye(m) + (np.sqrt(1.0 + m * delta) - 1.0) / m * ones
+    f = Morphism(AlgebraShape((n,)), AlgebraShape((m,)), np.array([[c]]), (u,))
+    tau, sigma = np.eye(c) / c, (np.eye(n) + np.ones((n, n))) / (2 * n)
+    r = np.kron(tau, sigma)
+    a = FACTOR_TOL * (1.0 - 1e-4)
+    corner = np.zeros((m, m))
+    corner[0, 0] = a
+    inv = np.linalg.inv(u)
+    s = (1.0 - a * (inv @ inv)[0, 0]) / np.trace(r)  # scales R so that p rho has trace 1
+    rho = inv @ (s * r + delta * ones @ (s * r) + corner) @ inv
+    omega = State(AlgebraShape((m,)), np.ones(1), (hermitian_part(rho).astype(complex),))
+    data = QuantumDisintegrationData({(0, 0): s * tau}, np.ones(1), (sigma.astype(complex),))
+    g = rho @ u - u @ np.kron(s * tau, sigma)
+    assert np.linalg.norm(g) < FACTOR_TOL < a + delta * s * r[:, 0].sum()
+    assert _entrywise_excess(f, omega, data) > 1.0
+    with pytest.raises(InconsistentData, match="does not reproduce"):
+        disintegration_entropy(f, omega, data)
+
+
+def test_witness_entrywise_within_the_threshold_passes_above_it_in_frobenius_norm(tmp_path, capsys):
+    # An added term with zero partial traces leaves tau and sigma unchanged;
+    # its entries, 1.5e-9, are within the threshold and its Frobenius norm,
+    # 16 * 1.5e-9, is not.
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h4 = np.kron(h2, h2)
+    rho = np.kron(np.eye(4) / 4, np.diag([0.7, 0.1, 0.1, 0.1])) + 1.5e-9 * np.kron(h4, h4)
+    f = factor_inclusion(4, 4)
+    omega = State(AlgebraShape((16,)), np.ones(1), (rho.astype(complex),))
+    data = quantum_disintegrate(f, omega)
+    assert isinstance(data, QuantumDisintegrationData)
+    assert _entrywise_excess(f, omega, data) <= 1.0 < _frobenius_excess(f, omega, data)
+    assert abs(disintegration_entropy(f, omega, data) - entropy_change(f, omega)) < 1e-8
+    (tmp_path / "f.json").write_text(json.dumps(morphism_to_json(f)))
+    (tmp_path / "w.json").write_text(json.dumps(state_to_json(omega)))
+    assert cli.main(["disintegrate", str(tmp_path / "f.json"), str(tmp_path / "w.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exists"] and abs(payload["entropy_production"] - entropy_change(f, omega)) < 1e-8
 
 
 def test_witness_with_non_finite_tau_is_inconsistent():
     omega = State(AlgebraShape((4,)), np.ones(1), (np.eye(4) / 4,))
     data = quantum_disintegrate(INCLUSION, omega)
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.5])):
-        with np.errstate(invalid="ignore"), pytest.raises(InconsistentData, match="Frobenius residual nan"):
+        with np.errstate(invalid="ignore"), pytest.raises(InconsistentData, match="residual nan"):
             disintegration_entropy(INCLUSION, omega, replace(data, tau={(0, 0): bad}))
