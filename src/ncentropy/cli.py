@@ -2,8 +2,10 @@
 
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit
 codes: 0 on success (and passing suites), 1 on suite failure, 2 on
-malformed input, on input too large to hold in memory, or on usage
-errors.
+malformed input, on usage errors, or when the blocks that a morphism
+file declares do not fit in memory (``pullback``, ``change``,
+``holevo`` and ``disintegrate``; each prints nothing before it has its
+result).
 
 ``main`` builds its parser once per process and reuses it on later calls
 while ``NCE_SEED``, which supplies the ``verify --seed`` default, keeps
@@ -115,6 +117,20 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _declares_blocks(cmd):
+    """``cmd``, with a MemoryError, raised when a morphism file declares blocks too large to build, reported as malformed input."""
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        try:
+            return cmd(args)
+        except MemoryError as exc:
+            raise _InputError(f"MemoryError: {exc}") from exc
+
+    return run
+
+
+@_declares_blocks
 def _cmd_pullback(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
@@ -122,6 +138,7 @@ def _cmd_pullback(args) -> int:
     return 0
 
 
+@_declares_blocks
 def _cmd_change(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
@@ -129,6 +146,7 @@ def _cmd_change(args) -> int:
     return 0
 
 
+@_declares_blocks
 def _cmd_holevo(args) -> int:
     omega = _load_state(args.state_a)
     xi = _load_state(args.state_b)
@@ -150,6 +168,7 @@ def _cmd_orthogonal(args) -> int:
     return 0
 
 
+@_declares_blocks
 def _cmd_disintegrate(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
@@ -337,8 +356,6 @@ def main(argv=None) -> int:
         return _usage_error(str(exc))
     except InvariantViolation as exc:
         return _usage_error(f"{type(exc).__name__}: {exc}")
-    except MemoryError as exc:  # an input that declares blocks too large to build
-        return _usage_error(f"MemoryError: {exc}")
 
 
 if __name__ == "__main__":
