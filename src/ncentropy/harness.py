@@ -628,10 +628,7 @@ def _sample_disintegrable(rng: np.random.Generator):
 
 
 def _disintegrable_state(f: mor.Morphism, rng: np.random.Generator):
-    """A state that factors through ``f`` by construction, and its tau blocks.
-
-    Domain blocks that ``f`` does not hit get pullback weight zero.
-    """
+    """A state that factors through ``f`` by construction, and its tau blocks; a domain block that ``f`` misses gets weight zero."""
     c = f.multiplicities
     hit = c.sum(axis=0) > 0
     q = sample_simplex(len(f.domain), rng) * hit
