@@ -143,26 +143,24 @@ def quantum_disintegrate(f: Morphism, omega: State):
     q, sigmas = pulled.weights, pulled.densities
     tau: dict = {}
     for x, (p, rho, m) in enumerate(zip(omega.weights, omega.densities, conjugated)):
-        weighted = p * rho
-        if m is None:
-            m = f.unitaries[x].conj().T @ weighted @ f.unitaries[x]
-        eff = FACTOR_TOL * max_abs(weighted)
+        eff = FACTOR_TOL * max_abs(p * rho)
         segs = f.segments[x]
         for i, (y, rows, _, _) in enumerate(segs):
             for y2, cols, _, _ in segs[i + 1 :]:
-                block = m[rows, cols]
-                if max_abs(block) > eff:
+                coupling = max_abs(m[rows, cols])
+                if coupling > eff:
                     return NoDisintegration(
                         f"off-diagonal coupling between domain blocks {y} and {y2} inside codomain block {x}",
-                        max_abs(block),
+                        coupling,
                     )
         for y, rows, copies, n in segs:
             seg = m[rows, rows]
             if q[y] <= DEFAULT_TOL:
-                if max_abs(seg) > eff:
+                charge = max_abs(seg)
+                if charge > eff:
                     return NoDisintegration(
                         f"codomain block {x} charges domain block {y} of pullback weight zero",
-                        max_abs(seg),
+                        charge,
                     )
                 continue
             cand = hermitian_part(partial_trace_right(seg, copies, n) / q[y])
@@ -204,7 +202,7 @@ def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
 
 
 def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) -> None:
-    sizes = {(y, x): int(c) for (x, y), c in np.ndenumerate(f.multiplicities) if c > 0}
+    sizes = {(y, x): copies for x, segments in enumerate(f.segments) for y, _, copies, _ in segments}
     for key, t in data.tau.items():
         if key not in sizes:
             raise InconsistentData(f"tau key {key!r} names no (domain, codomain) pair with c[x, y] > 0")
@@ -248,7 +246,8 @@ def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegratio
     ||R_x||_F``, ``t = DEFAULT_TOL``, settles it in one ``m^3`` product
     when it is within the threshold; otherwise the residual is formed
     entrywise.  The check reads only ``f``, ``omega`` and the
-    witness.
+    witness.  A domain block of pullback weight above ``DEFAULT_TOL``
+    without a ``tau`` block is InconsistentData too.
     """
     _verify_witness(f, omega, data)
     q = data.pullback_weights
@@ -257,5 +256,7 @@ def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegratio
         if q[y] <= DEFAULT_TOL:
             continue
         parts = [data.tau[(y, x)] for x in range(len(f.codomain)) if (y, x) in data.tau]
+        if not parts:
+            raise InconsistentData(f"witness holds no tau block for domain block {y} of pullback weight {q[y]:.3e}")
         total += q[y] * von_neumann(block_diag(parts), FACTOR_TOL)
     return total

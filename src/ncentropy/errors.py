@@ -5,10 +5,6 @@ class InvariantViolation(ValueError):
     """Base class: an input breaks a documented invariant."""
 
 
-class NotSquare(InvariantViolation):
-    pass
-
-
 class NotHermitian(InvariantViolation):
     pass
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotDensity, NotHermitian, NotProbabilityVector, NotSquare, ShapeMismatch
+from .errors import IndexOutOfRange, NotDensity, NotProbabilityVector, ShapeMismatch
 
 # One tolerance governs every "is zero / is PSD / is Hermitian" decision
 # so the verification suites stay coherent.
@@ -186,21 +186,14 @@ def identity_matrix(n: int) -> np.ndarray:
     return eye
 
 
-def eigh(h):
-    """Eigendecomposition of a Hermitian matrix.
+def eigh(h: np.ndarray):
+    """``np.linalg.eigh`` of a Hermitian matrix, which reads only its lower triangle.
 
-    Returns ``(eigenvalues, eigenvectors)`` in ``np.linalg.eigh``'s
-    ascending order, eigenvectors as the matching unitary columns, so
-    that ``h == V @ diag(vals) @ V.conj().T``.
-
-    Raises NotSquare / NotHermitian if ``h`` deviates from its adjoint
-    by more than ``DEFAULT_TOL``.
+    Returns ``(eigenvalues, eigenvectors)`` in ascending order, eigenvectors
+    as the matching unitary columns, so that ``h == V @ diag(vals) @ V.conj().T``.
+    Callers pass a checked Hermitian matrix: a ``State`` density, a Hermitian
+    part, or an observable ``measurement_morphism`` has checked.
     """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {h.shape}")
-    if max_abs(h - h.conj().T) > DEFAULT_TOL:
-        raise NotHermitian(f"matrix deviates from its adjoint by {max_abs(h - h.conj().T):.3e} > {DEFAULT_TOL:.3e}")
     return np.linalg.eigh(h)
 
 

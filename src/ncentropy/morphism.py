@@ -31,6 +31,7 @@ from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
 from .errors import (
     DegenerateSpectrum,
+    NotHermitian,
     NotOrthogonalInput,
     NotUnitary,
     ShapeMismatch,
@@ -122,17 +123,16 @@ def pullback(f: Morphism, omega: State) -> State:
 def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
     """``pullback`` through the whole canonical-layout blocks ``U_x^dag (p_x rho_x) U_x``, returned with it.
 
-    ``quantum_disintegrate`` reads their off-diagonal segments too.  The
-    block of a codomain block of weight zero is ``None``.
+    ``quantum_disintegrate`` reads their off-diagonal segments too, also
+    those of codomain blocks of weight zero; only positive weights are summed.
     """
     accum = _accumulators(f, omega)
     blocks = []
     for p, rho, u, segments in zip(omega.weights.tolist(), omega.densities, f.unitaries, f.segments):
-        if p <= 0.0:
-            blocks.append(None)
-            continue
         m = u.conj().T @ (p * rho) @ u
         blocks.append(m)
+        if p <= 0.0:
+            continue
         for y, seg, copies, n in segments:
             diagonal = m[seg, seg]  # trace out the copy index: sum the copies' diagonal blocks in order
             traced = diagonal[:n, :n]
@@ -229,7 +229,8 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     Each spectrum point (eigenvalues clustered within ``DEFAULT_TOL``,
     listed in descending order) maps to its spectral projection inside
     ``block``; the largest eigenvalue additionally carries the identity
-    of every other codomain block so the morphism is unital.
+    of every other codomain block so the morphism is unital.  NotHermitian
+    if the observable deviates from its adjoint by more than ``DEFAULT_TOL``.
     """
     linalg.check_block_index(block, len(codomain))
     m = codomain.blocks[block]
@@ -238,6 +239,9 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     obs = as_matrix(observable)
     if obs.shape != (m, m):
         raise ShapeMismatch(f"observable of shape {obs.shape} does not fit block dimension {m}")
+    deviation = max_abs(obs - obs.conj().T)
+    if deviation > DEFAULT_TOL:
+        raise NotHermitian(f"matrix deviates from its adjoint by {deviation:.3e} > {DEFAULT_TOL:.3e}")
     vals, vecs = linalg.eigh(obs)
     vals, vecs = vals[::-1], vecs[:, ::-1]  # descending: the largest eigenvalue is point 0
     cluster_sizes = [1]

@@ -134,6 +134,16 @@ def test_disintegrate_classical(tmp_path, capsys):
     assert abs(payload["entropy_production"] - 0.5 * LOG2) < 1e-9
 
 
+def test_disintegrate_classical_needs_commutative_algebras(tmp_path, capsys):
+    morphism, state = _write_bell(tmp_path, capsys)
+    code, out, err = _run(capsys, "disintegrate", morphism, state, "--classical")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines()[-1] == (
+        "error: InvariantViolation: --classical requires a morphism between commutative algebras"
+    )
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"shape": [2], "weights"')

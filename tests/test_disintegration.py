@@ -49,6 +49,8 @@ def test_classical_zero_mass_rows():
     assert np.allclose(psi.matrix[1], [0.5, 0.5])  # empty fiber: uniform everywhere
     psi2 = classical_disintegrate([0, 1], [1.0, 0.0])
     assert np.allclose(psi2.matrix[1], [0.0, 1.0])  # massless fiber: uniform on it
+    psi3 = classical_disintegrate([0, 0, 1], [0.0, 0.0, 1.0], n_targets=3)  # massless two-point fiber, empty fiber
+    assert np.allclose(psi3.matrix, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_classical_diagrams_hold():
@@ -178,6 +180,34 @@ def test_witness_with_a_tau_key_of_multiplicity_zero_is_inconsistent():
     assert disintegration_entropy(f, omega, data) == 0.0
     with pytest.raises(InconsistentData, match=r"tau key \(1, 0\) names no"):
         disintegration_entropy(f, omega, replace(data, tau={**data.tau, (1, 0): np.eye(1)}))
+
+
+def test_witness_without_tau_for_a_domain_block_of_positive_weight_is_inconsistent():
+    # M_1 + M_1 into M_1 by the first summand: domain block 1 has pullback weight zero and no tau block
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((1,)), np.array([[1, 0]]), (np.eye(1),))
+    omega = State(f.codomain, [1.0], (np.eye(1),))
+    data = quantum_disintegrate(f, omega)
+    assert set(data.tau) == {(0, 0)}
+    moved = replace(data, pullback_weights=data.pullback_weights + np.array([-1e-9, 1e-9]))
+    _verify_witness(f, omega, moved)  # the residual 1e-9 is within FACTOR_TOL
+    with pytest.raises(InconsistentData, match=r"no tau block for domain block 1 of pullback weight 1\.000e-09"):
+        disintegration_entropy(f, omega, moved)
+
+
+def test_quantum_disintegrate_rejects_off_diagonal_coupling():
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((2,)), np.array([[1, 1]]), (np.eye(2),))
+    omega = State(f.codomain, [1.0], (np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]),))
+    result = quantum_disintegrate(f, omega)
+    assert result.violation == "off-diagonal coupling between domain blocks 0 and 1 inside codomain block 0"
+    assert result.residual == abs(0.2 + 0.1j)  # 0.2236
+
+
+def test_quantum_disintegrate_rejects_a_charge_on_a_domain_block_of_weight_zero():
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((1, 1)), np.eye(2, dtype=int), (np.eye(1), np.eye(1)))
+    omega = State(f.codomain, [1 - 1e-11, 1e-11], (np.eye(1), np.eye(1)))
+    result = quantum_disintegrate(f, omega)
+    assert result.violation == "codomain block 1 charges domain block 1 of pullback weight zero"
+    assert result.residual == 1e-11
 
 
 def test_quantum_disintegrate_with_a_weight_zero_codomain_block():

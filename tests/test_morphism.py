@@ -26,7 +26,7 @@ from ncentropy import (
     summand_projection,
     support,
 )
-from ncentropy.errors import DegenerateSpectrum, NotOrthogonalInput, NotUnitary, ShapeMismatch
+from ncentropy.errors import DegenerateSpectrum, NotHermitian, NotOrthogonalInput, NotUnitary, ShapeMismatch
 from ncentropy.disintegration import QuantumDisintegrationData, quantum_disintegrate
 from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
@@ -370,6 +370,16 @@ def test_measurement_morphism():
     clustered = measurement_morphism(AlgebraShape((3,)), 0, np.diag([1.0, 1.0 + 1e-13, 0.0]))
     assert clustered.domain.blocks == (1, 1)
     assert clustered.multiplicities.tolist() == [[2, 1]]
+
+
+def test_measurement_morphism_rejects_bad_observables():
+    # the observable is checked where it enters: linalg.eigh reads only its lower triangle
+    with pytest.raises(NotHermitian, match=r"deviates from its adjoint by 1\.000e\+00 > 1\.000e-10"):
+        measurement_morphism(AlgebraShape((2,)), 0, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ShapeMismatch, match=r"observable of shape \(2, 3\) does not fit block dimension 2"):
+        measurement_morphism(AlgebraShape((2,)), 0, np.ones((2, 3)))
+    within = measurement_morphism(AlgebraShape((2,)), 0, np.array([[1.0, 5e-11], [0.0, -1.0]]))
+    assert within.domain.blocks == (1, 1)
 
 
 def test_summand_projection():
