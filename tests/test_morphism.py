@@ -304,6 +304,94 @@ def test_composite_unitary_matches_the_permutation_matrix():
             assert np.array_equal(_composition_data(f, g, x), _regrouped_unitary_by_loops(f, g, x))
 
 
+def _dense_deviation(u):
+    return max_abs(u.conj().T @ u - np.eye(len(u)))
+
+
+def _random_hom(domain, codomain, c, rng):
+    return Morphism(AlgebraShape(domain), AlgebraShape(codomain), np.array(c), tuple(sample_unitary(m, rng) for m in codomain))
+
+
+def _assert_records_at_least_the_measurement(f):
+    for u, recorded in zip(f.unitaries, f.unitarity_deviations):
+        assert recorded >= _dense_deviation(u)
+
+
+def test_composite_records_at_least_its_measured_deviation():
+    from ncentropy.harness import _sample_morphism
+
+    rng = np.random.default_rng(2207)
+    g = _random_hom((16,), (32, 48), [[2], [3]], rng)
+    f = _random_hom((32, 48), (128,), [[1, 2]], rng)
+    h = _random_hom((128,), (256,), [[2]], rng)
+    inner = _random_hom((16, 32), (64, 80), [[2, 1], [3, 1]], rng)
+    outer = _random_hom((64, 80), (208,), [[2, 1]], rng)
+    large = [compose(f, g), compose(h, compose(f, g)), compose(compose(h, f), g), compose(outer, inner)]
+    large.append(external_sum_morphism(large[0], large[3]))
+    for comp in large:
+        _assert_records_at_least_the_measurement(comp)
+    for k in range(20):
+        g, _ = generate_instance(InstanceFamily(max_blocks=3), Seed(59, k))
+        f = _sample_morphism(InstanceFamily(max_blocks=3), Seed(60, k).rng(), g.codomain)
+        e = _sample_morphism(InstanceFamily(max_blocks=3), Seed(61, k).rng(), f.codomain)
+        for comp in (compose(f, g), compose(e, compose(f, g)), external_sum_morphism(f, g)):
+            _assert_records_at_least_the_measurement(comp)
+
+
+def test_composite_bound_carries_the_largest_inner_dimension():
+    # U = I + (t/2) J deviates by t in every entry, along the all-ones vector;
+    # a Hadamard V (exact entries 1/2) sends its first column there, so the
+    # composite deviates by n t = 4 t in an entry.
+    t = 1e-12
+    v = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2
+    g = Morphism(AlgebraShape((4,)), AlgebraShape((4,)), np.array([[1]]), (v,))
+    f = Morphism(AlgebraShape((4,)), AlgebraShape((8,)), np.array([[2]]), (np.eye(8) + t / 2 * np.ones((8, 8)),))
+    assert g.unitarity_deviations == (0.0,) and abs(f.unitarity_deviations[0] - t) < 1e-15
+    comp = compose(f, g)
+    assert _dense_deviation(comp.unitaries[0]) > 3.9 * t
+    _assert_records_at_least_the_measurement(comp)
+
+
+def test_composite_bound_carries_the_rounding_of_the_product():
+    # 1x1 unitaries that measure as exact, whose product does not
+    one = AlgebraShape((1,))
+    rng = np.random.default_rng(0)
+    while True:
+        u, v = (Morphism(one, one, np.array([[1]]), (np.exp(2j * np.pi * rng.random((1, 1))),)) for _ in range(2))
+        comp = compose(u, v)
+        if u.unitarity_deviations == v.unitarity_deviations == (0.0,) and _dense_deviation(comp.unitaries[0]) > 0.0:
+            break
+    _assert_records_at_least_the_measurement(comp)
+
+
+def test_compose_and_external_sum_take_no_unitarity_product(monkeypatch):
+    f, _ = generate_instance(InstanceFamily(), Seed(8, 0))
+    g = _random_hom(f.codomain.blocks, (f.codomain.blocks[0] * 2,), [[2] + [0] * (len(f.codomain) - 1)], np.random.default_rng(8))
+    checked = []
+    monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
+    comp = compose(g, f)
+    total = external_sum_morphism(f, g)
+    assert checked == []
+    assert all(0.0 < d < 1e-12 for d in comp.unitarity_deviations)
+    assert total.unitarity_deviations == f.unitarity_deviations + g.unitarity_deviations
+
+
+def test_composite_of_factors_near_the_tolerance_is_measured():
+    t = 0.9 * linalg.DEFAULT_TOL
+    near = np.eye(2) + t / 2 * np.ones((2, 2))  # deviates by t in every entry
+    g = Morphism(AlgebraShape((2,)), AlgebraShape((2,)), np.array([[1]]), (near,))
+    f = Morphism(AlgebraShape((2,)), AlgebraShape((4,)), np.array([[2]]), (np.eye(4) + t / 2 * np.ones((4, 4)),))
+    assert max(f.unitarity_deviations + g.unitarity_deviations) < linalg.DEFAULT_TOL
+    with pytest.raises(NotUnitary):
+        compose(f, g)
+    # a bound above the tolerance is replaced by the measurement where that is within it
+    edge = Morphism(AlgebraShape((4,)), AlgebraShape((4,)), np.array([[1]]), (np.diag([1.0 + t / 2, 1.0, 1.0, 1.0]),))
+    h = _random_hom((4,), (4,), [[1]], np.random.default_rng(9))
+    comp = compose(edge, h)
+    assert comp.unitarity_deviations == (_dense_deviation(comp.unitaries[0]),)
+    assert comp.unitarity_deviations[0] < linalg.DEFAULT_TOL
+
+
 def test_initial_morphism():
     one = initial(AlgebraShape((1,)))
     assert extensionally_equal(one, _identity_morphism(AlgebraShape((1,))))
@@ -487,6 +575,21 @@ def test_unitaries_other_than_the_shared_identity_are_checked_by_product(monkeyp
         Morphism(shape, shape, np.array([[1]]), (near,))
     with pytest.raises(NotUnitary):
         Morphism(shape, shape, np.array([[1]]), (np.eye(2) * 2,))
+
+
+def test_a_morphism_read_from_json_measures_its_unitaries(monkeypatch):
+    skewed = np.eye(2, dtype=np.complex128)
+    skewed[0, 1] = 5e-11  # deviates by 5e-11: accepted, and recorded as measured
+    data = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries": [linalg.matrix_to_json(skewed)]}
+    checked = []
+    monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
+    f = morphism_from_json(data)
+    assert checked == [(2, 2)]
+    assert f.unitarity_deviations == (max_abs(skewed.conj().T @ skewed - np.eye(2)),)
+    skewed[0, 1] = 1e-6
+    with pytest.raises(NotUnitary):
+        morphism_from_json({**data, "unitaries": [linalg.matrix_to_json(skewed)]})
+    assert morphism_from_json({**data, "unitaries": None}).unitarity_deviations == (0.0,)
 
 
 def test_stored_layout_is_the_ascending_y_layout():
