@@ -210,6 +210,54 @@ def test_quantum_disintegrate_rejects_a_charge_on_a_domain_block_of_weight_zero(
     assert result.residual == 1e-11
 
 
+
+def test_quantum_disintegrate_rejects_a_candidate_factor_that_is_not_psd():
+    # M_1 + M_1 into M_3 by (2, 1) copies; the density's eigenvalue -0.9e-10,
+    # within the State tolerance, lies in a segment of trace 2.1e-10
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((3,)), np.array([[2, 1]]), (np.eye(3),))
+    omega = State(f.codomain, [1.0], (np.diag([3e-10, -0.9e-10, 1 - 2.1e-10]).astype(complex),))
+    result = quantum_disintegrate(f, omega)
+    assert result.violation == "candidate factor for domain block 0 in codomain block 0 is not PSD"
+    assert abs(result.residual - 0.9 / 2.1) < 1e-6
+
+
+def test_quantum_disintegrate_rejects_factors_whose_traces_do_not_sum_to_one():
+    # U = I + (t/2) J deviates by t ~ 0.9 DEFAULT_TOL in every entry, so
+    # Morphism accepts it, but it moves the trace of a state along the
+    # all-ones vector by m t = 2.3e-8, above FACTOR_TOL
+    m, t = 256, 0.9 * DEFAULT_TOL
+    f = Morphism(AlgebraShape((1,)), AlgebraShape((m,)), np.array([[m]]), (np.eye(m) + t / 2 * np.ones((m, m)),))
+    v = np.ones(m) / np.sqrt(m)
+    result = quantum_disintegrate(f, State(f.codomain, [1.0], (np.outer(v, v).astype(complex),)))
+    assert result.violation == "factors for domain block 0 have total trace 1.00000002304 instead of 1"
+    assert abs(result.residual - m * t) < 1e-12
+
+
+def test_witness_check_falls_back_to_a_zero_segment_for_a_domain_block_of_weight_zero(monkeypatch):
+    # M_3 + M_1 into M_7 by (2, 1) copies; omega leaves domain block 1 at
+    # weight zero, so the witness holds no tau for it.  A traceless change
+    # of tau puts 0.6 FACTOR_TOL on entries of the residual and more than
+    # FACTOR_TOL in Frobenius norm, so the dense check, with the segment of
+    # block 1 zero, decides.
+    from ncentropy import disintegration
+
+    rng = np.random.default_rng(3)
+    u = sample_unitary(7, rng)
+    f = Morphism(AlgebraShape((3, 1)), AlgebraShape((7,)), np.array([[2, 1]]), (u,))
+    inner = np.zeros((7, 7), dtype=np.complex128)
+    inner[:6, :6] = np.kron(sample_density(2, rng), sample_density(3, rng))
+    omega = State(f.codomain, [1.0], (u @ inner @ u.conj().T,))
+    data = quantum_disintegrate(f, omega)
+    assert set(data.tau) == {(0, 0)} and data.pullback_weights[1] <= DEFAULT_TOL
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    change = np.kron(swap, data.pullback_weights[0] * data.pullback_densities[0])
+    moved = replace(data, tau={(0, 0): data.tau[(0, 0)] + 0.6 * FACTOR_TOL / max_abs(change) * swap})
+    assert _entrywise_excess(f, omega, moved) <= 1.0 < _frobenius_excess(f, omega, moved)
+    factored = []
+    monkeypatch.setattr(disintegration, "_factored_block", lambda *a: factored.append(a[1]) or _factored_block(*a))
+    assert abs(disintegration_entropy(f, omega, moved) - entropy_change(f, omega)) < 1e-8
+    assert factored == [0]
+
 def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
     # M_2 into M_4 (two copies) and M_2 (one copy); the second block has weight zero
     f = Morphism(
