@@ -43,12 +43,10 @@ from .state import State, are_orthogonal
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
-    """A canonical-form morphism; each unitary is measured, ``max abs(U^dag U - I)``, and kept within ``DEFAULT_TOL``.
+    """Canonical form; ``unitarity_deviations[x]`` is ``max abs(U_x^dag U_x - I)`` as measured, at most ``DEFAULT_TOL``.
 
-    ``unitarity_deviations[x]`` is the value measured for ``unitaries[x]``
-    (0.0 for the shared identity, which is taken without a product).
-    ``compose`` and ``external_sum_morphism`` build their results from
-    their factors' values instead: see ``_composite_bound``.
+    The shared identity is taken as 0.0 without a product.  ``compose`` and
+    ``external_sum_morphism`` record a proven bound instead (``_composite_bound``).
     """
 
     domain: AlgebraShape
@@ -58,69 +56,60 @@ class Morphism:
     segments: tuple[tuple[tuple[int, slice, int, int], ...], ...] = field(init=False, repr=False)
     unitarity_deviations: tuple[float, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        _settle(self, None)
+    def __post_init__(self, bounds=None):
+        """Check the fields and fill in ``segments`` and ``unitarity_deviations``.
 
-
-def _settle(f: Morphism, bounds) -> None:
-    """Check ``f``'s fields and fill in its layout and unitarity deviations.
-
-    ``bounds`` is None, and every unitary other than the shared identity is
-    measured, or one proven bound on each unitary's deviation: a unitary is
-    measured only where its bound exceeds ``DEFAULT_TOL``, and otherwise
-    the bound is kept as its deviation.
-    """
-    c = np.asarray(f.multiplicities)
-    if c.shape != (len(f.codomain), len(f.domain)):
-        raise ShapeMismatch(
-            f"multiplicity matrix of shape {c.shape} does not match "
-            f"{len(f.codomain)} codomain x {len(f.domain)} domain blocks"
-        )
-    kind = c.dtype.kind
-    if kind not in "iuf":  # signed, unsigned, float: no bool, complex or object
-        raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
-    if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or np.logical_or.reduce(c < 0, axis=None):
-        raise ShapeMismatch("multiplicities must be nonnegative integers")
-    c = c.astype(np.int64)
-    segments = []
-    for x, (m, row) in enumerate(zip(f.codomain.blocks, c.tolist())):
-        layout, start = [], 0
-        for y, (n, copies) in enumerate(zip(f.domain.blocks, row)):
-            if copies > 0:
-                layout.append((y, slice(start, start + copies * n), copies, n))
-                start += copies * n
-        if start != m:
-            raise ShapeMismatch(f"codomain block {x} has dimension {m} but multiplicities give {start}")
-        segments.append(tuple(layout))
-    mats = tuple(as_matrix(u) for u in f.unitaries)
-    if len(mats) != len(f.codomain):
-        raise ShapeMismatch(f"expected {len(f.codomain)} unitaries, got {len(mats)}")
-    deviations = []
-    for m, u, bound in zip(f.codomain.blocks, mats, [None] * len(mats) if bounds is None else bounds):
-        if u.shape != (m, m):
-            raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
-        if bound is None or bound > DEFAULT_TOL:
-            eye = linalg.identity_matrix(m)
-            bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
-            if bound > DEFAULT_TOL:
-                raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
-        deviations.append(bound)
-    object.__setattr__(f, "multiplicities", c)
-    object.__setattr__(f, "unitaries", mats)
-    object.__setattr__(f, "segments", tuple(segments))
-    object.__setattr__(f, "unitarity_deviations", tuple(deviations))
+        ``bounds``, passed by ``_bounded_morphism`` only, holds a proven bound
+        on each unitary's deviation; then only a unitary whose bound exceeds
+        ``DEFAULT_TOL`` is measured, and the others keep their bound.
+        """
+        c = np.asarray(self.multiplicities)
+        if c.shape != (len(self.codomain), len(self.domain)):
+            raise ShapeMismatch(
+                f"multiplicity matrix of shape {c.shape} does not match "
+                f"{len(self.codomain)} codomain x {len(self.domain)} domain blocks"
+            )
+        kind = c.dtype.kind
+        if kind not in "iuf":  # signed, unsigned, float: no bool, complex or object
+            raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
+        if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or np.logical_or.reduce(c < 0, axis=None):
+            raise ShapeMismatch("multiplicities must be nonnegative integers")
+        c = c.astype(np.int64)
+        segments = []
+        for x, (m, row) in enumerate(zip(self.codomain.blocks, c.tolist())):
+            layout, start = [], 0
+            for y, (n, copies) in enumerate(zip(self.domain.blocks, row)):
+                if copies > 0:
+                    layout.append((y, slice(start, start + copies * n), copies, n))
+                    start += copies * n
+            if start != m:
+                raise ShapeMismatch(f"codomain block {x} has dimension {m} but multiplicities give {start}")
+            segments.append(tuple(layout))
+        mats = tuple(as_matrix(u) for u in self.unitaries)
+        if len(mats) != len(self.codomain):
+            raise ShapeMismatch(f"expected {len(self.codomain)} unitaries, got {len(mats)}")
+        deviations = []
+        for m, u, bound in zip(self.codomain.blocks, mats, [None] * len(mats) if bounds is None else bounds):
+            if u.shape != (m, m):
+                raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
+            if bound is None or bound > DEFAULT_TOL:
+                eye = linalg.identity_matrix(m)
+                bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
+                if bound > DEFAULT_TOL:
+                    raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
+            deviations.append(bound)
+        object.__setattr__(self, "multiplicities", c)
+        object.__setattr__(self, "unitaries", mats)
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "unitarity_deviations", tuple(deviations))
 
 
 def _bounded_morphism(domain, codomain, c, unitaries, bounds) -> Morphism:
-    """``Morphism(domain, codomain, c, unitaries)`` with a proven bound per unitary in place of its measurement.
-
-    For ``compose`` and ``external_sum_morphism`` only; ``_settle`` still
-    measures a unitary whose bound exceeds ``DEFAULT_TOL``.
-    """
+    """``Morphism(domain, codomain, c, unitaries)``, given a proven deviation bound per unitary (see ``__post_init__``)."""
     f = object.__new__(Morphism)
     for name, value in (("domain", domain), ("codomain", codomain), ("multiplicities", c), ("unitaries", unitaries)):
         object.__setattr__(f, name, value)
-    _settle(f, bounds)
+    f.__post_init__(bounds)
     return f
 
 
@@ -245,46 +234,38 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return _bounded_morphism(g.domain, f.codomain, c, unitaries, bounds)
 
 
-# c in the rounding allowance gamma_m = c * m * 2**-53 of one complex product of inner dimension m
-_PRODUCT_ROUNDING = 3.0
-
-
 def _composite_bound(d_u: float, d_v: float, n_max: int, m: int) -> float:
     """A bound on ``max abs(W^dag W - I)`` for ``W = fl(U S) P`` of dimension ``m``, from the factors' deviations.
 
-    ``_composition_data`` forms W from ``U = U_x``, whose deviation
-    ``max abs(U^dag U - I)`` is ``d_u``, ``S = blockdiag_y(kron(eye(c_xy), V_y))``
-    and a permutation ``P``, which moves columns and keeps the maximum.
-    Every ``V_y`` deviates by at most ``d_v`` and has dimension at most
-    ``n_max``, so each column ``s_i`` of S has at most ``n_max`` nonzero
-    entries and ``||s_i||^2 <= 1 + d_v``.  Then with ``E = U^dag U - I``::
+    ``_composition_data`` forms W from ``U = U_x`` of deviation ``d_u``,
+    ``S = blockdiag_y(kron(eye(c_xy), V_y))`` and a permutation ``P``, which
+    keeps the maximum.  Each ``V_y`` deviates by at most ``d_v`` and has
+    dimension at most ``n_max``, so a column ``s_i`` of S has at most
+    ``n_max`` nonzero entries and ``||s_i||^2 <= 1 + d_v``.  With ``E = U^dag U - I``::
 
         (US)^dag (US) - I = S^dag E S + (S^dag S - I),
         |s_i^dag E s_j| <= d_u ||s_i||_1 ||s_j||_1 <= d_u n_max ||s_i|| ||s_j||,
 
-    so the exact product deviates by at most
-    ``delta0 = d_u n_max (1 + d_v) + d_v``.  The computed product is
-    ``US + F`` with ``|F| <= gamma_m |U| |S|`` entrywise, so column j of F
-    has norm at most ``gamma_m ||U||_F ||s_j|| <= eta``,
-    ``eta = gamma_m sqrt(m (1 + d_u)(1 + d_v))``, while a column of US has
-    norm at most ``sqrt(1 + delta0)``; every entry of ``W^dag W - I`` is
-    therefore within ``delta0 + 2 eta sqrt(1 + delta0) + eta^2``.
+    so the exact product deviates by at most ``delta0 = d_u n_max (1 + d_v) + d_v``.
+    The computed product is ``US + F`` with ``|F| <= gamma_m |U| |S|``
+    entrywise, so a column of F has norm at most ``gamma_m ||U||_F ||s_j||
+    <= eta = gamma_m sqrt(m (1 + d_u)(1 + d_v))`` and one of US at most
+    ``sqrt(1 + delta0)``: every entry of ``W^dag W - I`` is within
+    ``delta0 + 2 eta sqrt(1 + delta0) + eta^2``.
 
-    ``gamma_m = c m 2^-53`` with ``c = 3``: the real and the imaginary part
-    of an entry of a complex product are real sums of ``2m`` products, each
-    within ``gamma_2m = 2mu / (1 - 2mu)`` (u = 2^-53) of the sum of their
-    absolute values whatever the summation order or use of fused
-    multiply-adds (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., sections 3.1 and 3.6), and the two real products
-    that make up either part of ``a b`` have absolute values summing to at
-    most ``|a| |b|`` (Cauchy-Schwarz); so ``|F_ij|`` is at most
-    ``sqrt(2) gamma_2m (|U| |S|)_ij``, and ``2 sqrt(2) / (1 - 2mu) <= 3``
-    for every m below 10^14.  ``d_u`` and ``d_v`` are the recorded
-    ``unitarity_deviations``: measured values, or this bound for a factor
-    that is itself a composite.
+    ``gamma_m = c m u``, u = 2^-53, with ``c = 3``: either part of an entry
+    of a complex product is a real sum of ``2m`` products, within
+    ``gamma_2m = 2mu / (1 - 2mu)`` of the sum of their absolute values in
+    any summation order, with or without fused multiply-adds (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sections 3.1
+    and 3.6); the two products that make up either part of ``a b`` sum to at
+    most ``|a| |b|`` in absolute value, so ``|F_ij| <= sqrt(2) gamma_2m
+    (|U| |S|)_ij``, and ``2 sqrt(2) / (1 - 2mu) <= 3`` for m below 10^14.
+    ``d_u`` and ``d_v`` are the factors' ``unitarity_deviations``: measured,
+    or this bound for a factor that is itself a composite.
     """
     delta0 = d_u * n_max * (1.0 + d_v) + d_v
-    eta = _PRODUCT_ROUNDING * m * 2.0**-53 * math.sqrt(m * (1.0 + d_u) * (1.0 + d_v))
+    eta = 3.0 * m * 2.0**-53 * math.sqrt(m * (1.0 + d_u) * (1.0 + d_v))
     return delta0 + 2.0 * eta * math.sqrt(1.0 + delta0) + eta * eta
 
 
