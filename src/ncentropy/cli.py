@@ -49,6 +49,10 @@ class _InputError(Exception):
     """Bad input file or value; reported on stderr with exit code 2."""
 
 
+# Commands that build the blocks a morphism file declares: a MemoryError there means the file is malformed input.
+_DECLARES_BLOCKS = ("pullback", "change", "holevo", "disintegrate")
+
+
 def _load_json(path: str):
     """A state or morphism file, decoded; a JSON boolean, which the loaders would read as a number, raises."""
     try:
@@ -94,11 +98,6 @@ def _at_least(convert, low):
     return parse
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _load_state(path: str) -> State:
     return st.state_from_json(_load_json(path))
 
@@ -117,20 +116,6 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _declares_blocks(cmd):
-    """``cmd``, with a MemoryError, raised when a morphism file declares blocks too large to build, reported as malformed input."""
-
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        try:
-            return cmd(args)
-        except MemoryError as exc:
-            raise _InputError(f"MemoryError: {exc}") from exc
-
-    return run
-
-
-@_declares_blocks
 def _cmd_pullback(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
@@ -138,7 +123,6 @@ def _cmd_pullback(args) -> int:
     return 0
 
 
-@_declares_blocks
 def _cmd_change(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
@@ -146,7 +130,6 @@ def _cmd_change(args) -> int:
     return 0
 
 
-@_declares_blocks
 def _cmd_holevo(args) -> int:
     omega = _load_state(args.state_a)
     xi = _load_state(args.state_b)
@@ -168,7 +151,6 @@ def _cmd_orthogonal(args) -> int:
     return 0
 
 
-@_declares_blocks
 def _cmd_disintegrate(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
@@ -353,9 +335,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _InputError as exc:
-        return _usage_error(str(exc))
+        message = str(exc)
     except InvariantViolation as exc:
-        return _usage_error(f"{type(exc).__name__}: {exc}")
+        message = f"{type(exc).__name__}: {exc}"
+    except MemoryError as exc:
+        if args.command not in _DECLARES_BLOCKS:
+            raise
+        message = f"MemoryError: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

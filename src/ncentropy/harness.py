@@ -50,48 +50,31 @@ class InstanceFamily:
     max_block_dim: int = 4
 
 
-@dataclass(frozen=True)
+@dataclass
 class SuiteReport:
+    """One suite's outcome; its ``run`` executes the trials and ``check``/``expect`` record them."""
+
     suite: str
     trials: int
-    failures: tuple
-    max_residual: float
-    passed: bool
+    failures: tuple = ()
+    max_residual: float = 0.0
     fitted_constant: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": [
-                {"seed": list(s), "description": d, "residual": r} for (s, d, r) in self.failures
-            ],
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-            "fitted_constant": self.fitted_constant,
-        }
-
-
-class _Recorder:
-    """Runs a suite's trials and accumulates worst residuals and failure records across them."""
-
-    def __init__(self, suite: str, trials: int):
-        self.suite = suite
-        self.trials = trials
-        self.failures: list = []
-        self.max_residual = 0.0
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def check(self, seed: Seed, description: str, residual: float, limit: float):
         residual = float(residual)
         self.max_residual = max(self.max_residual, residual)
         if not residual <= limit:
-            self.failures.append(((seed.seed, seed.stream), description, residual))
+            self.failures += (((seed.seed, seed.stream), description, residual),)
 
     def expect(self, seed: Seed, description: str, ok: bool):
         if not ok:
-            self.failures.append(((seed.seed, seed.stream), description, 1.0))
+            self.failures += (((seed.seed, seed.stream), description, 1.0),)
 
-    def run(self, trial, seed: Seed, tol: float) -> "_Recorder":
+    def run(self, trial, seed: Seed, tol: float) -> "SuiteReport":
         """The one trial loop: ``trial(self, s, s.rng(), i, tol)`` on each key ``s = seed.child(i)``.
 
         A trial that raises fails with ``raised <ExceptionType>`` at its key, and the next trial runs.
@@ -104,15 +87,17 @@ class _Recorder:
                 self.expect(s, f"raised {type(exc).__name__}", False)
         return self
 
-    def report(self, fitted_constant: float | None = None) -> SuiteReport:
-        return SuiteReport(
-            self.suite,
-            self.trials,
-            tuple(self.failures),
-            self.max_residual,
-            not self.failures,
-            fitted_constant,
-        )
+    def to_json(self) -> dict:
+        return {
+            "suite": self.suite,
+            "trials": self.trials,
+            "failures": [
+                {"seed": list(s), "description": d, "residual": r} for (s, d, r) in self.failures
+            ],
+            "max_residual": self.max_residual,
+            "pass": self.passed,
+            "fitted_constant": self.fitted_constant,
+        }
 
 
 def _sample_shape(family: InstanceFamily, rng: np.random.Generator) -> AlgebraShape:
@@ -161,14 +146,11 @@ def _sample_orthogonal_pair(shape: AlgebraShape, rng: np.random.Generator):
         raise InfeasibleShapes("an orthogonal pair needs total dimension at least 2")
     k = len(shape)
     dims = np.asarray(shape.blocks)
-    for _ in range(100):
+    # with total_dim >= 2 each draw is accepted with probability at least 1/3, the worst case being one M_2 block
+    while True:
         ranks = np.array([int(rng.integers(0, m + 1)) for m in shape.blocks])
         if ranks.sum() >= 1 and (dims - ranks).sum() >= 1:
             break
-    else:
-        # total_dim >= 2, so one rank-1 support always leaves a complement
-        ranks = np.zeros(k, dtype=np.int64)
-        ranks[int(np.argmax(dims))] = 1
     bases = [sample_unitary(m, rng) for m in shape.blocks]
 
     def build(use_complement: bool) -> State:
@@ -233,14 +215,14 @@ def _per_trial(check):
     """Register ``check(rec, s, rng, i, tol)``, one trial of a suite, as that suite.
 
     The suite is named after the function: ``_suite_iso_invariance`` runs
-    as ``iso-invariance``.  Its runner hands ``_Recorder.run`` the module's
+    as ``iso-invariance``.  Its runner hands ``SuiteReport.run`` the module's
     binding of the name, as a plain call from this module would, so a
     wrapper installed over ``_suite_<name>`` sees every trial.
     """
     name = check.__name__.removeprefix("_suite_").replace("_", "-")
 
     def run(trials: int, seed: Seed, tol: float) -> SuiteReport:
-        return _Recorder(name, trials).run(globals()[check.__name__], seed, tol).report()
+        return SuiteReport(name, trials).run(globals()[check.__name__], seed, tol)
 
     SUITES[name] = run
     return check
@@ -746,12 +728,13 @@ def _suite_characterization_fit(trials, seed, tol):
         values.append((s, change, _reference_entropy(omega) - _reference_entropy(pulled)))
         _check_duality(rec, s, rng, f, omega, pulled, tol)
 
-    rec = _Recorder("characterization-fit", trials).run(trial, seed, tol)
+    rec = SuiteReport("characterization-fit", trials).run(trial, seed, tol)
     c = fit_scaling_constant([h for _, h, _ in values], [r for _, _, r in values])
     for s, h, r in values:
         rec.check(s, "fit residual", abs(h - c * r), tol)
     rec.check(seed, "fitted constant differs from 1", abs(c - 1.0), tol)
-    return rec.report(fitted_constant=c)
+    rec.fitted_constant = c
+    return rec
 
 
 SUITES["characterization-fit"] = _suite_characterization_fit

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncentropy import cli
+from ncentropy import cli, harness
 from ncentropy.morphism import morphism_from_json
 from ncentropy.state import state_from_json
 from predicates import extensionally_equal
@@ -331,6 +331,16 @@ def test_a_domain_block_too_large_to_build_exits_2(tmp_path, command):
     proc = _run_capped(tmp_path, command, {"domain": [2, 100000], "codomain": [2], "multiplicities": [[1, 0]], "unitaries": None})
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: MemoryError: Unable to allocate") and proc.stderr.count("\n") == 1
+
+
+def test_verify_does_not_report_a_memory_error_as_malformed_input(monkeypatch, capsys):
+    def run_all(trials, seed, tol):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(harness, "run_all", run_all)
+    with pytest.raises(MemoryError):
+        cli.main(["verify"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

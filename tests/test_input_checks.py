@@ -1,0 +1,75 @@
+"""Each input check raises its typed ``InvariantViolation`` at the check that names the fault.
+
+The message fragment pins the check itself, so an earlier check of the
+same type cannot stand in for it.
+"""
+
+import numpy as np
+import pytest
+
+from ncentropy import (
+    AlgebraElement,
+    AlgebraShape,
+    Morphism,
+    State,
+    apply,
+    are_orthogonal,
+    block_pure_state,
+    classical_disintegrate,
+    compose,
+    convex_combine,
+    evaluate,
+    external_sum_state,
+    measurement_morphism,
+    pullback,
+)
+from ncentropy.errors import OutOfRange, ShapeMismatch
+from ncentropy.linalg import as_matrix
+
+LINE = AlgebraShape((1,))
+QUBIT = AlgebraShape((2,))
+BIT_AND_QUBIT = AlgebraShape((1, 2))
+EYE1, EYE2, EYE3 = (np.eye(n, dtype=np.complex128) for n in (1, 2, 3))
+
+
+def _doubling() -> Morphism:
+    """M_1 -> M_2, the scalar embedding with two copies."""
+    return Morphism(LINE, QUBIT, np.array([[2]]), (EYE2,))
+
+
+def _point() -> State:
+    return State(LINE, np.ones(1), (EYE1,))
+
+
+def _mixed_qubit() -> State:
+    return State(QUBIT, np.ones(1), (EYE2 / 2,))
+
+
+CHECKS = [
+    ("element-block-count", lambda: AlgebraElement(BIT_AND_QUBIT, (EYE1,)), ShapeMismatch, "expected 2 blocks, got 1"),
+    ("element-block-size", lambda: AlgebraElement(QUBIT, (EYE3,)), ShapeMismatch, "block of size"),
+    ("morphism-unitary-count", lambda: Morphism(LINE, QUBIT, np.array([[2]]), ()), ShapeMismatch, "expected 1 unitaries, got 0"),
+    ("morphism-unitary-shape", lambda: Morphism(LINE, QUBIT, np.array([[2]]), (EYE3,)), ShapeMismatch, "unitary of shape"),
+    ("morphism-multiplicity-shape", lambda: Morphism(LINE, QUBIT, np.array([[2, 0]]), (EYE2,)), ShapeMismatch, "multiplicity matrix of shape"),
+    ("apply-domain", lambda: apply(_doubling(), AlgebraElement(QUBIT, (EYE2,))), ShapeMismatch, "fed to morphism with domain"),
+    ("pullback-codomain", lambda: pullback(_doubling(), _point()), ShapeMismatch, "pulled through morphism with codomain"),
+    ("compose-inner-codomain", lambda: compose(_doubling(), _doubling()), ShapeMismatch, "cannot compose"),
+    ("measurement-one-dimensional-block", lambda: measurement_morphism(LINE, 0, EYE1), ShapeMismatch, "at least 2"),
+    ("state-density-count", lambda: State(BIT_AND_QUBIT, np.array([0.5, 0.5]), (EYE1,)), ShapeMismatch, "expected 2 densities, got 1"),
+    ("state-density-ndim", lambda: State(LINE, np.ones(1), (np.ones(1),)), ShapeMismatch, "expected a matrix, got array of ndim 1"),
+    ("pure-state-vector-length", lambda: block_pure_state(QUBIT, 0, [1, 0, 0]), ShapeMismatch, "vector of length 3"),
+    ("evaluate-shape", lambda: evaluate(_point(), AlgebraElement(QUBIT, (EYE2,))), ShapeMismatch, "applied to element on"),
+    ("orthogonal-shape", lambda: are_orthogonal(_point(), _mixed_qubit()), ShapeMismatch, "same algebra"),
+    ("combine-shape", lambda: convex_combine(0.5, _point(), _mixed_qubit()), ShapeMismatch, "same algebra"),
+    ("external-sum-weight-above-1", lambda: external_sum_state(1.5, _point(), _point()), OutOfRange, "outside"),
+    ("external-sum-weight-below-0", lambda: external_sum_state(-0.5, _point(), _point()), OutOfRange, "outside"),
+    ("disintegrate-phi-length", lambda: classical_disintegrate([0, 0], [1.0]), ShapeMismatch, "phi has 2 entries but p has 1"),
+    ("as-matrix-3d", lambda: as_matrix(np.zeros((2, 2, 2))), ShapeMismatch, "ndim 3"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS])
+def test_input_check_raises_its_typed_violation(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

@@ -1,10 +1,11 @@
-"""Every public top-level ``def`` and ``class`` of the library has a caller.
+"""Every public top-level ``def`` and ``class`` of the library has a caller, and so does every private one without a decorator.
 
 A name counts as used when ``src/ncentropy``, ``bench/`` or ``demos/``
 refers to it outside its own definition: as a name, as an attribute, or
 as an imported name (the package ``__init__``'s imports count).  Tests do
 not count, so an API that only tests call fails here; such helpers belong
-in ``tests/predicates.py``.
+in ``tests/predicates.py``.  A decorated private definition, such as a
+suite registered by ``@_per_trial``, is used through its decorator.
 """
 
 import ast
@@ -26,7 +27,8 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
-def test_every_public_definition_is_referenced_outside_the_tests():
+def _unreferenced(wanted) -> list[str]:
+    """``file:line name`` of each top-level ``def`` or ``class`` of the package that ``wanted`` selects and nothing refers to."""
     sources = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
     # (file, index of the top-level statement) -> names referenced inside it
@@ -34,8 +36,16 @@ def test_every_public_definition_is_referenced_outside_the_tests():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for i, stmt in enumerate(trees[path].body):
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) or not wanted(stmt):
                 continue
             if not any(stmt.name in names for where, names in refs.items() if where != (path, i)):
                 unused.append(f"{path.name}:{stmt.lineno} {stmt.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_is_referenced_outside_the_tests():
+    assert _unreferenced(lambda stmt: not stmt.name.startswith("_")) == []
+
+
+def test_every_undecorated_private_definition_is_referenced_outside_the_tests():
+    assert _unreferenced(lambda stmt: stmt.name.startswith("_") and not stmt.decorator_list) == []
