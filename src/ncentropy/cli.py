@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse applies ``type`` to a string default only when the option is
     # absent, so a malformed NCE_SEED is a usage error of ``verify`` alone.
     p.add_argument("--seed", type=_at_least(int, 0), default=os.environ.get("NCE_SEED", "42"))
-    p.add_argument("--tol", type=_at_least(float, 0.0), default=1e-9)
+    p.add_argument("--tol", type=_at_least(float, 0.0), default=harness.GATE_TOL)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -45,7 +45,6 @@ from .linalg import (
     is_integer,
     kron,
     max_abs,
-    partial_trace_right,
 )
 from .morphism import Morphism, _pullback_with_blocks
 from .state import State
@@ -163,7 +162,7 @@ def quantum_disintegrate(f: Morphism, omega: State):
                         charge,
                     )
                 continue
-            cand = hermitian_part(partial_trace_right(seg, copies, n) / q[y])
+            cand = hermitian_part(np.einsum("iaja->ij", seg.reshape(copies, n, copies, n)) / q[y])  # trace out the n-factor
             lowest = hermitian_spectrum(cand)[1][0]
             if lowest < -FACTOR_TOL:
                 return NoDisintegration(

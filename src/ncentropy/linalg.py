@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel and the one home of value validation.
 
 Hermitian eigendecompositions in LAPACK's ascending order, Kronecker
-products, the right partial trace, and sampling of unitaries, density
-matrices, and simplex points: each sampler draws from the
-``numpy.random.Generator`` it is given, such as ``Seed(...).rng()``.
+products, and sampling of unitaries, density matrices, and simplex
+points: each sampler draws from the ``numpy.random.Generator`` it is
+given, such as ``Seed(...).rng()``.
 Every other module decides "is this a density?" with ``check_density``,
 "is this a probability vector?" with ``check_probability_vector``, takes
 Hermitian spectra from ``hermitian_spectrum``, the package's one
@@ -195,15 +195,6 @@ def eigh(h: np.ndarray):
     part, or an observable ``measurement_morphism`` has checked.
     """
     return np.linalg.eigh(h)
-
-
-def partial_trace_right(m, d_left: int, d_right: int) -> np.ndarray:
-    """Trace out the right (fast) factor of a ``(d_left*d_right)``-square matrix."""
-    m = as_matrix(m)
-    d = d_left * d_right
-    if m.shape != (d, d):
-        raise ShapeMismatch(f"expected shape {(d, d)} for d_left={d_left}, d_right={d_right}, got {m.shape}")
-    return np.einsum("iaja->ij", m.reshape(d_left, d_right, d_left, d_right))
 
 
 def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -40,6 +40,8 @@ from .errors import (
 from .linalg import DEFAULT_TOL, as_matrix, max_abs
 from .state import State, are_orthogonal
 
+WEIGHT_FLOOR = 1e-13  # a pulled-back block of weight at most this gets the placeholder density
+
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
@@ -180,12 +182,12 @@ def _accumulators(f: Morphism, omega: State) -> list:
 def _pulled_state(domain: AlgebraShape, accum: list) -> State:
     """The state whose weighted block densities are ``accum``, weights clipped at 0.
 
-    A block of weight at most 1e-13 gets the placeholder density.
+    A block of weight at most ``WEIGHT_FLOOR`` gets the placeholder density.
     """
     weights = np.maximum([a.trace().real for a in accum], 0.0)
     densities = []
     for q, a, n in zip(weights.tolist(), accum, domain.blocks):
-        if q > 1e-13:
+        if q > WEIGHT_FLOOR:
             d = a / q
             densities.append((d + d.conj().T) / 2)
         else:
@@ -213,7 +215,7 @@ def _composition_data(f: Morphism, g: Morphism, x: int) -> np.ndarray:
     segments = f.segments[x]
     spread = linalg.block_diag([linalg.kron(np.eye(copies), g.unitaries[y]) for y, _, copies, _ in segments])
     z_of_row = [
-        np.tile(np.repeat(np.arange(len(g.domain)), g.multiplicities[y] * g.domain.blocks), copies)
+        np.tile(np.concatenate([np.full(rows.stop - rows.start, z) for z, rows, _, _ in g.segments[y]]), copies)
         for y, _, copies, _ in segments
     ]
     order = np.argsort(np.concatenate(z_of_row), kind="stable")

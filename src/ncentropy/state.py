@@ -78,7 +78,10 @@ def block_pure_state(shape: AlgebraShape, block: int, vector) -> State:
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     if v.shape[0] != shape.blocks[block]:
         raise ShapeMismatch(f"vector of length {v.shape[0]} does not fit block of dimension {shape.blocks[block]}")
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < np.inf:
+        raise ShapeMismatch(f"vector of norm {norm} has no pure state: it must be finite and nonzero")
+    v = v / norm
     weights = np.zeros(len(shape))
     weights[block] = 1.0
     densities = [linalg.placeholder(m) for m in shape.blocks]

@@ -1,8 +1,11 @@
 """Each input check raises its typed ``InvariantViolation`` at the check that names the fault.
 
 The message fragment pins the check itself, so an earlier check of the
-same type cannot stand in for it.
+same type cannot stand in for it, and the check comes before any
+arithmetic that would warn on the bad input.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +61,8 @@ CHECKS = [
     ("state-density-count", lambda: State(BIT_AND_QUBIT, np.array([0.5, 0.5]), (EYE1,)), ShapeMismatch, "expected 2 densities, got 1"),
     ("state-density-ndim", lambda: State(LINE, np.ones(1), (np.ones(1),)), ShapeMismatch, "expected a matrix, got array of ndim 1"),
     ("pure-state-vector-length", lambda: block_pure_state(QUBIT, 0, [1, 0, 0]), ShapeMismatch, "vector of length 3"),
+    ("pure-state-zero-vector", lambda: block_pure_state(QUBIT, 0, [0, 0]), ShapeMismatch, "vector of norm 0.0"),
+    ("pure-state-infinite-vector", lambda: block_pure_state(QUBIT, 0, [np.inf, 0]), ShapeMismatch, "vector of norm inf"),
     ("evaluate-shape", lambda: evaluate(_point(), AlgebraElement(QUBIT, (EYE2,))), ShapeMismatch, "applied to element on"),
     ("orthogonal-shape", lambda: are_orthogonal(_point(), _mixed_qubit()), ShapeMismatch, "same algebra"),
     ("combine-shape", lambda: convex_combine(0.5, _point(), _mixed_qubit()), ShapeMismatch, "same algebra"),
@@ -70,6 +75,8 @@ CHECKS = [
 
 @pytest.mark.parametrize("call, error, message", [c[1:] for c in CHECKS], ids=[c[0] for c in CHECKS])
 def test_input_check_raises_its_typed_violation(call, error, message):
-    with pytest.raises(error, match=message) as caught:
+    with warnings.catch_warnings(record=True) as warned, pytest.raises(error, match=message) as caught:
+        warnings.simplefilter("always")
         call()
     assert type(caught.value) is error
+    assert not warned

@@ -16,7 +16,6 @@ from ncentropy.linalg import (
     matrix_from_json,
     matrix_to_json,
     max_abs,
-    partial_trace_right,
     sample_density,
     sample_simplex,
     sample_unitary,
@@ -180,38 +179,6 @@ def test_vector_check_returns_a_new_array_clipped_at_positive_zero():
     assert q is not p and not np.shares_memory(q, p)
     assert q.tolist() == [0.0, 1.0, 0.0] and not np.signbit(q).any()
     assert np.signbit(p[0])  # the input is left as it was
-
-
-def test_partial_trace_factors_products():
-    rng = np.random.default_rng(7)
-    a = _random_hermitian(rng, 2)
-    b = _random_hermitian(rng, 3)
-    out = partial_trace_right(np.kron(a, b), 2, 3)
-    assert max_abs(out - np.trace(b) * a) < 1e-12
-
-
-def test_partial_trace_identity():
-    assert np.allclose(partial_trace_right(np.eye(4), 2, 2), 2.0 * np.eye(2))
-
-
-def test_partial_trace_bell():
-    bell = np.zeros((4, 4), dtype=complex)
-    for i in (0, 3):
-        for j in (0, 3):
-            bell[i, j] = 0.5
-    assert np.allclose(partial_trace_right(bell, 2, 2), 0.5 * np.eye(2))
-
-
-def test_partial_trace_is_trace_preserving_and_linear():
-    rng = np.random.default_rng(13)
-    m1 = _random_hermitian(rng, 6)
-    m2 = _random_hermitian(rng, 6)
-    t1 = partial_trace_right(m1, 2, 3)
-    assert abs(np.trace(t1) - np.trace(m1)) < 1e-12
-    combined = partial_trace_right(2.0 * m1 + m2, 2, 3)
-    assert max_abs(combined - 2.0 * t1 - partial_trace_right(m2, 2, 3)) < 1e-12
-    with pytest.raises(ShapeMismatch):
-        partial_trace_right(np.eye(5), 2, 2)
 
 
 def test_sample_unitary_phase_for_dim_one():

@@ -99,6 +99,14 @@ def test_apply_factor_inclusion():
     assert max_abs(out.blocks[0] - np.kron(np.eye(2), b.blocks[0])) < 1e-12
 
 
+def test_apply_rejects_an_image_that_overflows():
+    # the image's AlgebraElement check is apply's only guard against entries that overflow to inf or nan
+    f = Morphism(AlgebraShape((2,)), AlgebraShape((4,)), np.array([[2]]), (sample_unitary(4, Seed(1).rng()),))
+    huge = AlgebraElement(AlgebraShape((2,)), (np.full((2, 2), 1.5e308, dtype=np.complex128),))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ShapeMismatch, match="matrix entries must be finite"):
+        apply(f, huge)
+
+
 def test_apply_measurement_layout():
     f = measurement_morphism(AlgebraShape((2,)), 0, Z)
     ab = AlgebraElement(AlgebraShape((1, 1)), (np.array([[2.0]]), np.array([[5.0]])))

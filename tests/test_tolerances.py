@@ -3,9 +3,11 @@
 ``von_neumann`` and ``check_density`` are called at both ``DEFAULT_TOL``
 and ``FACTOR_TOL``; ``run_suite``/``run_all`` carry ``nce verify --tol``.
 The predicates whose tests use several values live in ``tests/predicates.py``.
-Every other threshold is a named module constant.
+Every other threshold is a named module constant, and the library modules
+write no small float literal anywhere else.
 """
 
+import ast
 import inspect
 
 import ncentropy
@@ -34,3 +36,30 @@ def test_only_the_allowlisted_functions_take_a_tol():
     }
     assert takes_tol == TAKES_TOL
 
+
+def _small_literals_outside_module_constants(module):
+    """``(line, value)`` of each float literal in ``(0, 1e-6)`` that no module-level assignment holds."""
+    tree = ast.parse(inspect.getsource(module))
+    named = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(stmt)
+    }
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < node.value < 1e-6
+        and id(node) not in named
+    ]
+
+
+def test_every_small_threshold_is_a_named_module_constant():
+    found = {
+        module.__name__: literals
+        for module in (algebra, linalg, state, morphism, entropy, disintegration)
+        if (literals := _small_literals_outside_module_constants(module))
+    }
+    assert found == {}
