@@ -11,17 +11,22 @@ import numpy as np
 
 from ncentropy import (
     AlgebraShape,
+    Morphism,
     NoDisintegration,
     State,
     classical_disintegrate,
+    classical_state,
     disintegration_entropy,
     entropy_change,
     quantum_disintegrate,
 )
 from ncentropy.harness import factor_inclusion
 
-# Classical: merge outcomes 2 and 3 of (1/2, 1/4, 1/4).
-psi = classical_disintegrate([0, 1, 1], [0.5, 0.25, 0.25])
+# Classical: merge outcomes 2 and 3 of (1/2, 1/4, 1/4).  The map of finite
+# sets x -> phi(x) = (0, 1, 1) is the morphism of commutative algebras with
+# one 1 per multiplicity row, in column phi(x).
+merge = Morphism(AlgebraShape((1, 1)), AlgebraShape((1, 1, 1)), np.array([[1, 0], [0, 1], [0, 1]]), (np.ones((1, 1)),) * 3)
+psi = classical_disintegrate(merge, classical_state([0.5, 0.25, 0.25]))
 print("stochastic inverse rows:\n", psi.matrix)
 
 inclusion = factor_inclusion(2, 2)

@@ -5,7 +5,7 @@ multiplicity/unitary form, entropy-change functors, disintegrations, and
 seeded verification suites for the entropy inequalities they satisfy.
 """
 
-from .algebra import AlgebraElement, AlgebraShape, identity
+from .algebra import AlgebraElement, AlgebraShape
 from .disintegration import (
     NoDisintegration,
     QuantumDisintegrationData,
@@ -73,7 +73,6 @@ __all__ = [
     "external_sum_state",
     "generate_instance",
     "holevo_change",
-    "identity",
     "initial",
     "is_isomorphism",
     "is_pure",

@@ -59,10 +59,6 @@ class AlgebraElement:
         object.__setattr__(self, "blocks", mats)
 
 
-def identity(shape: AlgebraShape) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks))
-
-
 def direct_sum_shape(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:
     return AlgebraShape(a.blocks + b.blocks)
 

@@ -157,10 +157,9 @@ def _cmd_disintegrate(args) -> int:
     scale = 1.0 / ent.LOG2 if args.bits else 1.0
     if args.classical:
         try:
-            phi = dis.classical_function(f)
+            psi = dis.classical_disintegrate(f, omega)
         except ShapeMismatch as exc:
             raise InvariantViolation("--classical requires a morphism between commutative algebras") from exc
-        psi = dis.classical_disintegrate(phi, omega.weights, n_targets=len(f.domain))
         production = ent.entropy_change(f, omega)
         payload = {
             "exists": True,

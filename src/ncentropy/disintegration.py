@@ -31,18 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import von_neumann
-from .errors import (
-    InconsistentData,
-    IndexOutOfRange,
-    ShapeMismatch,
-)
+from .errors import InconsistentData, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     block_diag,
     check_probability_vector,
     hermitian_part,
     hermitian_spectrum,
-    is_integer,
     kron,
     max_abs,
 )
@@ -65,34 +60,23 @@ class StochasticMap:
         object.__setattr__(self, "matrix", np.array([check_probability_vector(row) for row in m]))
 
 
-def classical_function(f: Morphism) -> list[int]:
-    """The map ``x -> y`` that a morphism of commutative algebras encodes; ShapeMismatch otherwise."""
-    if not (f.domain.is_commutative() and f.codomain.is_commutative()):
-        raise ShapeMismatch("the function of a morphism needs commutative domain and codomain")
-    return [int(np.nonzero(row)[0][0]) for row in f.multiplicities]
+def classical_disintegrate(f: Morphism, omega: State) -> StochasticMap:
+    """Stochastic inverse of the probability-preserving map of finite sets that ``(f, omega)`` encodes.
 
-
-def classical_disintegrate(phi, p, n_targets: int | None = None) -> StochasticMap:
-    """Stochastic inverse of a probability-preserving function.
-
-    ``phi`` maps source index ``x`` to target index ``y``; the returned
-    map sends ``y`` to the conditional distribution ``p_x / q_y`` on the
-    fiber over ``y``.  Rows over targets of pushforward weight zero are
-    fixed deterministically: uniform on the fiber when it is nonempty,
-    uniform everywhere otherwise.
+    Between commutative algebras, row ``x`` of ``f``'s multiplicities holds
+    one 1, in column ``phi(x)``; ``omega``'s weights are the ``p_x``.  The
+    returned map sends ``y`` to the conditional distribution ``p_x / q_y``
+    on the fiber over ``y``.  Rows over targets of pushforward weight zero
+    are fixed deterministically: uniform on the fiber when it is nonempty,
+    uniform everywhere otherwise.  ShapeMismatch unless both algebras are
+    commutative and ``omega`` is a state on ``f``'s codomain.
     """
-    p = check_probability_vector(p)
-    phi = list(phi)
-    if not all(map(is_integer, phi)):
-        raise IndexOutOfRange(f"phi entries must be integers, got {phi}")
-    if len(phi) != p.size:
-        raise ShapeMismatch(f"phi has {len(phi)} entries but p has {p.size}")
-    if n_targets is not None and not is_integer(n_targets):
-        raise IndexOutOfRange(f"n_targets must be an integer, got {n_targets!r}")
-    n_y = (max(phi) + 1) if n_targets is None else int(n_targets)
-    if any(y < 0 or y >= n_y for y in phi):
-        raise IndexOutOfRange(f"phi takes values outside 0..{n_y - 1}")
-    n_x = p.size
+    if not (f.domain.is_commutative() and f.codomain.is_commutative()):
+        raise ShapeMismatch("a classical disintegration needs a morphism between commutative algebras")
+    if omega.shape != f.codomain:
+        raise ShapeMismatch(f"state on {omega.shape.blocks} disintegrated through morphism with codomain {f.codomain.blocks}")
+    phi = [int(np.nonzero(row)[0][0]) for row in f.multiplicities]
+    p, n_x, n_y = omega.weights, len(f.codomain), len(f.domain)
     q = np.zeros(n_y)
     for x, y in enumerate(phi):
         q[y] += p[x]

@@ -41,10 +41,6 @@ class IndexOutOfRange(InvariantViolation):
     pass
 
 
-class InfeasibleShapes(RuntimeError):
-    """An orthogonal pair of states was asked for on an algebra of total dimension below 2."""
-
-
 class UnknownSuite(InvariantViolation):
     pass
 

@@ -21,7 +21,7 @@ from . import entropy as ent
 from . import morphism as mor
 from . import state as st
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import InfeasibleShapes, UnknownSuite
+from .errors import ShapeMismatch, UnknownSuite
 from .linalg import (
     Seed,
     _ginibre,
@@ -44,7 +44,6 @@ from .state import State
 class InstanceFamily:
     """Ranges steering the instance generator."""
 
-    min_blocks: int = 1
     max_blocks: int = 4
     min_block_dim: int = 1
     max_block_dim: int = 4
@@ -101,7 +100,7 @@ class SuiteReport:
 
 
 def _sample_shape(family: InstanceFamily, rng: np.random.Generator) -> AlgebraShape:
-    k = int(rng.integers(family.min_blocks, family.max_blocks + 1))
+    k = int(rng.integers(1, family.max_blocks + 1))
     dims = rng.integers(family.min_block_dim, family.max_block_dim + 1, size=k)
     return AlgebraShape(tuple(dims.tolist()))
 
@@ -119,7 +118,7 @@ def _sample_morphism(
     if domain is None:
         domain = _sample_shape(family, rng)
     rows = []
-    for _ in range(int(rng.integers(family.min_blocks, family.max_blocks + 1))):
+    for _ in range(int(rng.integers(1, family.max_blocks + 1))):
         row = [0] * len(domain)
         room = family.max_block_dim
         for y in rng.permutation(len(domain)).tolist():
@@ -144,7 +143,7 @@ def _sample_state(shape: AlgebraShape, rng: np.random.Generator, full_rank: bool
 def _sample_orthogonal_pair(shape: AlgebraShape, rng: np.random.Generator):
     """Two states with exactly orthogonal supports, built from complementary subspaces."""
     if shape.total_dim < 2:
-        raise InfeasibleShapes("an orthogonal pair needs total dimension at least 2")
+        raise ShapeMismatch("an orthogonal pair needs total dimension at least 2")
     k = len(shape)
     dims = np.asarray(shape.blocks)
     # with total_dim >= 2 each draw is accepted with probability at least 1/3, the worst case being one M_2 block
@@ -692,7 +691,7 @@ def _suite_disintegration(rec, s, rng, i, tol):
     if isinstance(result_c, dis.NoDisintegration):
         rec.expect(s, f"classical instance rejected: {result_c.violation}", False)
         return
-    psi = dis.classical_disintegrate(dis.classical_function(g), omega_c.weights, n_targets=len(g.domain))
+    psi = dis.classical_disintegrate(g, omega_c)
     worst = 0.0
     for (y, x), t in result_c.tau.items():
         if result_c.pullback_weights[y] > 1e-12:

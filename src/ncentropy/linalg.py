@@ -37,11 +37,11 @@ _placeholders: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # n -> placeholder
 
 @dataclass(frozen=True)
 class Seed:
-    """Deterministic RNG key: a 64-bit seed plus a substream index.
+    """Deterministic RNG key: a 64-bit seed plus a stream index.
 
     Identical ``(seed, stream)`` pairs reproduce identical sample
-    sequences.  ``rng(*substream)`` is the generator of the
-    ``numpy.random.SeedSequence`` with spawn key ``(stream, *substream)``;
+    sequences.  ``rng()`` is the generator of the
+    ``numpy.random.SeedSequence`` with spawn key ``(stream,)``;
     ``child(i)`` is the key of trial ``i``.  A harness trial builds one
     generator, ``rng()``, from its key and draws everything from it in
     program order; the samplers below draw from the generator they are given.
@@ -50,8 +50,8 @@ class Seed:
     seed: int
     stream: int = 0
 
-    def rng(self, *substream: int) -> np.random.Generator:
-        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *substream))
+    def rng(self) -> np.random.Generator:
+        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(key)
 
     def child(self, index: int) -> "Seed":

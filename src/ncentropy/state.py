@@ -29,6 +29,10 @@ from .linalg import DEFAULT_TOL, max_abs
 # with the zero matrix on weight-zero blocks.
 SupportProjection = AlgebraElement
 
+# block_pure_state scales a vector by its largest entry first when that entry
+# lies outside this range, so that the sum of squares stays a normal float
+NORM_SAFE_RANGE = (2.0**-500, 2.0**500)
+
 
 @dataclass(frozen=True, eq=False)
 class State:
@@ -78,10 +82,12 @@ def block_pure_state(shape: AlgebraShape, block: int, vector) -> State:
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     if v.shape[0] != shape.blocks[block]:
         raise ShapeMismatch(f"vector of length {v.shape[0]} does not fit block of dimension {shape.blocks[block]}")
-    norm = np.linalg.norm(v)
-    if not 0.0 < norm < np.inf:
-        raise ShapeMismatch(f"vector of norm {norm} has no pure state: it must be finite and nonzero")
-    v = v / norm
+    largest = np.maximum.reduce(np.abs(v))  # the norm too when it is 0, inf or nan
+    if not 0.0 < largest < np.inf:
+        raise ShapeMismatch(f"vector of norm {largest} has no pure state: it must be finite and nonzero")
+    if not NORM_SAFE_RANGE[0] < largest < NORM_SAFE_RANGE[1]:
+        v = v / largest
+    v = v / np.linalg.norm(v)
     weights = np.zeros(len(shape))
     weights[block] = 1.0
     densities = [linalg.placeholder(m) for m in shape.blocks]

@@ -1,9 +1,20 @@
-"""Algebra operations and predicates that only the tests use, kept out of the library."""
+"""Algebra operations, predicates and constructors that only the tests use, kept out of the library."""
 
 import numpy as np
 
-from ncentropy import AlgebraElement, apply
+from ncentropy import AlgebraElement, AlgebraShape, Morphism, apply
 from ncentropy.linalg import DEFAULT_TOL, hermitian_spectrum, max_abs
+
+
+def identity(shape: AlgebraShape) -> AlgebraElement:
+    return AlgebraElement(shape, tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks))
+
+
+def function_morphism(phi, n_targets: int) -> Morphism:
+    """The morphism of commutative algebras that the map ``x -> phi[x]`` into ``0..n_targets - 1`` encodes."""
+    c = np.zeros((len(phi), n_targets), dtype=np.int64)
+    c[np.arange(len(phi)), phi] = 1
+    return Morphism(AlgebraShape((1,) * n_targets), AlgebraShape((1,) * len(phi)), c, (np.ones((1, 1)),) * len(phi))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

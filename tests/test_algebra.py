@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from ncentropy import AlgebraElement, AlgebraShape, Seed, identity
+from ncentropy import AlgebraElement, AlgebraShape, Seed
 from ncentropy.algebra import direct_sum_shape, element_to_json
 from ncentropy.errors import ShapeMismatch
 from ncentropy.linalg import matrix_from_json, max_abs, sample_unitary
 
-from predicates import adjoint, is_positive, is_projection, multiply
+from predicates import adjoint, identity, is_positive, is_projection, multiply
 
 
 def _random_element(shape, seed):

@@ -12,18 +12,21 @@ from ncentropy import (
     Seed,
     State,
     classical_disintegrate,
+    classical_state,
     disintegration_entropy,
     entropy_change,
     quantum_disintegrate,
 )
 from ncentropy import cli
-from ncentropy.disintegration import FACTOR_TOL, _factored_block, _verify_witness, classical_function
+from ncentropy.disintegration import FACTOR_TOL, _factored_block, _verify_witness
 from ncentropy.entropy import LOG2
-from ncentropy.errors import InconsistentData, IndexOutOfRange, NotProbabilityVector
+from ncentropy.errors import InconsistentData
 from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import DEFAULT_TOL, hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy.morphism import morphism_to_json
 from ncentropy.state import state_to_json
+
+from predicates import function_morphism
 
 
 INCLUSION = factor_inclusion(2, 2)
@@ -33,23 +36,28 @@ def _diag_state(p):
     return State(AlgebraShape((len(p),)), [1.0], (np.diag(p).astype(complex),))
 
 
+def _classical(phi, n_targets, p):
+    """``classical_disintegrate`` of the map ``phi`` into ``0..n_targets - 1`` with probabilities ``p``."""
+    return classical_disintegrate(function_morphism(phi, n_targets), classical_state(p))
+
+
 def test_classical_identity_function():
-    psi = classical_disintegrate([0, 1, 2], [0.2, 0.3, 0.5])
+    psi = _classical([0, 1, 2], 3, [0.2, 0.3, 0.5])
     assert np.allclose(psi.matrix, np.eye(3))
 
 
 def test_classical_merge_example():
     # phi = (a, b, b) with p = (1/2, 1/4, 1/4): psi_a = delta, psi_b splits evenly
-    psi = classical_disintegrate([0, 1, 1], [0.5, 0.25, 0.25])
+    psi = _classical([0, 1, 1], 2, [0.5, 0.25, 0.25])
     assert np.allclose(psi.matrix, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
 
 
 def test_classical_zero_mass_rows():
-    psi = classical_disintegrate([0, 0], [0.5, 0.5], n_targets=3)
+    psi = _classical([0, 0], 3, [0.5, 0.5])
     assert np.allclose(psi.matrix[1], [0.5, 0.5])  # empty fiber: uniform everywhere
-    psi2 = classical_disintegrate([0, 1], [1.0, 0.0])
+    psi2 = _classical([0, 1], 2, [1.0, 0.0])
     assert np.allclose(psi2.matrix[1], [0.0, 1.0])  # massless fiber: uniform on it
-    psi3 = classical_disintegrate([0, 0, 1], [0.0, 0.0, 1.0], n_targets=3)  # massless two-point fiber, empty fiber
+    psi3 = _classical([0, 0, 1], 3, [0.0, 0.0, 1.0])  # massless two-point fiber, empty fiber
     assert np.allclose(psi3.matrix, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]])
 
 
@@ -62,7 +70,7 @@ def test_classical_diagrams_hold():
         n_y = int(rng.integers(1, 5))
         phi = [int(v) for v in rng.integers(0, n_y, size=n_x)]
         p = sample_simplex(n_x, Seed(101, k).rng())
-        psi = classical_disintegrate(phi, p, n_targets=n_y)
+        psi = _classical(phi, n_y, p)
         q = np.zeros(n_y)
         for x, y in enumerate(phi):
             q[y] += p[x]
@@ -75,17 +83,6 @@ def test_classical_diagrams_hold():
                 delta = np.zeros(n_y)
                 delta[y] = 1.0
                 assert max_abs(push - delta) < 1e-12
-
-
-def test_classical_input_validation():
-    with pytest.raises(NotProbabilityVector):
-        classical_disintegrate([0, 0], [0.5, 0.6])
-    for phi in ([0, 2], [0, 1.7], [0, True]):
-        with pytest.raises(IndexOutOfRange):
-            classical_disintegrate(phi, [0.5, 0.5], n_targets=2)
-    for n_targets in (2.7, True, "3"):
-        with pytest.raises(IndexOutOfRange):
-            classical_disintegrate([0, 0], [0.5, 0.5], n_targets=n_targets)
 
 
 def test_quantum_existence_balanced_diagonal():
@@ -136,7 +133,7 @@ def test_classical_agrees_with_quantum():
         f, omega = generate_instance(InstanceFamily(max_block_dim=1), Seed(104, k))
         result = quantum_disintegrate(f, omega)
         assert isinstance(result, QuantumDisintegrationData)
-        psi = classical_disintegrate(classical_function(f), omega.weights, n_targets=len(f.domain))
+        psi = classical_disintegrate(f, omega)
         for (y, x), t in result.tau.items():
             if result.pullback_weights[y] > 1e-12:
                 assert abs(t[0, 0].real - psi.matrix[y, x]) < 1e-10

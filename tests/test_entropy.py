@@ -204,7 +204,10 @@ def test_holevo_changes_has_the_bits_of_one_weight_at_a_time():
     lams = (0.0, 0.1, 0.5, 0.9, 1.0, 0.123456789)
     for k in range(20):
         f, omega = generate_instance(InstanceFamily(), Seed(23, k))
-        densities = tuple(sample_density(m, Seed(25, k).rng(x)) for x, m in enumerate(f.codomain.blocks))
+        densities = tuple(
+            sample_density(m, np.random.default_rng(np.random.SeedSequence(25, spawn_key=(k, x))))
+            for x, m in enumerate(f.codomain.blocks)
+        )
         xi = State(f.codomain, sample_simplex(len(f.codomain), Seed(24, k).rng()), densities)
         many = entropy._holevo_changes(f, lams, omega, xi)[0]
         one_at_a_time = [holevo_change(f, lam, omega, xi) for lam in lams]

@@ -19,10 +19,12 @@ from ncentropy import (
     are_orthogonal,
     block_pure_state,
     classical_disintegrate,
+    classical_state,
     compose,
     convex_combine,
     evaluate,
     external_sum_state,
+    initial,
     measurement_morphism,
     pullback,
 )
@@ -68,7 +70,8 @@ CHECKS = [
     ("combine-shape", lambda: convex_combine(0.5, _point(), _mixed_qubit()), ShapeMismatch, "same algebra"),
     ("external-sum-weight-above-1", lambda: external_sum_state(1.5, _point(), _point()), OutOfRange, "outside"),
     ("external-sum-weight-below-0", lambda: external_sum_state(-0.5, _point(), _point()), OutOfRange, "outside"),
-    ("disintegrate-phi-length", lambda: classical_disintegrate([0, 0], [1.0]), ShapeMismatch, "phi has 2 entries but p has 1"),
+    ("disintegrate-non-commutative", lambda: classical_disintegrate(_doubling(), _mixed_qubit()), ShapeMismatch, "between commutative algebras"),
+    ("disintegrate-state-shape", lambda: classical_disintegrate(initial(LINE), classical_state([0.5, 0.5])), ShapeMismatch, "through morphism with codomain"),
     ("as-matrix-3d", lambda: as_matrix(np.zeros((2, 2, 2))), ShapeMismatch, "ndim 3"),
 ]
 

@@ -16,7 +16,6 @@ from ncentropy import (
     evaluate,
     external_sum_morphism,
     external_sum_state,
-    identity,
     initial,
     is_isomorphism,
     is_pure,
@@ -32,7 +31,7 @@ from ncentropy.harness import _disintegrable_state, _sample_disintegrable, facto
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
-from predicates import adjoint, extensionally_equal, is_positive, multiply
+from predicates import adjoint, extensionally_equal, identity, is_positive, multiply
 
 
 def _identity_morphism(shape):

@@ -2,9 +2,9 @@
 
 A name counts as used when ``src/ncentropy``, ``bench/`` or ``demos/``
 refers to it outside its own definition: as a name, as an attribute, or
-as an imported name (the package ``__init__``'s imports count).  Tests do
-not count, so an API that only tests call fails here; such helpers belong
-in ``tests/predicates.py``.  A decorated private definition, such as a
+as an imported name.  The package ``__init__``'s re-exports do not count,
+and neither do the tests, so an API that only tests call fails here; such
+helpers belong in ``tests/predicates.py``.  A decorated private definition, such as a
 suite registered by ``@_per_trial``, is used through its decorator.
 """
 
@@ -31,8 +31,13 @@ def _unreferenced(wanted) -> list[str]:
     """``file:line name`` of each top-level ``def`` or ``class`` of the package that ``wanted`` selects and nothing refers to."""
     sources = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py"), *(ROOT / "demos").glob("*.py")]
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sources}
-    # (file, index of the top-level statement) -> names referenced inside it
-    refs = {(path, i): _referenced_names(stmt) for path, tree in trees.items() for i, stmt in enumerate(tree.body)}
+    # (file, index of the top-level statement) -> names referenced inside it, re-exports left out
+    refs = {
+        (path, i): _referenced_names(stmt)
+        for path, tree in trees.items()
+        if path != PACKAGE / "__init__.py"
+        for i, stmt in enumerate(tree.body)
+    }
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for i, stmt in enumerate(trees[path].body):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from ncentropy import (
     convex_combine,
     evaluate,
     external_sum_state,
-    identity,
     is_pure,
     measurement_morphism,
     segal,
@@ -23,7 +24,7 @@ from ncentropy import linalg
 from ncentropy.linalg import max_abs, sample_density, sample_simplex
 from ncentropy.state import support_rank
 
-from predicates import is_projection, multiply
+from predicates import identity, is_projection, multiply
 
 
 def _random_state(shape, seed):
@@ -179,6 +180,14 @@ def test_purity_iff_zero_entropy():
     pure = block_pure_state(AlgebraShape((2, 3)), 1, [1.0, 1.0j, 0.0])
     assert is_pure(pure)
     assert abs(segal(pure)) < 1e-9
+
+
+@pytest.mark.parametrize("vector, unit", [([1e200, 1e200], [0.5**0.5] * 2), ([1e-200, 0.0], [1.0, 0.0]), ([1e-160, 0.0], [1.0, 0.0])])
+def test_pure_state_of_a_vector_whose_squares_leave_the_float_range(vector, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pure = block_pure_state(AlgebraShape((2,)), 0, vector)
+    assert max_abs(pure.densities[0] - np.outer(unit, unit)) < 1e-15
 
 
 def test_external_sum():
