@@ -143,10 +143,10 @@ def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
     deviation, vals = hermitian_spectrum(rho)
     if deviation > tol:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
-    if vals[0] < -tol:
+    if not vals[0] >= -tol:  # a NaN spectrum fails
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
     trace = np.add.reduce(vals)
-    if abs(trace - 1.0) > tol:
+    if not abs(trace - 1.0) <= tol:
         raise NotDensity(f"density trace {trace:.12g} != 1 within {tol:.3e}")
     return vals
 

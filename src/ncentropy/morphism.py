@@ -11,9 +11,10 @@ with the segments laid out in ascending ``y`` order and copies contiguous.
 A ``Morphism`` keeps this layout from its construction: ``segments[x]``
 holds one ``(y, slice, copies, n_y)`` per segment of codomain block ``x``.
 Every module that reads or builds a block in this layout takes its slices
-from there; ``apply`` writes each copy of ``b_y`` into a zeroed block at
-its copy start.  States pull back through the Hilbert-Schmidt adjoint,
-i.e. by partial tracing the multiplicity index of each diagonal segment.
+from there; ``apply`` and ``compose`` spread the domain blocks into it
+the same way (``_spread``).  States pull back through the Hilbert-Schmidt
+adjoint, i.e. by partial tracing the multiplicity index of each diagonal
+segment.
 ``pullback`` forms only the diagonal copy blocks of
 ``U_x^dag (p_x rho_x) U_x``, one ``m^3`` product and one ``n x m`` by
 ``m x n`` product per copy, where conjugating the whole block would cost
@@ -76,17 +77,20 @@ class Morphism:
             raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
         if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or np.logical_or.reduce(c < 0, axis=None):
             raise ShapeMismatch("multiplicities must be nonnegative integers")
-        c = c.astype(np.int64)
         segments = []
         for x, (m, row) in enumerate(zip(self.codomain.blocks, c.tolist())):
             layout, start = [], 0
             for y, (n, copies) in enumerate(zip(self.domain.blocks, row)):
+                if copies > m:  # c[x,y] n_y <= m_x; checked before the int64 cast below could wrap it
+                    raise ShapeMismatch(f"multiplicity {copies} exceeds the dimension {m} of codomain block {x}")
                 if copies > 0:
+                    copies = int(copies)
                     layout.append((y, slice(start, start + copies * n), copies, n))
                     start += copies * n
             if start != m:
                 raise ShapeMismatch(f"codomain block {x} has dimension {m} but multiplicities give {start}")
             segments.append(tuple(layout))
+        c = c.astype(np.int64)
         mats = tuple(as_matrix(u) for u in self.unitaries)
         if len(mats) != len(self.codomain):
             raise ShapeMismatch(f"expected {len(self.codomain)} unitaries, got {len(mats)}")
@@ -97,7 +101,7 @@ class Morphism:
             if bound is None or bound > DEFAULT_TOL:
                 eye = linalg.identity_matrix(m)
                 bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
-                if bound > DEFAULT_TOL:
+                if not bound <= DEFAULT_TOL:  # a NaN deviation fails
                     raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
             deviations.append(bound)
         object.__setattr__(self, "multiplicities", c)
@@ -119,14 +123,13 @@ def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
     """Image of a domain element under the homomorphism."""
     if b.shape != f.domain:
         raise ShapeMismatch(f"element on {b.shape.blocks} fed to morphism with domain {f.domain.blocks}")
-    blocks = []
-    for u, segments in zip(f.unitaries, f.segments):
-        inner = np.zeros(u.shape, dtype=np.complex128)
-        for y, seg, _, n in segments:
-            for k in range(seg.start, seg.stop, n):
-                inner[k : k + n, k : k + n] = b.blocks[y]
-        blocks.append(u @ inner @ u.conj().T)
-    return AlgebraElement(f.codomain, tuple(blocks))
+    blocks = tuple(u @ _spread(segments, b.blocks) @ u.conj().T for u, segments in zip(f.unitaries, f.segments))
+    return AlgebraElement(f.codomain, blocks)
+
+
+def _spread(segments, blocks) -> np.ndarray:
+    """``blockdiag_y(kron(eye(c[x,y]), blocks[y]))`` over the ``segments`` of one codomain block."""
+    return linalg.block_diag([linalg.kron(linalg.identity_matrix(copies), blocks[y]) for y, _, copies, _ in segments])
 
 
 def pullback(f: Morphism, omega: State) -> State:
@@ -164,11 +167,7 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
         if p <= 0.0:
             continue
         for y, seg, copies, n in segments:
-            diagonal = m[seg, seg]  # trace out the copy index: sum the copies' diagonal blocks in order
-            traced = diagonal[:n, :n]
-            for k in range(n, copies * n, n):
-                traced = traced + diagonal[k : k + n, k : k + n]
-            accum[y] += traced
+            accum[y] += np.einsum("aiaj->ij", m[seg, seg].reshape(copies, n, copies, n))  # trace out the copy index
     return _pulled_state(f.domain, accum), blocks
 
 
@@ -188,8 +187,7 @@ def _pulled_state(domain: AlgebraShape, accum: list) -> State:
     densities = []
     for q, a, n in zip(weights.tolist(), accum, domain.blocks):
         if q > WEIGHT_FLOOR:
-            d = a / q
-            densities.append((d + d.conj().T) / 2)
+            densities.append(linalg.hermitian_part(a / q))
         else:
             densities.append(linalg.placeholder(n))
     return State(domain, weights / np.add.reduce(weights), tuple(densities))
@@ -213,13 +211,12 @@ def _composition_data(f: Morphism, g: Morphism, x: int) -> np.ndarray:
     that order.
     """
     segments = f.segments[x]
-    spread = linalg.block_diag([linalg.kron(np.eye(copies), g.unitaries[y]) for y, _, copies, _ in segments])
     z_of_row = [
         np.tile(np.concatenate([np.full(rows.stop - rows.start, z) for z, rows, _, _ in g.segments[y]]), copies)
         for y, _, copies, _ in segments
     ]
     order = np.argsort(np.concatenate(z_of_row), kind="stable")
-    return (f.unitaries[x] @ spread)[:, order]
+    return (f.unitaries[x] @ _spread(segments, g.unitaries))[:, order]
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:

@@ -230,6 +230,21 @@ def test_quantum_disintegrate_rejects_factors_whose_traces_do_not_sum_to_one():
     assert abs(result.residual - m * t) < 1e-12
 
 
+def test_quantum_disintegrate_scales_the_total_trace_threshold_by_the_codomain_blocks():
+    # M_1 into M_128 + M_128 with U = I + (t/2) J in each block, as above:
+    # each block moves the total trace by 128 t / 2, which sums to 1.15e-8,
+    # above FACTOR_TOL but within the threshold 2 FACTOR_TOL of two blocks
+    m, t = 128, 0.9 * DEFAULT_TOL
+    u = np.eye(m) + t / 2 * np.ones((m, m))
+    f = Morphism(AlgebraShape((1,)), AlgebraShape((m, m)), np.array([[m], [m]]), (u, u))
+    v = np.ones(m) / np.sqrt(m)
+    pure = np.outer(v, v).astype(complex)
+    result = quantum_disintegrate(f, State(f.codomain, [0.5, 0.5], (pure, pure)))
+    assert isinstance(result, QuantumDisintegrationData)
+    total = sum(np.trace(tau).real for tau in result.tau.values())
+    assert FACTOR_TOL < total - 1.0 < 2 * FACTOR_TOL
+
+
 def test_witness_check_falls_back_to_a_zero_segment_for_a_domain_block_of_weight_zero(monkeypatch):
     # M_3 + M_1 into M_7 by (2, 1) copies; omega leaves domain block 1 at
     # weight zero, so the witness holds no tau for it.  A traceless change

@@ -28,13 +28,15 @@ from ncentropy import (
     measurement_morphism,
     pullback,
 )
-from ncentropy.errors import OutOfRange, ShapeMismatch
+from ncentropy.errors import NotDensity, OutOfRange, ShapeMismatch
 from ncentropy.linalg import as_matrix
 
 LINE = AlgebraShape((1,))
 QUBIT = AlgebraShape((2,))
 BIT_AND_QUBIT = AlgebraShape((1, 2))
 EYE1, EYE2, EYE3 = (np.eye(n, dtype=np.complex128) for n in (1, 2, 3))
+# exactly Hermitian, but its entries' modulus overflows, so eigvalsh returns nan
+NAN_SPECTRUM = np.array([[-1, 1.7e308 - 1e308j], [1.7e308 + 1e308j, 1e308]])
 
 
 def _doubling() -> Morphism:
@@ -56,11 +58,14 @@ CHECKS = [
     ("morphism-unitary-count", lambda: Morphism(LINE, QUBIT, np.array([[2]]), ()), ShapeMismatch, "expected 1 unitaries, got 0"),
     ("morphism-unitary-shape", lambda: Morphism(LINE, QUBIT, np.array([[2]]), (EYE3,)), ShapeMismatch, "unitary of shape"),
     ("morphism-multiplicity-shape", lambda: Morphism(LINE, QUBIT, np.array([[2, 0]]), (EYE2,)), ShapeMismatch, "multiplicity matrix of shape"),
+    ("morphism-multiplicity-float-above-dimension", lambda: Morphism(LINE, QUBIT, np.array([[1e300]]), (EYE2,)), ShapeMismatch, r"multiplicity 1e\+300 exceeds the dimension 2 of codomain block 0"),
+    ("morphism-multiplicity-uint64-above-dimension", lambda: Morphism(LINE, QUBIT, np.array([[2**63]], dtype=np.uint64), (EYE2,)), ShapeMismatch, "multiplicity 9223372036854775808 exceeds the dimension 2 of codomain block 0"),
     ("apply-domain", lambda: apply(_doubling(), AlgebraElement(QUBIT, (EYE2,))), ShapeMismatch, "fed to morphism with domain"),
     ("pullback-codomain", lambda: pullback(_doubling(), _point()), ShapeMismatch, "pulled through morphism with codomain"),
     ("compose-inner-codomain", lambda: compose(_doubling(), _doubling()), ShapeMismatch, "cannot compose"),
     ("measurement-one-dimensional-block", lambda: measurement_morphism(LINE, 0, EYE1), ShapeMismatch, "at least 2"),
     ("state-density-count", lambda: State(BIT_AND_QUBIT, np.array([0.5, 0.5]), (EYE1,)), ShapeMismatch, "expected 2 densities, got 1"),
+    ("state-density-nan-spectrum", lambda: State(QUBIT, np.ones(1), (NAN_SPECTRUM,)), NotDensity, "eigenvalue nan"),
     ("state-density-ndim", lambda: State(LINE, np.ones(1), (np.ones(1),)), ShapeMismatch, "expected a matrix, got array of ndim 1"),
     ("pure-state-vector-length", lambda: block_pure_state(QUBIT, 0, [1, 0, 0]), ShapeMismatch, "vector of length 3"),
     ("pure-state-zero-vector", lambda: block_pure_state(QUBIT, 0, [0, 0]), ShapeMismatch, "vector of norm 0.0"),
