@@ -11,16 +11,11 @@ the change equals a weighted entropy of the assembled ``tau`` blocks.
 ``disintegration_entropy`` re-checks a witness on its own: per codomain
 block every entry of ``E_x = U_x^dag (p_x rho_x) U_x - R_x``,
 ``R_x = blockdiag_y(tau_yx (x) q_y sigma_y)``, must be at most
-``FACTOR_TOL``.  Most witnesses are accepted
-by one ``m^3`` product: ``G_x = (p_x rho_x) U_x - U_x R_x`` with
-``U_x R_x`` formed segment by segment from the Kronecker factors
-(``m c n^2 + m c^2 n`` multiply-adds for ``c`` copies of an
-``n``-block), and ``max |E_x| <= sqrt(1 + m t) ||G_x||_F + sqrt(m) t
-||R_x||_F``, where ``t = DEFAULT_TOL`` bounds the entries of
-``U_x^dag U_x - I`` that ``Morphism`` allows.  Only when that bound
-exceeds the threshold are ``E_x`` and the dense ``R_x`` formed, so the
-check accepts exactly the witnesses whose entrywise residual is within
-it, ``quantum_disintegrate``'s among them.
+``FACTOR_TOL``.  Most witnesses are accepted by one ``m^3`` product and
+a proven bound on ``max |E_x|`` (``_verify_witness``); only the others
+have ``E_x`` formed entrywise, so the check accepts exactly the witnesses
+whose entrywise residual is within the threshold,
+``quantum_disintegrate``'s among them.
 """
 
 from __future__ import annotations
@@ -184,6 +179,18 @@ def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
 
 
 def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) -> None:
+    """InconsistentData unless every entry of each ``E_x = U_x^dag (p_x rho_x) U_x - R_x`` is at most ``FACTOR_TOL``.
+
+    Per block, ``G = (p rho) U - U R`` takes one ``m^3`` product, with ``U R``
+    formed segment by segment from the Kronecker factors (``m c n^2 + m c^2 n``
+    multiply-adds for ``c`` copies of an ``n``-block).  Then ``E = U^dag G +
+    (U^dag U - I) R``, and ``Morphism`` keeps every entry of ``U^dag U - I``
+    within ``t = DEFAULT_TOL``: a column ``u_i`` of U has ``||u_i||^2 =
+    (U^dag U)_ii <= 1 + t``, so ``|(U^dag G)_ij| = |u_i^dag g_j| <= sqrt(1 + t)
+    ||G||_F``, and an entry of ``(U^dag U - I) R`` is at most t times a
+    column's 1-norm, so at most ``sqrt(m) t ||R||_F``.  Only where that bound
+    exceeds the threshold are E and the dense R formed; a NaN residual fails.
+    """
     sizes = {(y, x): copies for x, segments in enumerate(f.segments) for y, _, copies, _ in segments}
     for key, t in data.tau.items():
         if key not in sizes:
@@ -202,12 +209,9 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
                 half = (u[:, seg].reshape(m * copies, n) @ s).reshape(m, copies, n)
                 residual[:, seg] -= (np.transpose(t) @ half).reshape(m, copies * n)
                 r_norm2 += np.vdot(t, t).real * np.vdot(s, s).real
-        # E = U^dag (p rho) U - R = U^dag G + (U^dag U - I) R.  Morphism keeps every entry of
-        # U^dag U - I within DEFAULT_TOL, so ||U||_2^2 <= 1 + m DEFAULT_TOL, and an entry of
-        # (U^dag U - I) R is at most DEFAULT_TOL times a column's 1-norm, sqrt(m) ||R||_F at most
         g_norm = math.sqrt(np.vdot(residual, residual).real)
         slack = math.sqrt(m) * DEFAULT_TOL * math.sqrt(r_norm2)
-        if math.sqrt(1.0 + m * DEFAULT_TOL) * g_norm + slack <= FACTOR_TOL:
+        if math.sqrt(1.0 + DEFAULT_TOL) * g_norm + slack <= FACTOR_TOL:  # the docstring's bound on max |E|
             continue
         diff = max_abs(u.conj().T @ weighted @ u - _factored_block(f, x, data.tau, q, sigmas))
         if not diff <= FACTOR_TOL:  # a NaN residual fails
@@ -222,13 +226,11 @@ def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegratio
     the entropy of the block-diagonal assembly of its ``tau`` factors.
     First the witness must reproduce ``omega``: InconsistentData unless,
     for every codomain block, ``max |U_x^dag (p_x rho_x) U_x - R_x|`` is at
-    most ``FACTOR_TOL`` (a NaN residual fails).
-    The bound ``sqrt(1 + m t) ||(p_x rho_x) U_x - U_x R_x||_F + sqrt(m) t
-    ||R_x||_F``, ``t = DEFAULT_TOL``, settles it in one ``m^3`` product
-    when it is within the threshold; otherwise the residual is formed
-    entrywise.  The check reads only ``f``, ``omega`` and the
-    witness.  A domain block of pullback weight above ``DEFAULT_TOL``
-    without a ``tau`` block is InconsistentData too.
+    most ``FACTOR_TOL`` (a NaN residual fails); ``_verify_witness``
+    settles most blocks by a proven bound in one ``m^3`` product.  The
+    check reads only ``f``, ``omega`` and the witness.  A domain block of
+    pullback weight above ``DEFAULT_TOL`` without a ``tau`` block is
+    InconsistentData too.
     """
     _verify_witness(f, omega, data)
     q = data.pullback_weights

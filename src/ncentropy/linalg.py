@@ -144,6 +144,8 @@ def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
     if deviation > tol:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
     if not vals[0] >= -tol:  # a NaN spectrum fails
+        if not math.isfinite(vals[0]):
+            raise NotDensity("density spectrum is not finite")
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
     trace = np.add.reduce(vals)
     if not abs(trace - 1.0) <= tol:

@@ -100,7 +100,8 @@ class Morphism:
                 raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
             if bound is None or bound > DEFAULT_TOL:
                 eye = linalg.identity_matrix(m)
-                bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product fails below
+                    bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
                 if not bound <= DEFAULT_TOL:  # a NaN deviation fails
                     raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
             deviations.append(bound)
@@ -225,47 +226,38 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         raise ShapeMismatch(f"cannot compose: inner codomain {g.codomain.blocks} != outer domain {f.domain.blocks}")
     c = f.multiplicities @ g.multiplicities
     unitaries = tuple(_composition_data(f, g, x) for x in range(len(f.codomain)))
-    bounds = []
-    for x, segments in enumerate(f.segments):
-        d_v = max(g.unitarity_deviations[y] for y, _, _, _ in segments)
-        n_max = max(n for _, _, _, n in segments)
-        bounds.append(_composite_bound(f.unitarity_deviations[x], d_v, n_max, f.codomain.blocks[x]))
+    d_v = max(g.unitarity_deviations)
+    bounds = [_composite_bound(d_u, d_v, m) for d_u, m in zip(f.unitarity_deviations, f.codomain.blocks)]
     return _bounded_morphism(g.domain, f.codomain, c, unitaries, bounds)
 
 
-def _composite_bound(d_u: float, d_v: float, n_max: int, m: int) -> float:
-    """A bound on ``max abs(W^dag W - I)`` for ``W = fl(U S) P`` of dimension ``m``, from the factors' deviations.
+def _composite_bound(d_u: float, d_v: float, m: int) -> float:
+    """A bound on ``max abs(W^dag W - I)`` for ``W = fl(U S) P`` of dimension ``m``, sound wherever it is at most 1.
 
-    ``_composition_data`` forms W from ``U = U_x`` of deviation ``d_u``,
-    ``S = blockdiag_y(kron(eye(c_xy), V_y))`` and a permutation ``P``, which
-    keeps the maximum.  Each ``V_y`` deviates by at most ``d_v`` and has
-    dimension at most ``n_max``, so a column ``s_i`` of S has at most
-    ``n_max`` nonzero entries and ``||s_i||^2 <= 1 + d_v``.  With ``E = U^dag U - I``::
+    ``_composition_data`` forms W from ``U = U_x``, ``S = blockdiag_y(kron(eye(c_xy), V_y))``
+    and a permutation ``P``, which keeps the maximum.  ``d_u`` and ``d_v``,
+    recorded deviations and so at most ``DEFAULT_TOL``, bound the entries of
+    ``E = U^dag U - I`` and of every ``V_y^dag V_y - I``.  A column ``s_i`` of
+    S has at most m nonzero entries and ``||s_i||^2 <= 1 + d_v <= 2``, so::
 
         (US)^dag (US) - I = S^dag E S + (S^dag S - I),
-        |s_i^dag E s_j| <= d_u ||s_i||_1 ||s_j||_1 <= d_u n_max ||s_i|| ||s_j||,
+        |s_i^dag E s_j| <= d_u ||s_i||_1 ||s_j||_1 <= d_u m (1 + d_v) <= 2 m d_u,
 
-    so the exact product deviates by at most ``delta0 = d_u n_max (1 + d_v) + d_v``.
-    The computed product is ``US + F`` with ``|F| <= gamma_m |U| |S|``
-    entrywise, so a column of F has norm at most ``gamma_m ||U||_F ||s_j||
-    <= eta = gamma_m sqrt(m (1 + d_u)(1 + d_v))`` and one of US at most
-    ``sqrt(1 + delta0)``: every entry of ``W^dag W - I`` is within
-    ``delta0 + 2 eta sqrt(1 + delta0) + eta^2``.
-
-    ``gamma_m = c m u``, u = 2^-53, with ``c = 3``: either part of an entry
-    of a complex product is a real sum of ``2m`` products, within
-    ``gamma_2m = 2mu / (1 - 2mu)`` of the sum of their absolute values in
-    any summation order, with or without fused multiply-adds (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sections 3.1
-    and 3.6); the two products that make up either part of ``a b`` sum to at
-    most ``|a| |b|`` in absolute value, so ``|F_ij| <= sqrt(2) gamma_2m
-    (|U| |S|)_ij``, and ``2 sqrt(2) / (1 - 2mu) <= 3`` for m below 10^14.
-    ``d_u`` and ``d_v`` are the factors' ``unitarity_deviations``: measured,
-    or this bound for a factor that is itself a composite.
+    and the exact product deviates by at most ``delta = 2 m d_u + d_v``.  The
+    computed product is ``US + F`` with ``|F| <= sqrt(2) gamma_2m |U| |S| <=
+    3 m u |U| |S|``, u = 2^-53, for m below 10^14: either part of an entry of
+    a complex product is a real sum of ``2m`` products, within ``gamma_2m =
+    2mu / (1 - 2mu)`` of the sum of their absolute values in any summation
+    order, with or without fused multiply-adds (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 3.6), and
+    the two products in either part of ``a b`` sum to at most ``|a| |b|``.
+    As ``||U||_F^2 <= 2m``, a column of F has norm at most ``eta = 6 m^(3/2) u``
+    and one of US at most ``sqrt(1 + delta)``, so an entry of ``W^dag W - I``
+    is within ``delta + 2 eta sqrt(1 + delta) + eta^2``, at most ``delta + 4 eta``
+    where ``delta + 4 eta <= 1``.  A larger bound exceeds ``DEFAULT_TOL``, and
+    ``Morphism`` measures W instead.
     """
-    delta0 = d_u * n_max * (1.0 + d_v) + d_v
-    eta = 3.0 * m * 2.0**-53 * math.sqrt(m * (1.0 + d_u) * (1.0 + d_v))
-    return delta0 + 2.0 * eta * math.sqrt(1.0 + delta0) + eta * eta
+    return 2.0 * m * d_u + d_v + 24.0 * m * math.sqrt(m) * 2.0**-53
 
 
 def is_isomorphism(f: Morphism) -> bool:

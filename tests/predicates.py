@@ -3,11 +3,22 @@
 import numpy as np
 
 from ncentropy import AlgebraElement, AlgebraShape, Morphism, apply
-from ncentropy.linalg import DEFAULT_TOL, hermitian_spectrum, max_abs
+from ncentropy.linalg import DEFAULT_TOL, hermitian_spectrum, max_abs, sample_unitary
 
 
 def identity(shape: AlgebraShape) -> AlgebraElement:
     return AlgebraElement(shape, tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks))
+
+
+def identity_morphism(shape: AlgebraShape) -> Morphism:
+    """The identity of ``shape``: one copy of each block and identity unitaries."""
+    eyes = tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks)
+    return Morphism(shape, shape, np.eye(len(shape), dtype=np.int64), eyes)
+
+
+def random_morphism(domain, codomain, c, rng) -> Morphism:
+    """The morphism of multiplicities ``c`` between the block dimensions given, with one Haar unitary per codomain block drawn from ``rng``."""
+    return Morphism(AlgebraShape(domain), AlgebraShape(codomain), np.array(c), tuple(sample_unitary(m, rng) for m in codomain))
 
 
 def function_morphism(phi, n_targets: int) -> Morphism:

@@ -233,6 +233,7 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         ("entropy", {**_STATE_2, "shape": ["2"]}, "ShapeMismatch"),
         ("entropy", {**_STATE_2, "shape": [2.7]}, "ShapeMismatch"),
         ("entropy", {**_STATE, "shape": [True, 1]}, "ShapeMismatch"),
+        ("entropy", {**_STATE_2, "densities": [[[[-1, 0], [1.7e308, -1e308]], [[1.7e308, 1e308], [1e308, 0]]]]}, "NotDensity: density spectrum is not finite"),
         ("verify", ["--seed=-1"], "--seed: must be at least 0"),
         ("verify", {"NCE_SEED": "-1"}, "--seed: must be at least 0"),
         ("verify", ["--tol", "nan"], "--tol: must be at least 0.0 and finite"),
@@ -255,6 +256,7 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         "text-block-dimension",
         "fractional-block-dimension",
         "boolean-block-dimension",
+        "nan-spectrum-density",
         "negative-seed",
         "negative-seed-env",
         "nan-tol",
@@ -323,6 +325,14 @@ def test_codomain_is_checked_before_any_block_is_built(tmp_path, command):
     proc = _run_capped(tmp_path, command, {"domain": [1], "codomain": [100000], "multiplicities": [[100000]], "unitaries": None})
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ShapeMismatch") and proc.stderr.count("\n") == 1
+
+
+def test_an_overflowing_unitary_exits_2_with_one_stderr_line(tmp_path):
+    # U^dag U overflows to inf and NaN; numpy's warnings about that product stay off stderr
+    u = [[[1e200, 0], [1e200, 0]], [[1e200, 0], [0, 1e200]]]
+    proc = _run_capped(tmp_path, "change", {**_MORPHISM, "unitaries": [u]})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: NotUnitary") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["pullback", "change", "holevo", "disintegrate"])

@@ -26,7 +26,7 @@ from ncentropy.linalg import DEFAULT_TOL, hermitian_part, max_abs, sample_densit
 from ncentropy.morphism import morphism_to_json
 from ncentropy.state import state_to_json
 
-from predicates import function_morphism
+from predicates import function_morphism, random_morphism
 
 
 INCLUSION = factor_inclusion(2, 2)
@@ -291,10 +291,6 @@ def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
     assert abs(production - entropy_change(f, omega)) < 1e-9
 
 
-def _random_morphism(domain, codomain, c, rng):
-    return Morphism(AlgebraShape(domain), AlgebraShape(codomain), np.array(c), tuple(sample_unitary(m, rng) for m in codomain))
-
-
 def _dense_residuals(f, omega, data):
     """Per codomain block, ``U^dag (p rho) U - R`` with R dense from ``_factored_block``, and the check's threshold."""
     for x, (p, rho, u) in enumerate(zip(omega.weights, omega.densities, f.unitaries)):
@@ -331,8 +327,8 @@ def _witness_morphisms(rng):
     return [
         factor_inclusion(16, 4),
         factor_inclusion(64, 4),
-        _random_morphism((16, 32), (64, 112), [[2, 1], [1, 3]], rng),
-        _random_morphism((16, 24, 32), (112, 88, 16), [[2, 2, 1], [0, 1, 2], [1, 0, 0]], rng),
+        random_morphism((16, 32), (64, 112), [[2, 1], [1, 3]], rng),
+        random_morphism((16, 24, 32), (112, 88, 16), [[2, 2, 1], [0, 1, 2], [1, 0, 0]], rng),
     ]
 
 
@@ -417,6 +413,20 @@ def test_witness_check_counts_the_unitarity_slack():
     assert np.linalg.norm(g) < FACTOR_TOL < a + delta * s * r[:, 0].sum()
     assert _entrywise_excess(f, omega, data) > 1.0
     with pytest.raises(InconsistentData, match="does not reproduce"):
+        disintegration_entropy(f, omega, data)
+
+
+def test_witness_check_is_tight_on_a_scalar_block():
+    # A 1x1 unitary u with u^2 = 1 + t' and a witness leaving p - r = FACTOR_TOL: then
+    # E = u^2 p - r exceeds the threshold by t' p, about 1e-18, and the fast path's
+    # sqrt(1 + t) |G| + t r, with G = u (p - r), exceeds it by about as much.
+    u, r = np.sqrt(1.0 + 0.99 * DEFAULT_TOL), 1e-12
+    f = Morphism(AlgebraShape((1,)), AlgebraShape((1, 1)), np.array([[1], [1]]), (np.eye(1), np.full((1, 1), u)))
+    p = r + FACTOR_TOL
+    omega = State(AlgebraShape((1, 1)), np.array([1.0 - p, p]), (np.eye(1), np.eye(1)))
+    data = QuantumDisintegrationData({(0, 0): np.full((1, 1), 1.0 - p), (0, 1): np.full((1, 1), r)}, np.ones(1), (np.eye(1),))
+    assert _entrywise_excess(f, omega, data) > 1.0
+    with pytest.raises(InconsistentData, match="does not reproduce codomain block 1"):
         disintegration_entropy(f, omega, data)
 
 

@@ -25,11 +25,7 @@ from ncentropy.harness import factor_inclusion, generate_instance, InstanceFamil
 from ncentropy.linalg import DEFAULT_TOL, sample_density, sample_simplex, sample_unitary
 import ncentropy.linalg as linalg
 
-
-def _identity_morphism(shape):
-    """The identity of ``shape``: one copy of each block and identity unitaries."""
-    eyes = tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks)
-    return Morphism(shape, shape, np.eye(len(shape), dtype=np.int64), eyes)
+from predicates import identity_morphism
 
 
 def test_shannon_values():
@@ -192,7 +188,7 @@ def test_coboundary_identity():
 
 def test_holevo_change_identity_vanishes():
     shape = AlgebraShape((2,))
-    f = _identity_morphism(shape)
+    f = identity_morphism(shape)
     omega = State(shape, [1.0], (sample_density(2, Seed(19).rng()),))
     xi = State(shape, [1.0], (sample_density(2, Seed(20).rng()),))
     assert abs(holevo_change(f, 0.4, omega, xi)) < 1e-12
@@ -218,7 +214,7 @@ def test_holevo_changes_has_the_bits_of_one_weight_at_a_time():
 def test_holevo_changes_checks_every_weight_before_any_entropy_change(monkeypatch, lams):
     calls = []
     monkeypatch.setattr(entropy, "_change_and_pullback", lambda f, omega: calls.append(f) or (0.0, omega))
-    f = _identity_morphism(AlgebraShape((2,)))
+    f = identity_morphism(AlgebraShape((2,)))
     omega = State(f.codomain, [1.0], (sample_density(2, Seed(19).rng()),))
     with pytest.raises(OutOfRange):
         entropy._holevo_changes(f, lams, omega, omega)

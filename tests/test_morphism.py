@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,13 +33,7 @@ from ncentropy.harness import _disintegrable_state, _sample_disintegrable, facto
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
-from predicates import adjoint, extensionally_equal, identity, is_positive, multiply
-
-
-def _identity_morphism(shape):
-    """The identity of ``shape``: one copy of each block and identity unitaries."""
-    eyes = tuple(np.eye(m, dtype=np.complex128) for m in shape.blocks)
-    return Morphism(shape, shape, np.eye(len(shape), dtype=np.int64), eyes)
+from predicates import adjoint, extensionally_equal, identity, identity_morphism, is_positive, multiply, random_morphism
 
 
 def _random_element(shape, seed):
@@ -87,7 +83,7 @@ def test_morphism_validation():
 
 def test_apply_identity_morphism():
     shape = AlgebraShape((2, 3))
-    f = _identity_morphism(shape)
+    f = identity_morphism(shape)
     a = _random_element(shape, 0)
     out = apply(f, a)
     assert all(max_abs(p - q) < 1e-12 for p, q in zip(out.blocks, a.blocks))
@@ -245,8 +241,8 @@ def test_pullback_agrees_with_the_disintegration_pullback():
 
 def test_compose_with_identity_and_terminal():
     f, _ = generate_instance(InstanceFamily(), Seed(8, 0))
-    assert extensionally_equal(compose(f, _identity_morphism(f.domain)), f)
-    assert extensionally_equal(compose(_identity_morphism(f.codomain), f), f)
+    assert extensionally_equal(compose(f, identity_morphism(f.domain)), f)
+    assert extensionally_equal(compose(identity_morphism(f.codomain), f), f)
     assert extensionally_equal(compose(f, initial(f.domain)), initial(f.codomain))
 
 
@@ -317,10 +313,6 @@ def _dense_deviation(u):
     return max_abs(u.conj().T @ u - np.eye(len(u)))
 
 
-def _random_hom(domain, codomain, c, rng):
-    return Morphism(AlgebraShape(domain), AlgebraShape(codomain), np.array(c), tuple(sample_unitary(m, rng) for m in codomain))
-
-
 def _assert_records_at_least_the_measurement(f):
     for u, recorded in zip(f.unitaries, f.unitarity_deviations):
         assert recorded >= _dense_deviation(u)
@@ -330,11 +322,11 @@ def test_composite_records_at_least_its_measured_deviation():
     from ncentropy.harness import _sample_morphism
 
     rng = np.random.default_rng(2207)
-    g = _random_hom((16,), (32, 48), [[2], [3]], rng)
-    f = _random_hom((32, 48), (128,), [[1, 2]], rng)
-    h = _random_hom((128,), (256,), [[2]], rng)
-    inner = _random_hom((16, 32), (64, 80), [[2, 1], [3, 1]], rng)
-    outer = _random_hom((64, 80), (208,), [[2, 1]], rng)
+    g = random_morphism((16,), (32, 48), [[2], [3]], rng)
+    f = random_morphism((32, 48), (128,), [[1, 2]], rng)
+    h = random_morphism((128,), (256,), [[2]], rng)
+    inner = random_morphism((16, 32), (64, 80), [[2, 1], [3, 1]], rng)
+    outer = random_morphism((64, 80), (208,), [[2, 1]], rng)
     large = [compose(f, g), compose(h, compose(f, g)), compose(compose(h, f), g), compose(outer, inner)]
     large.append(external_sum_morphism(large[0], large[3]))
     for comp in large:
@@ -373,9 +365,23 @@ def test_composite_bound_carries_the_rounding_of_the_product():
     _assert_records_at_least_the_measurement(comp)
 
 
+@pytest.mark.parametrize("m", [1, 2, 16, 256, 4096, 10**6])
+def test_composite_bound_covers_its_second_order_terms(m):
+    # _composite_bound's proof: the exact product deviates by delta = d_u m (1 + d_v) + d_v, a
+    # column of the rounding has norm at most eta = 3 m u sqrt(m (1 + d_u)(1 + d_v)), and an entry
+    # of W^dag W - I is within delta + 2 eta sqrt(1 + delta) + eta^2; the bound covers that where it is at most 1.
+    u = 2.0**-53
+    for d_u in (0.0, 1e-16, linalg.DEFAULT_TOL):
+        for d_v in (0.0, 1e-16, linalg.DEFAULT_TOL):
+            bound = morphism._composite_bound(d_u, d_v, m)
+            delta = d_u * m * (1.0 + d_v) + d_v
+            eta = 3.0 * m * u * math.sqrt(m * (1.0 + d_u) * (1.0 + d_v))
+            assert delta + 2.0 * eta * math.sqrt(1.0 + delta) + eta * eta <= bound <= 1.0
+
+
 def test_compose_and_external_sum_take_no_unitarity_product(monkeypatch):
     f, _ = generate_instance(InstanceFamily(), Seed(8, 0))
-    g = _random_hom(f.codomain.blocks, (f.codomain.blocks[0] * 2,), [[2] + [0] * (len(f.codomain) - 1)], np.random.default_rng(8))
+    g = random_morphism(f.codomain.blocks, (f.codomain.blocks[0] * 2,), [[2] + [0] * (len(f.codomain) - 1)], np.random.default_rng(8))
     checked = []
     monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
     comp = compose(g, f)
@@ -395,7 +401,7 @@ def test_composite_of_factors_near_the_tolerance_is_measured():
         compose(f, g)
     # a bound above the tolerance is replaced by the measurement where that is within it
     edge = Morphism(AlgebraShape((4,)), AlgebraShape((4,)), np.array([[1]]), (np.diag([1.0 + t / 2, 1.0, 1.0, 1.0]),))
-    h = _random_hom((4,), (4,), [[1]], np.random.default_rng(9))
+    h = random_morphism((4,), (4,), [[1]], np.random.default_rng(9))
     comp = compose(edge, h)
     assert comp.unitarity_deviations == (_dense_deviation(comp.unitaries[0]),)
     assert comp.unitarity_deviations[0] < linalg.DEFAULT_TOL
@@ -403,14 +409,14 @@ def test_composite_of_factors_near_the_tolerance_is_measured():
 
 def test_initial_morphism():
     one = initial(AlgebraShape((1,)))
-    assert extensionally_equal(one, _identity_morphism(AlgebraShape((1,))))
+    assert extensionally_equal(one, identity_morphism(AlgebraShape((1,))))
     f = initial(AlgebraShape((2,)))
     scalar = AlgebraElement(AlgebraShape((1,)), (np.array([[1.0]]),))
     assert max_abs(apply(f, scalar).blocks[0] - np.eye(2)) < 1e-12
 
 
 def test_is_isomorphism():
-    assert is_isomorphism(_identity_morphism(AlgebraShape((2, 3))))
+    assert is_isomorphism(identity_morphism(AlgebraShape((2, 3))))
     for f in (
         factor_inclusion(2, 2),
         factor_inclusion(3, 2),
@@ -494,10 +500,10 @@ def test_summand_projection():
 
 
 def test_external_sum_morphism():
-    f = _identity_morphism(AlgebraShape((2,)))
-    g = _identity_morphism(AlgebraShape((1, 1)))
+    f = identity_morphism(AlgebraShape((2,)))
+    g = identity_morphism(AlgebraShape((1, 1)))
     both = external_sum_morphism(f, g)
-    assert extensionally_equal(both, _identity_morphism(both.domain))
+    assert extensionally_equal(both, identity_morphism(both.domain))
 
     f2, omega = generate_instance(InstanceFamily(), Seed(31, 0))
     g2, xi = generate_instance(InstanceFamily(), Seed(31, 1))
