@@ -188,8 +188,9 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
     within ``t = DEFAULT_TOL``: a column ``u_i`` of U has ``||u_i||^2 =
     (U^dag U)_ii <= 1 + t``, so ``|(U^dag G)_ij| = |u_i^dag g_j| <= sqrt(1 + t)
     ||G||_F``, and an entry of ``(U^dag U - I) R`` is at most t times a
-    column's 1-norm, so at most ``sqrt(m) t ||R||_F``.  Only where that bound
-    exceeds the threshold are E and the dense R formed; a NaN residual fails.
+    column's 1-norm, so ``max |E| <= sqrt(1 + t) ||G||_F + sqrt(m) t ||R||_F``.
+    Only where that bound exceeds the threshold are E and the dense R
+    formed; a NaN residual fails.
     """
     sizes = {(y, x): copies for x, segments in enumerate(f.segments) for y, _, copies, _ in segments}
     for key, t in data.tau.items():

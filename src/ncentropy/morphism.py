@@ -100,8 +100,7 @@ class Morphism:
                 raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
             if bound is None or bound > DEFAULT_TOL:
                 eye = linalg.identity_matrix(m)
-                with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product fails below
-                    bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
+                bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
                 if not bound <= DEFAULT_TOL:  # a NaN deviation fails
                     raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
             deviations.append(bound)
@@ -367,4 +366,5 @@ def morphism_from_json(data) -> Morphism:
             unitaries = tuple(linalg.matrix_from_json(u) for u in raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed morphism encoding: missing or bad field {exc}") from exc
-    return Morphism(domain, codomain, c, unitaries)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing U^dag U fails as NotUnitary, without warnings
+        return Morphism(domain, codomain, c, unitaries)
