@@ -7,6 +7,7 @@ block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,12 @@ from .errors import ShapeMismatch
 from .linalg import as_matrix
 
 
+MAX_BLOCK_DIM = math.isqrt(np.iinfo(np.intp).max // 16)  # n x n complex128 takes n^2 * 16 bytes, within intp
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
-    """Block dimensions ``(m_0, ..., m_{k-1})``, every ``m_x >= 1``."""
+    """Block dimensions ``(m_0, ..., m_{k-1})``, every ``m_x`` in ``1..MAX_BLOCK_DIM``."""
 
     blocks: tuple[int, ...]
 
@@ -27,8 +31,8 @@ class AlgebraShape:
             if not linalg.is_integer(m):
                 raise ShapeMismatch(f"block dimensions must be integers, got {m!r}")
         object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
-        if not self.blocks or any(m < 1 for m in self.blocks):
-            raise ShapeMismatch(f"block dimensions must be positive, got {self.blocks}")
+        if not self.blocks or any(not 1 <= m <= MAX_BLOCK_DIM for m in self.blocks):
+            raise ShapeMismatch(f"block dimensions must be in 1..{MAX_BLOCK_DIM}, got {self.blocks}")
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -31,6 +31,7 @@ from .linalg import (
     DEFAULT_TOL,
     block_diag,
     check_probability_vector,
+    frobenius_norm,
     hermitian_part,
     hermitian_spectrum,
     kron,
@@ -112,9 +113,10 @@ def quantum_disintegrate(f: Morphism, omega: State):
     and tests the block factorization against the pullback state.  The
     candidate ``tau`` blocks are read off by partial-tracing the domain
     factor, which is exact whenever a factorization exists, so verifying
-    the reconstruction decides existence.  Returns the witness data on
-    success and a ``NoDisintegration`` describing the first failed check
-    otherwise.
+    the reconstruction decides existence.  Their traces need no check: each
+    ``sum_x tr tau_yx`` is ``sum_x p_x tr(rho_x U_x U_x^dag)`` up to rounding,
+    within about ``3 DEFAULT_TOL`` of 1 (``Morphism``, ``State``).  Returns
+    the witness data, or a ``NoDisintegration`` naming the first failed check.
     """
     pulled, conjugated = _pullback_with_blocks(f, omega)
     q, sigmas = pulled.weights, pulled.densities
@@ -154,14 +156,6 @@ def quantum_disintegrate(f: Morphism, omega: State):
                     residual,
                 )
             tau[(y, x)] = cand
-    for y in range(len(f.domain)):
-        if q[y] > DEFAULT_TOL:
-            total = sum(np.trace(tau[(y, x)]).real for x in range(len(f.codomain)) if (y, x) in tau)
-            if abs(total - 1.0) > FACTOR_TOL * len(f.codomain.blocks):
-                return NoDisintegration(
-                    f"factors for domain block {y} have total trace {total:.12g} instead of 1",
-                    abs(total - 1.0),
-                )
     return QuantumDisintegrationData(tau, q.copy(), sigmas)
 
 
@@ -184,11 +178,12 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
     Per block, ``G = (p rho) U - U R`` takes one ``m^3`` product, with ``U R``
     formed segment by segment from the Kronecker factors (``m c n^2 + m c^2 n``
     multiply-adds for ``c`` copies of an ``n``-block).  Then ``E = U^dag G +
-    (U^dag U - I) R``, and ``Morphism`` keeps every entry of ``U^dag U - I``
-    within ``t = DEFAULT_TOL``: a column ``u_i`` of U has ``||u_i||^2 =
-    (U^dag U)_ii <= 1 + t``, so ``|(U^dag G)_ij| = |u_i^dag g_j| <= sqrt(1 + t)
-    ||G||_F``, and an entry of ``(U^dag U - I) R`` is at most t times a
-    column's 1-norm, so ``max |E| <= sqrt(1 + t) ||G||_F + sqrt(m) t ||R||_F``.
+    (U^dag U - I) R``, and ``Morphism`` keeps ``||U^dag U - I||_F`` within
+    ``t = DEFAULT_TOL``: a column ``u_i`` of U has ``||u_i||^2 = (U^dag U)_ii
+    <= 1 + t``, so ``|(U^dag G)_ij| = |u_i^dag g_j| <= sqrt(1 + t) ||G||_F``,
+    and an entry of ``(U^dag U - I) R``, a row of ``U^dag U - I`` times a
+    column ``r_j`` of R, is at most ``t ||r_j|| <= t ||R||_F``, so
+    ``max |E| <= sqrt(1 + t) ||G||_F + t ||R||_F``.
     Only where that bound exceeds the threshold are E and the dense R
     formed; a NaN residual fails.
     """
@@ -210,9 +205,7 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
                 half = (u[:, seg].reshape(m * copies, n) @ s).reshape(m, copies, n)
                 residual[:, seg] -= (np.transpose(t) @ half).reshape(m, copies * n)
                 r_norm2 += np.vdot(t, t).real * np.vdot(s, s).real
-        g_norm = math.sqrt(np.vdot(residual, residual).real)
-        slack = math.sqrt(m) * DEFAULT_TOL * math.sqrt(r_norm2)
-        if math.sqrt(1.0 + DEFAULT_TOL) * g_norm + slack <= FACTOR_TOL:  # the docstring's bound on max |E|
+        if math.sqrt(1.0 + DEFAULT_TOL) * frobenius_norm(residual) + DEFAULT_TOL * math.sqrt(r_norm2) <= FACTOR_TOL:  # bounds max |E|
             continue
         diff = max_abs(u.conj().T @ weighted @ u - _factored_block(f, x, data.tau, q, sigmas))
         if not diff <= FACTOR_TOL:  # a NaN residual fails
@@ -222,16 +215,17 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
 def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegrationData) -> float:
     """Entropy production of a disintegration witness.
 
-    Equals the entropy change of ``(f, omega)`` and is nonnegative: each
-    domain block of positive pullback weight contributes its weight times
-    the entropy of the block-diagonal assembly of its ``tau`` factors.
-    First the witness must reproduce ``omega``: InconsistentData unless,
-    for every codomain block, ``max |U_x^dag (p_x rho_x) U_x - R_x|`` is at
-    most ``FACTOR_TOL`` (a NaN residual fails); ``_verify_witness``
-    settles most blocks by a proven bound in one ``m^3`` product.  The
-    check reads only ``f``, ``omega`` and the witness.  A domain block of
-    pullback weight above ``DEFAULT_TOL`` without a ``tau`` block is
-    InconsistentData too.
+    Equals the entropy change of ``(f, omega)``: each domain block of
+    positive pullback weight contributes its weight times the entropy of
+    the block-diagonal assembly of its ``tau`` factors, at least ``-s log s``
+    if its positive eigenvalues sum to ``s``: about ``-3 DEFAULT_TOL`` for a
+    witness of ``quantum_disintegrate`` (-9.0e-11 for a pure state on M_256
+    through M_1 at a unitarity deviation of 0.9 ``DEFAULT_TOL``).
+    InconsistentData unless the witness reproduces ``omega``, every entry
+    of each ``U_x^dag (p_x rho_x) U_x - R_x`` at most ``FACTOR_TOL`` (a NaN
+    fails; ``_verify_witness``, which reads only ``f``, ``omega`` and the
+    witness), and unless every domain block of pullback weight above
+    ``DEFAULT_TOL`` has a ``tau`` block.
     """
     _verify_witness(f, omega, data)
     q = data.pullback_weights

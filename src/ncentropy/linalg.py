@@ -84,6 +84,11 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
 
 
+def frobenius_norm(m: np.ndarray) -> float:
+    """``||m||_F = sqrt(sum |m_ij|^2)``, by one ``np.vdot``; NaN if an entry is."""
+    return math.sqrt(np.vdot(m, m).real)
+
+
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     """``(x + x^dag) / 2``."""
     return (x + x.conj().T) / 2

@@ -14,12 +14,8 @@ Every module that reads or builds a block in this layout takes its slices
 from there; ``apply`` and ``compose`` spread the domain blocks into it
 the same way (``_spread``).  States pull back through the Hilbert-Schmidt
 adjoint, i.e. by partial tracing the multiplicity index of each diagonal
-segment.
-``pullback`` forms only the diagonal copy blocks of
-``U_x^dag (p_x rho_x) U_x``, one ``m^3`` product and one ``n x m`` by
-``m x n`` product per copy, where conjugating the whole block would cost
-two ``m^3`` products; ``quantum_disintegrate``, which reads the
-off-diagonal segments too, conjugates whole blocks.
+segment: ``pullback`` forms only the diagonal copy blocks, and
+``_pullback_with_blocks`` whole blocks.
 """
 
 from __future__ import annotations
@@ -46,10 +42,11 @@ WEIGHT_FLOOR = 1e-13  # a pulled-back block of weight at most this gets the plac
 
 @dataclass(frozen=True, eq=False)
 class Morphism:
-    """Canonical form; ``unitarity_deviations[x]`` is ``max abs(U_x^dag U_x - I)`` as measured, at most ``DEFAULT_TOL``.
+    """Canonical form; ``unitarity_deviations[x]`` is ``||U_x^dag U_x - I||_F`` as measured, at most ``DEFAULT_TOL``.
 
-    The shared identity is taken as 0.0 without a product.  ``compose`` and
-    ``external_sum_morphism`` record a proven bound instead (``_composite_bound``).
+    It bounds ``||U_x^dag U_x - I||_2`` and equals ``||U_x U_x^dag - I||_F``, so
+    ``||U_x||_2^2 <= 1 + DEFAULT_TOL``.  The shared identity is taken as 0.0 without a product.
+    ``compose`` and ``external_sum_morphism`` record a proven bound instead (``_composite_bound``).
     """
 
     domain: AlgebraShape
@@ -100,9 +97,9 @@ class Morphism:
                 raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
             if bound is None or bound > DEFAULT_TOL:
                 eye = linalg.identity_matrix(m)
-                bound = 0.0 if u is eye else max_abs(u.conj().T @ u - eye)
+                bound = 0.0 if u is eye else linalg.frobenius_norm(u.conj().T @ u - eye)
                 if not bound <= DEFAULT_TOL:  # a NaN deviation fails
-                    raise NotUnitary(f"block unitary deviates from unitarity by more than {DEFAULT_TOL:.0e}")
+                    raise NotUnitary(f"block unitary has ||U^dag U - I||_F above {DEFAULT_TOL:.0e}")
             deviations.append(bound)
         object.__setattr__(self, "multiplicities", c)
         object.__setattr__(self, "unitaries", mats)
@@ -231,32 +228,31 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 
 def _composite_bound(d_u: float, d_v: float, m: int) -> float:
-    """A bound on ``max abs(W^dag W - I)`` for ``W = fl(U S) P`` of dimension ``m``, sound wherever it is at most 1.
+    """A bound on ``||W^dag W - I||_F`` for ``W = fl(U S) P`` of dimension ``m``, sound wherever it is at most 1.
 
     ``_composition_data`` forms W from ``U = U_x``, ``S = blockdiag_y(kron(eye(c_xy), V_y))``
-    and a permutation ``P``, which keeps the maximum.  ``d_u`` and ``d_v``,
-    recorded deviations and so at most ``DEFAULT_TOL``, bound the entries of
-    ``E = U^dag U - I`` and of every ``V_y^dag V_y - I``.  A column ``s_i`` of
-    S has at most m nonzero entries and ``||s_i||^2 <= 1 + d_v <= 2``, so::
+    and a permutation ``P``, which keeps the norm.  The recorded deviations
+    ``d_u, d_v <= t = DEFAULT_TOL`` bound ``||E||_F``, ``E = U^dag U - I``, and
+    every ``||V_y^dag V_y - I||_F``, so ``||S||_2^2 <= 1 + d_v``; S holds
+    ``sum_y c_xy <= m`` copies of the V_y, and ``d_u d_v <= t^2 < u = 2^-53``::
 
         (US)^dag (US) - I = S^dag E S + (S^dag S - I),
-        |s_i^dag E s_j| <= d_u ||s_i||_1 ||s_j||_1 <= d_u m (1 + d_v) <= 2 m d_u,
+        ||S^dag E S||_F <= (1 + d_v) d_u <= d_u + u,
+        ||S^dag S - I||_F^2 = sum_y c_xy ||V_y^dag V_y - I||_F^2 <= m d_v^2,
 
-    and the exact product deviates by at most ``delta = 2 m d_u + d_v``.  The
-    computed product is ``US + F`` with ``|F| <= sqrt(2) gamma_2m |U| |S| <=
-    3 m u |U| |S|``, u = 2^-53, for m below 10^14: either part of an entry of
-    a complex product is a real sum of ``2m`` products, within ``gamma_2m =
-    2mu / (1 - 2mu)`` of the sum of their absolute values in any summation
-    order, with or without fused multiply-adds (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., sections 3.1 and 3.6), and
-    the two products in either part of ``a b`` sum to at most ``|a| |b|``.
-    As ``||U||_F^2 <= 2m``, a column of F has norm at most ``eta = 6 m^(3/2) u``
-    and one of US at most ``sqrt(1 + delta)``, so an entry of ``W^dag W - I``
-    is within ``delta + 2 eta sqrt(1 + delta) + eta^2``, at most ``delta + 4 eta``
-    where ``delta + 4 eta <= 1``.  A larger bound exceeds ``DEFAULT_TOL``, and
-    ``Morphism`` measures W instead.
+    so the exact product deviates by at most ``delta = d_u + u + sqrt(m) d_v``.
+    The computed product is ``US + F``, ``|F| <= sqrt(2) gamma_2m |U| |S| <= 3 m u
+    |U| |S| / (1 + t)`` for m below 10^14: either part of an entry is a real sum
+    of ``2m`` products, within ``gamma_2m = 2mu / (1 - 2mu)`` of the sum of their
+    absolute values in any order, with or without fused multiply-adds (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1 and 3.6), and
+    the two products in either part of ``a b`` sum to at most ``|a| |b|``.  As
+    ``||U||_F^2, ||S||_F^2 <= m (1 + t)``, ``||F||_F <= eta = 3 m^2 u``, and
+    ``||W^dag W - I||_F <= delta + 2 eta sqrt(1 + delta) + eta^2``, at most ``delta
+    + 4 eta <= d_u + sqrt(m) d_v + 13 m^2 u`` where that is at most 1; a larger
+    bound exceeds ``DEFAULT_TOL``, and ``Morphism`` measures W instead.
     """
-    return 2.0 * m * d_u + d_v + 24.0 * m * math.sqrt(m) * 2.0**-53
+    return d_u + math.sqrt(m) * d_v + 13.0 * m * m * 2.0**-53
 
 
 def is_isomorphism(f: Morphism) -> bool:

@@ -229,6 +229,7 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         ("change", {**_MORPHISM, "codomain": ["a"]}, "ShapeMismatch"),
         ("change", {**_MORPHISM, "unitaries": 5}, "ShapeMismatch"),
         ("change", {**_MORPHISM, "unitaries": [[[[10**310, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "ShapeMismatch"),
+        ("change", {**_MORPHISM, "unitaries": [[[[1 + 4e-11, 0], [4e-11, 0]], [[4e-11, 0], [1 + 4e-11, 0]]]]}, "NotUnitary"),
         ("entropy", {**_STATE_2, "densities": [[[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]]]}, "ShapeMismatch"),
         ("entropy", {**_STATE_2, "shape": ["2"]}, "ShapeMismatch"),
         ("entropy", {**_STATE_2, "shape": [2.7]}, "ShapeMismatch"),
@@ -252,6 +253,7 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         "text-codomain",
         "number-unitaries",
         "huge-unitary-entry",
+        "unitary-within-tolerance-entrywise-only",
         "three-number-entry",
         "text-block-dimension",
         "fractional-block-dimension",
@@ -337,10 +339,18 @@ def test_an_overflowing_unitary_exits_2_with_one_stderr_line(tmp_path):
 
 @pytest.mark.parametrize("command", ["pullback", "change", "holevo", "disintegrate"])
 def test_a_domain_block_too_large_to_build_exits_2(tmp_path, command):
-    # the codomain matches the state; the weight-zero domain block's accumulator cannot be built
-    proc = _run_capped(tmp_path, command, {"domain": [2, 100000], "codomain": [2], "multiplicities": [[1, 0]], "unitaries": None})
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: MemoryError: Unable to allocate") and proc.stderr.count("\n") == 1
+    # the codomain matches the state; the weight-zero domain block's accumulator cannot be built,
+    # and above 759250124, where n^2 * 16 bytes leave numpy's intp, it cannot even be described
+    for n, error in [
+        (100000, "MemoryError: Unable to allocate"),
+        (759250124, "MemoryError: Unable to allocate"),
+        (759250125, "ShapeMismatch"),
+        (4000000000, "ShapeMismatch"),
+        (10**30, "ShapeMismatch"),
+    ]:
+        proc = _run_capped(tmp_path, command, {"domain": [2, n], "codomain": [2], "multiplicities": [[1, 0]], "unitaries": None})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {error}") and proc.stderr.count("\n") == 1
 
 
 def test_verify_does_not_report_a_memory_error_as_malformed_input(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from ncentropy import (
 from ncentropy import cli
 from ncentropy.disintegration import FACTOR_TOL, _factored_block, _verify_witness
 from ncentropy.entropy import LOG2
-from ncentropy.errors import InconsistentData
+from ncentropy.errors import InconsistentData, NotUnitary
 from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import DEFAULT_TOL, hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy.morphism import morphism_to_json
@@ -218,31 +218,26 @@ def test_quantum_disintegrate_rejects_a_candidate_factor_that_is_not_psd():
     assert abs(result.residual - 0.9 / 2.1) < 1e-6
 
 
-def test_quantum_disintegrate_rejects_factors_whose_traces_do_not_sum_to_one():
-    # U = I + (t/2) J deviates by t ~ 0.9 DEFAULT_TOL in every entry, so
-    # Morphism accepts it, but it moves the trace of a state along the
-    # all-ones vector by m t = 2.3e-8, above FACTOR_TOL
+def test_quantum_disintegrate_through_m1_at_the_unitarity_tolerance(tmp_path, capsys):
+    # U = I + a J on M_256 deviates by m (2a + m a^2) = 0.9 DEFAULT_TOL in Frobenius
+    # norm.  Along the all-ones vector it moves the trace by as much, far below
+    # FACTOR_TOL, and the pure state's entropy production is -0.9 DEFAULT_TOL.
     m, t = 256, 0.9 * DEFAULT_TOL
-    f = Morphism(AlgebraShape((1,)), AlgebraShape((m,)), np.array([[m]]), (np.eye(m) + t / 2 * np.ones((m, m)),))
+    with pytest.raises(NotUnitary):  # I + 4.5e-11 J: within DEFAULT_TOL entrywise, 2.3e-8 in Frobenius norm
+        Morphism(AlgebraShape((1,)), AlgebraShape((m,)), np.array([[m]]), (np.eye(m) + 4.5e-11 * np.ones((m, m)),))
+    a = (np.sqrt(1.0 + t) - 1.0) / m
+    f = Morphism(AlgebraShape((1,)), AlgebraShape((m,)), np.array([[m]]), (np.eye(m) + a * np.ones((m, m)),))
+    assert abs(f.unitarity_deviations[0] - t) < 1e-15
     v = np.ones(m) / np.sqrt(m)
-    result = quantum_disintegrate(f, State(f.codomain, [1.0], (np.outer(v, v).astype(complex),)))
-    assert result.violation == "factors for domain block 0 have total trace 1.00000002304 instead of 1"
-    assert abs(result.residual - m * t) < 1e-12
-
-
-def test_quantum_disintegrate_scales_the_total_trace_threshold_by_the_codomain_blocks():
-    # M_1 into M_128 + M_128 with U = I + (t/2) J in each block, as above:
-    # each block moves the total trace by 128 t / 2, which sums to 1.15e-8,
-    # above FACTOR_TOL but within the threshold 2 FACTOR_TOL of two blocks
-    m, t = 128, 0.9 * DEFAULT_TOL
-    u = np.eye(m) + t / 2 * np.ones((m, m))
-    f = Morphism(AlgebraShape((1,)), AlgebraShape((m, m)), np.array([[m], [m]]), (u, u))
-    v = np.ones(m) / np.sqrt(m)
-    pure = np.outer(v, v).astype(complex)
-    result = quantum_disintegrate(f, State(f.codomain, [0.5, 0.5], (pure, pure)))
-    assert isinstance(result, QuantumDisintegrationData)
-    total = sum(np.trace(tau).real for tau in result.tau.values())
-    assert FACTOR_TOL < total - 1.0 < 2 * FACTOR_TOL
+    omega = State(f.codomain, [1.0], (np.outer(v, v).astype(complex),))
+    data = quantum_disintegrate(f, omega)
+    assert isinstance(data, QuantumDisintegrationData)
+    assert abs(np.trace(data.tau[(0, 0)]).real - (1.0 + t)) < 1e-13
+    assert abs(disintegration_entropy(f, omega, data) + t) < 1e-12
+    (tmp_path / "f.json").write_text(json.dumps(morphism_to_json(f)))
+    (tmp_path / "w.json").write_text(json.dumps(state_to_json(omega)))
+    assert cli.main(["disintegrate", str(tmp_path / "f.json"), str(tmp_path / "w.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["exists"]
 
 
 def test_witness_check_falls_back_to_a_zero_segment_for_a_domain_block_of_weight_zero(monkeypatch):
@@ -372,36 +367,37 @@ def test_witness_check_decides_as_the_entrywise_residual():
 
 
 def test_witness_check_with_unitaries_at_the_morphism_tolerance():
-    # U = Q (I + 4e-11 H) keeps every entry of U^dag U - I within DEFAULT_TOL, so
-    # ||(p rho) U - U R||_F is no longer ||U^dag (p rho) U - R||_F; the decision
-    # still follows the entrywise residual.
+    # U = Q (I + 0.4 DEFAULT_TOL H / ||H||_F) keeps ||U^dag U - I||_F near 0.8
+    # DEFAULT_TOL, so ||(p rho) U - U R||_F is no longer ||U^dag (p rho) U - R||_F;
+    # the decision still follows the entrywise residual.
     rng = Seed(108).rng()
     instances = []
     for f in _witness_morphisms(rng)[1:]:
         def skew(u):
             h = hermitian_part(rng.uniform(-1.0, 1.0, u.shape) + 1j * rng.uniform(-1.0, 1.0, u.shape))
-            return u @ (np.eye(len(u)) + 4e-11 * h / max_abs(h))
+            return u @ (np.eye(len(u)) + 0.4 * DEFAULT_TOL * h / np.linalg.norm(h))
 
         g = Morphism(f.domain, f.codomain, f.multiplicities, tuple(skew(u) for u in f.unitaries))
-        assert max(max_abs(u.conj().T @ u - np.eye(len(u))) for u in g.unitaries) > 1e-11
+        assert min(g.unitarity_deviations) > 0.7 * DEFAULT_TOL
         instances.append((g, _disintegrable_state(g, rng)[0], rng))
     rejected, _ = _check_decides_as_the_entrywise_residual(instances)
     assert rejected > 0
 
 
 def test_witness_check_counts_the_unitarity_slack():
-    # U = sqrt(I + delta J) with J all ones: U^dag U - I = delta J is within
+    # U = sqrt(I + delta J) with J all ones: ||U^dag U - I||_F = m delta is within
     # DEFAULT_TOL.  With E = delta J R + a e_0 e_0^dag and p rho =
     # U^-1 (R + E) U^-1, G = (p rho) U - U R = a U^-1 e_0 has ||G||_F < a,
     # while E_00 = a + delta (J R)_00 exceeds the threshold for a just under it.
-    c, n, delta = 4, 64, 0.99 * DEFAULT_TOL
+    c, n = 4, 64
     m = c * n
+    delta = 0.99 * DEFAULT_TOL / m
     ones = np.ones((m, m))
     u = np.eye(m) + (np.sqrt(1.0 + m * delta) - 1.0) / m * ones
     f = Morphism(AlgebraShape((n,)), AlgebraShape((m,)), np.array([[c]]), (u,))
     tau, sigma = np.eye(c) / c, (np.eye(n) + np.ones((n, n))) / (2 * n)
     r = np.kron(tau, sigma)
-    a = FACTOR_TOL * (1.0 - 1e-4)
+    a = FACTOR_TOL * (1.0 - 1e-6)
     corner = np.zeros((m, m))
     corner[0, 0] = a
     inv = np.linalg.inv(u)

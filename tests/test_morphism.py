@@ -310,7 +310,7 @@ def test_composite_unitary_matches_the_permutation_matrix():
 
 
 def _dense_deviation(u):
-    return max_abs(u.conj().T @ u - np.eye(len(u)))
+    return linalg.frobenius_norm(u.conj().T @ u - np.eye(len(u)))
 
 
 def _assert_records_at_least_the_measurement(f):
@@ -340,16 +340,17 @@ def test_composite_records_at_least_its_measured_deviation():
 
 
 def test_composite_bound_carries_the_largest_inner_dimension():
-    # U = I + (t/2) J deviates by t in every entry, along the all-ones vector;
-    # a Hadamard V (exact entries 1/2) sends its first column there, so the
-    # composite deviates by n t = 4 t in an entry.
-    t = 1e-12
-    v = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]]) / 2
-    g = Morphism(AlgebraShape((4,)), AlgebraShape((4,)), np.array([[1]]), (v,))
-    f = Morphism(AlgebraShape((4,)), AlgebraShape((8,)), np.array([[2]]), (np.eye(8) + t / 2 * np.ones((8, 8)),))
-    assert g.unitarity_deviations == (0.0,) and abs(f.unitarity_deviations[0] - t) < 1e-15
+    # V_1 = [[1 + e]] deviates by d = 2e + e^2 and V_0 = [[1]] by 0; with 15
+    # copies of V_1 in M_16, the composite deviates by sqrt(15) d in Frobenius
+    # norm, so the bound needs the largest inner deviation and the copy count.
+    e = 5e-12
+    shape = AlgebraShape((1, 1))
+    g = Morphism(shape, shape, np.eye(2, dtype=int), (np.eye(1), np.full((1, 1), 1.0 + e)))
+    f = Morphism(shape, AlgebraShape((16,)), np.array([[1, 15]]), (linalg.identity_matrix(16),))
+    d = g.unitarity_deviations[1]
+    assert g.unitarity_deviations[0] == 0.0 and abs(d - 2 * e) < 1e-15 and f.unitarity_deviations == (0.0,)
     comp = compose(f, g)
-    assert _dense_deviation(comp.unitaries[0]) > 3.9 * t
+    assert _dense_deviation(comp.unitaries[0]) > 3.8 * d
     _assert_records_at_least_the_measurement(comp)
 
 
@@ -367,15 +368,16 @@ def test_composite_bound_carries_the_rounding_of_the_product():
 
 @pytest.mark.parametrize("m", [1, 2, 16, 256, 4096, 10**6])
 def test_composite_bound_covers_its_second_order_terms(m):
-    # _composite_bound's proof: the exact product deviates by delta = d_u m (1 + d_v) + d_v, a
-    # column of the rounding has norm at most eta = 3 m u sqrt(m (1 + d_u)(1 + d_v)), and an entry
-    # of W^dag W - I is within delta + 2 eta sqrt(1 + delta) + eta^2; the bound covers that where it is at most 1.
+    # _composite_bound's proof: the exact product deviates by delta = (1 + d_v) d_u + sqrt(m) d_v,
+    # the rounding has Frobenius norm at most eta = sqrt(2) gamma_2m m sqrt((1 + d_u)(1 + d_v)),
+    # and W^dag W - I is within delta + 2 eta sqrt(1 + delta) + eta^2; the bound covers that where it is at most 1.
     u = 2.0**-53
+    gamma = 2 * m * u / (1.0 - 2 * m * u)
     for d_u in (0.0, 1e-16, linalg.DEFAULT_TOL):
         for d_v in (0.0, 1e-16, linalg.DEFAULT_TOL):
             bound = morphism._composite_bound(d_u, d_v, m)
-            delta = d_u * m * (1.0 + d_v) + d_v
-            eta = 3.0 * m * u * math.sqrt(m * (1.0 + d_u) * (1.0 + d_v))
+            delta = (1.0 + d_v) * d_u + math.sqrt(m) * d_v
+            eta = math.sqrt(2.0) * gamma * m * math.sqrt((1.0 + d_u) * (1.0 + d_v))
             assert delta + 2.0 * eta * math.sqrt(1.0 + delta) + eta * eta <= bound <= 1.0
 
 
@@ -383,7 +385,7 @@ def test_compose_and_external_sum_take_no_unitarity_product(monkeypatch):
     f, _ = generate_instance(InstanceFamily(), Seed(8, 0))
     g = random_morphism(f.codomain.blocks, (f.codomain.blocks[0] * 2,), [[2] + [0] * (len(f.codomain) - 1)], np.random.default_rng(8))
     checked = []
-    monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
+    monkeypatch.setattr(linalg, "frobenius_norm", lambda m: checked.append(m.shape) or np.linalg.norm(m))
     comp = compose(g, f)
     total = external_sum_morphism(f, g)
     assert checked == []
@@ -392,18 +394,20 @@ def test_compose_and_external_sum_take_no_unitarity_product(monkeypatch):
 
 
 def test_composite_of_factors_near_the_tolerance_is_measured():
+    # each factor deviates by t = 0.9 DEFAULT_TOL; their composite, by about 2.4 t
     t = 0.9 * linalg.DEFAULT_TOL
-    near = np.eye(2) + t / 2 * np.ones((2, 2))  # deviates by t in every entry
-    g = Morphism(AlgebraShape((2,)), AlgebraShape((2,)), np.array([[1]]), (near,))
-    f = Morphism(AlgebraShape((2,)), AlgebraShape((4,)), np.array([[2]]), (np.eye(4) + t / 2 * np.ones((4, 4)),))
+    g = Morphism(AlgebraShape((1,)), AlgebraShape((1,)), np.array([[1]]), (np.full((1, 1), math.sqrt(1.0 + t)),))
+    f = Morphism(AlgebraShape((1,)), AlgebraShape((4,)), np.array([[4]]), (np.diag([math.sqrt(1.0 + t), 1.0, 1.0, 1.0]),))
     assert max(f.unitarity_deviations + g.unitarity_deviations) < linalg.DEFAULT_TOL
     with pytest.raises(NotUnitary):
         compose(f, g)
-    # a bound above the tolerance is replaced by the measurement where that is within it
-    edge = Morphism(AlgebraShape((4,)), AlgebraShape((4,)), np.array([[1]]), (np.diag([1.0 + t / 2, 1.0, 1.0, 1.0]),))
-    h = random_morphism((4,), (4,), [[1]], np.random.default_rng(9))
+    # a bound above the tolerance is replaced by the measurement where that is within it:
+    # 0.999 DEFAULT_TOL plus the rounding term 13 m^2 u of M_16
+    edge = Morphism(AlgebraShape((16,)), AlgebraShape((16,)), np.array([[1]]), (np.diag([math.sqrt(1.0 + 0.999 * linalg.DEFAULT_TOL)] + [1.0] * 15),))
+    h = random_morphism((16,), (16,), [[1]], np.random.default_rng(9))
+    assert morphism._composite_bound(edge.unitarity_deviations[0], h.unitarity_deviations[0], 16) > linalg.DEFAULT_TOL
     comp = compose(edge, h)
-    assert comp.unitarity_deviations == (_dense_deviation(comp.unitaries[0]),)
+    assert abs(comp.unitarity_deviations[0] - _dense_deviation(comp.unitaries[0])) < 1e-15
     assert comp.unitarity_deviations[0] < linalg.DEFAULT_TOL
 
 
@@ -578,7 +582,7 @@ def test_library_identity_unitaries_are_one_read_only_object_per_dimension():
 
 def test_unitaries_other_than_the_shared_identity_are_checked_by_product(monkeypatch):
     checked = []
-    monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
+    monkeypatch.setattr(linalg, "frobenius_norm", lambda m: checked.append(m.shape) or np.linalg.norm(m))
     shape = AlgebraShape((2,))
     Morphism(shape, shape, np.array([[1]]), (linalg.identity_matrix(2),))
     assert checked == []
@@ -594,16 +598,19 @@ def test_unitaries_other_than_the_shared_identity_are_checked_by_product(monkeyp
 
 def test_a_morphism_read_from_json_measures_its_unitaries(monkeypatch):
     skewed = np.eye(2, dtype=np.complex128)
-    skewed[0, 1] = 5e-11  # deviates by 5e-11: accepted, and recorded as measured
+    skewed[0, 1] = 5e-11  # deviates by 5e-11 sqrt(2): accepted, and recorded as measured
     data = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries": [linalg.matrix_to_json(skewed)]}
     checked = []
-    monkeypatch.setattr(morphism, "max_abs", lambda m: checked.append(m.shape) or max_abs(m))
+    monkeypatch.setattr(linalg, "frobenius_norm", lambda m: checked.append(m.shape) or np.linalg.norm(m))
     f = morphism_from_json(data)
     assert checked == [(2, 2)]
-    assert f.unitarity_deviations == (max_abs(skewed.conj().T @ skewed - np.eye(2)),)
-    skewed[0, 1] = 1e-6
-    with pytest.raises(NotUnitary):
-        morphism_from_json({**data, "unitaries": [linalg.matrix_to_json(skewed)]})
+    assert f.unitarity_deviations == (np.linalg.norm(skewed.conj().T @ skewed - np.eye(2)),)
+    # I + 0.4 DEFAULT_TOL J: every entry of U^dag U - I within DEFAULT_TOL, its Frobenius norm not
+    near = np.eye(2) + 0.4 * linalg.DEFAULT_TOL * np.ones((2, 2))
+    assert max_abs(near.T @ near - np.eye(2)) < linalg.DEFAULT_TOL < _dense_deviation(near)
+    for u in (near, skewed + [[0, 1e-6], [0, 0]]):
+        with pytest.raises(NotUnitary):
+            morphism_from_json({**data, "unitaries": [linalg.matrix_to_json(u)]})
     assert morphism_from_json({**data, "unitaries": None}).unitarity_deviations == (0.0,)
 
 
