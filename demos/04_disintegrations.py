@@ -27,7 +27,7 @@ from ncentropy.harness import factor_inclusion
 # one 1 per multiplicity row, in column phi(x).
 merge = Morphism(AlgebraShape((1, 1)), AlgebraShape((1, 1, 1)), np.array([[1, 0], [0, 1], [0, 1]]), (np.ones((1, 1)),) * 3)
 psi = classical_disintegrate(merge, classical_state([0.5, 0.25, 0.25]))
-print("stochastic inverse rows:\n", psi.matrix)
+print("stochastic inverse rows:\n", psi)
 
 inclusion = factor_inclusion(2, 2)
 

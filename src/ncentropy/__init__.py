@@ -9,7 +9,6 @@ from .algebra import AlgebraElement, AlgebraShape
 from .disintegration import (
     NoDisintegration,
     QuantumDisintegrationData,
-    StochasticMap,
     classical_disintegrate,
     disintegration_entropy,
     quantum_disintegrate,
@@ -57,7 +56,6 @@ __all__ = [
     "QuantumDisintegrationData",
     "Seed",
     "State",
-    "StochasticMap",
     "SuiteReport",
     "apply",
     "are_orthogonal",

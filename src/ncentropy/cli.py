@@ -3,9 +3,9 @@
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit
 codes: 0 on success (and passing suites), 1 on suite failure, 2 on
 malformed input, on usage errors, or when the blocks that a morphism
-file declares do not fit in memory (``pullback``, ``change``,
-``holevo`` and ``disintegrate``; each prints nothing before it has its
-result).
+file declares do not fit in memory (in the commands with a ``morphism``
+argument: ``pullback``, ``change``, ``holevo`` and ``disintegrate``;
+each prints nothing before it has its result).
 
 ``main`` builds its parser once per process and reuses it on later calls
 while ``NCE_SEED``, which supplies the ``verify --seed`` default, keeps
@@ -47,10 +47,6 @@ def _fmt(value: float, bits: bool) -> str:
 
 class _InputError(Exception):
     """Bad input file or value; reported on stderr with exit code 2."""
-
-
-# Commands that build the blocks a morphism file declares: a MemoryError there means the file is malformed input.
-_DECLARES_BLOCKS = ("pullback", "change", "holevo", "disintegrate")
 
 
 def _load_json(path: str):
@@ -154,7 +150,7 @@ def _cmd_orthogonal(args) -> int:
 def _cmd_disintegrate(args) -> int:
     omega = _load_state(args.state)
     f = _load_morphism(args.morphism, omega.shape)
-    scale = 1.0 / ent.LOG2 if args.bits else 1.0
+    unit = ent.LOG2 if args.bits else 1.0  # divided out, as in ``_fmt``
     if args.classical:
         try:
             psi = dis.classical_disintegrate(f, omega)
@@ -163,8 +159,8 @@ def _cmd_disintegrate(args) -> int:
         production = ent.entropy_change(f, omega)
         payload = {
             "exists": True,
-            "psi": [[float(v) for v in row] for row in psi.matrix],
-            "entropy_production": production * scale,
+            "psi": psi.tolist(),
+            "entropy_production": production / unit,
         }
         print(json.dumps(payload))
         return 0
@@ -181,7 +177,7 @@ def _cmd_disintegrate(args) -> int:
             "exists": True,
             "tau": {f"{y},{x}": matrix_to_json(t) for (y, x), t in sorted(result.tau.items())},
             "violations": [],
-            "entropy_production": dis.disintegration_entropy(f, omega, result) * scale,
+            "entropy_production": dis.disintegration_entropy(f, omega, result) / unit,
         }
     print(json.dumps(payload))
     return 0
@@ -338,7 +334,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         message = f"{type(exc).__name__}: {exc}"
     except MemoryError as exc:
-        if args.command not in _DECLARES_BLOCKS:
+        if not hasattr(args, "morphism"):  # no morphism file declared the blocks
             raise
         message = f"MemoryError: {exc}"
     print(f"error: {message}", file=sys.stderr)

@@ -30,7 +30,6 @@ from .errors import InconsistentData, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     block_diag,
-    check_probability_vector,
     frobenius_norm,
     hermitian_part,
     hermitian_spectrum,
@@ -43,35 +42,22 @@ from .state import State
 FACTOR_TOL = 1e-8  # the factorization test's tolerance, scaled per block
 
 
-@dataclass(frozen=True)
-class StochasticMap:
-    """Row-stochastic matrix: one probability vector on the target per source point."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.size == 0:
-            raise ShapeMismatch(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", np.array([check_probability_vector(row) for row in m]))
-
-
-def classical_disintegrate(f: Morphism, omega: State) -> StochasticMap:
+def classical_disintegrate(f: Morphism, omega: State) -> np.ndarray:
     """Stochastic inverse of the probability-preserving map of finite sets that ``(f, omega)`` encodes.
 
-    Between commutative algebras, row ``x`` of ``f``'s multiplicities holds
-    one 1, in column ``phi(x)``; ``omega``'s weights are the ``p_x``.  The
-    returned map sends ``y`` to the conditional distribution ``p_x / q_y``
-    on the fiber over ``y``.  Rows over targets of pushforward weight zero
-    are fixed deterministically: uniform on the fiber when it is nonempty,
-    uniform everywhere otherwise.  ShapeMismatch unless both algebras are
+    Between commutative algebras, codomain block ``x`` of ``f`` has one
+    segment, of domain block ``phi(x)``; ``omega``'s weights are the ``p_x``.
+    Row ``y`` of the returned row-stochastic ``n_y x n_x`` matrix is the
+    conditional distribution ``p_x / q_y`` on the fiber over ``y``.  Rows
+    over targets of pushforward weight zero are fixed deterministically:
+    uniform on the fiber when it is nonempty, uniform everywhere otherwise.  ShapeMismatch unless both algebras are
     commutative and ``omega`` is a state on ``f``'s codomain.
     """
     if not (f.domain.is_commutative() and f.codomain.is_commutative()):
         raise ShapeMismatch("a classical disintegration needs a morphism between commutative algebras")
     if omega.shape != f.codomain:
         raise ShapeMismatch(f"state on {omega.shape.blocks} disintegrated through morphism with codomain {f.codomain.blocks}")
-    phi = [int(np.nonzero(row)[0][0]) for row in f.multiplicities]
+    phi = [segments[0][0] for segments in f.segments]
     p, n_x, n_y = omega.weights, len(f.codomain), len(f.domain)
     q = np.zeros(n_y)
     for x, y in enumerate(phi):
@@ -86,7 +72,7 @@ def classical_disintegrate(f: Morphism, omega: State) -> StochasticMap:
             psi[y, fiber] = 1.0 / len(fiber)
         else:
             psi[y, :] = 1.0 / n_x
-    return StochasticMap(psi)
+    return psi
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,13 @@ from .linalg import (
     Seed,
     _ginibre,
     block_diag,
-    eigh,
     hermitian_part,
     hermitian_spectrum,
     identity_matrix,
     kron,
     max_abs,
     placeholder,
+    project_to_density,
     sample_density,
     sample_simplex,
     sample_unitary,
@@ -412,7 +412,7 @@ def _suite_orthogonal_affinity(rec, s, rng, i, tol):
         xi = st.classical_state([0.0, 1.0])
         preserving = False
     else:
-        f = _qubit_in_two_qubits()
+        f = factor_inclusion(2, 2)
         omega, xi = _bell_states()
         preserving = False
     chis, ((_, f_omega), (_, f_xi), *_) = ent._holevo_changes(f, _LAMBDAS, omega, xi)
@@ -519,13 +519,6 @@ def _suite_k_counterexample(rec, s, rng, i, tol):
     rec.check(s, "block-weight functor unexpectedly affine", 1e-4 - abs(k_chi(0.5, half, mor.pullback(f, half))), 0.0)
 
 
-def _project_to_density(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = eigh(hermitian_part(rho))
-    vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum()
-    return (vecs * vals) @ vecs.conj().T
-
-
 def _trace_distance(omega: State, xi: State) -> float:
     """Trace distance of the block diagonals ``⊕_x p_x rho_x`` of two states on one algebra.
 
@@ -579,7 +572,7 @@ def _suite_continuity(rec, s, rng, i, tol):
         weights = np.clip(omega.weights + w_dir / n, 0.0, None)
         weights /= weights.sum()
         densities = tuple(
-            _project_to_density(rho + d / n) for rho, d in zip(omega.densities, dirs)
+            project_to_density(rho + d / n) for rho, d in zip(omega.densities, dirs)
         )
         perturbed = State(f.codomain, weights, densities)
         change, pulled_perturbed = ent._change_and_pullback(f, perturbed)
@@ -627,7 +620,7 @@ def _disintegrable_state(f: mor.Morphism, rng: np.random.Generator):
         inner = dis._factored_block(f, x, tau, q, sigmas)
         block = f.unitaries[x] @ inner @ f.unitaries[x].conj().T
         weights[x] = np.trace(block).real
-        densities.append(_project_to_density(block / weights[x]) if weights[x] > 1e-12 else placeholder(m))
+        densities.append(project_to_density(block / weights[x]) if weights[x] > 1e-12 else placeholder(m))
     omega = State(f.codomain, weights / weights.sum(), tuple(densities))
     return omega, tau
 
@@ -641,15 +634,9 @@ def _remark_quartic_change(p: np.ndarray) -> float:
     return total
 
 
-@functools.cache
-def _qubit_in_two_qubits() -> mor.Morphism:
-    """``factor_inclusion(2, 2)``, M_2 inside M_4."""
-    return factor_inclusion(2, 2)
-
-
 @_per_trial
 def _suite_disintegration(rec, s, rng, i, tol):
-    inclusion = _qubit_in_two_qubits()
+    inclusion = factor_inclusion(2, 2)
     # (a) instances with a factorization by construction
     f, omega, tau = _sample_disintegrable(rng)
     result = dis.quantum_disintegrate(f, omega)
@@ -695,7 +682,7 @@ def _suite_disintegration(rec, s, rng, i, tol):
     worst = 0.0
     for (y, x), t in result_c.tau.items():
         if result_c.pullback_weights[y] > 1e-12:
-            worst = max(worst, abs(t[0, 0].real - psi.matrix[y, x]))
+            worst = max(worst, abs(t[0, 0].real - psi[y, x]))
     rec.check(s, "quantum factors differ from the classical disintegration", worst, 1e-10)
 
 

@@ -204,6 +204,18 @@ def eigh(h: np.ndarray):
     return np.linalg.eigh(h)
 
 
+def project_to_density(rho: np.ndarray) -> np.ndarray:
+    """``(rho + rho^dag)/2`` with its negative eigenvalues set to 0 and the others rescaled to sum 1.
+
+    The one projection onto densities: ``rho`` needs a positive trace, and
+    the result is a density up to the rounding of one product.
+    """
+    vals, vecs = eigh(hermitian_part(rho))
+    vals = np.clip(vals, 0.0, None)
+    vals /= vals.sum()
+    return (vecs * vals) @ vecs.conj().T
+
+
 def _ginibre(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Ginibre ``n x k`` matrix from one ``standard_normal`` draw: the stream of two, real part first."""
     re, im = rng.standard_normal((2, n, k))

@@ -29,6 +29,7 @@ from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
 from .errors import (
     DegenerateSpectrum,
+    InvariantViolation,
     NotHermitian,
     NotOrthogonalInput,
     NotUnitary,
@@ -38,6 +39,7 @@ from .linalg import DEFAULT_TOL, as_matrix, max_abs
 from .state import State, are_orthogonal
 
 WEIGHT_FLOOR = 1e-13  # a pulled-back block of weight at most this gets the placeholder density
+PROJECT_BELOW = 1e-5  # a heavier pulled-back block of weight at most this is projected onto the densities
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,12 +181,17 @@ def _pulled_state(domain: AlgebraShape, accum: list) -> State:
     """The state whose weighted block densities are ``accum``, weights clipped at 0.
 
     A block of weight at most ``WEIGHT_FLOOR`` gets the placeholder density.
+    One of weight at most ``PROJECT_BELOW`` gets ``linalg.project_to_density(a / q)``:
+    dividing the rounding of ``a``, about ``1e-16``, by a small ``q`` can leave
+    ``a / q`` an eigenvalue below ``-DEFAULT_TOL``, which ``State`` refuses.
     """
     weights = np.maximum([a.trace().real for a in accum], 0.0)
     densities = []
     for q, a, n in zip(weights.tolist(), accum, domain.blocks):
-        if q > WEIGHT_FLOOR:
+        if q > PROJECT_BELOW:
             densities.append(linalg.hermitian_part(a / q))
+        elif q > WEIGHT_FLOOR:
+            densities.append(linalg.project_to_density(a / q))
         else:
             densities.append(linalg.placeholder(n))
     return State(domain, weights / np.add.reduce(weights), tuple(densities))
@@ -360,6 +367,8 @@ def morphism_from_json(data) -> Morphism:
             unitaries = tuple(linalg.identity_matrix(m) for m in codomain.blocks)
         else:
             unitaries = tuple(linalg.matrix_from_json(u) for u in raw)
+    except InvariantViolation:
+        raise  # a field's own check, which names what is wrong
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed morphism encoding: missing or bad field {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing U^dag U fails as NotUnitary, without warnings

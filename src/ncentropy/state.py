@@ -22,12 +22,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
-from .errors import OutOfRange, ShapeMismatch
+from .errors import InvariantViolation, OutOfRange, ShapeMismatch
 from .linalg import DEFAULT_TOL, max_abs
-
-# A SupportProjection is an AlgebraElement with p^dag p = p blockwise,
-# with the zero matrix on weight-zero blocks.
-SupportProjection = AlgebraElement
 
 # block_pure_state scales a vector by its largest entry first when that entry
 # lies outside this range, so that the sum of squares stays a normal float
@@ -106,11 +102,11 @@ def evaluate(omega: State, a: AlgebraElement) -> complex:
     return total
 
 
-def support(omega: State) -> SupportProjection:
-    """Smallest projection absorbing the state.
+def support(omega: State) -> AlgebraElement:
+    """Smallest projection absorbing the state: an element with ``p^dag p = p`` blockwise.
 
     Block ``x`` is the spectral projection of ``rho_x`` onto eigenvalues
-    above ``DEFAULT_TOL`` when ``p_x > DEFAULT_TOL``, and zero otherwise.
+    above ``DEFAULT_TOL`` when ``p_x > DEFAULT_TOL``, and the zero matrix otherwise.
     """
     blocks = []
     for p, rho, m in zip(omega.weights, omega.densities, omega.shape.blocks):
@@ -185,6 +181,8 @@ def state_from_json(data) -> State:
         shape = AlgebraShape(tuple(data["shape"]))
         weights = np.asarray(data["weights"], dtype=np.float64)
         densities = tuple(linalg.matrix_from_json(r) for r in data["densities"])
+    except InvariantViolation:
+        raise  # a field's own check, which names what is wrong
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed state encoding: missing or bad field {exc}") from exc
     return State(shape, weights, densities)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncentropy import cli, harness
+from ncentropy.algebra import MAX_BLOCK_DIM
 from ncentropy.morphism import morphism_from_json
 from ncentropy.state import state_from_json
 from predicates import extensionally_equal
@@ -132,6 +133,10 @@ def test_disintegrate_classical(tmp_path, capsys):
     assert payload["exists"] is True
     assert np.allclose(payload["psi"], [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     assert abs(payload["entropy_production"] - 0.5 * LOG2) < 1e-9
+    for extra in ([], ["--classical"]):  # bits are nats divided by log 2, as every other command reports them
+        code, out, _ = _run(capsys, "disintegrate", str(mp), str(sp), "--bits", *extra)
+        nats = json.loads(_run(capsys, "disintegrate", str(mp), str(sp), *extra)[1])["entropy_production"]
+        assert (code, json.loads(out)["entropy_production"]) == (0, nats / LOG2)
 
 
 def test_disintegrate_classical_needs_commutative_algebras(tmp_path, capsys):
@@ -297,6 +302,29 @@ def test_malformed_values_exit_2(tmp_path, capsys, monkeypatch, command, payload
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and error in err
+
+
+_RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("entropy", {**_STATE_2, "shape": [2, 4000000000], "weights": [1.0, 0.0]}, f"block dimensions must be in 1..{MAX_BLOCK_DIM}, got (2, 4000000000)"),
+        ("entropy", {**_STATE_2, "densities": [_RAGGED]}, "matrix rows must be nonempty and of equal length"),
+        ("change", {**_MORPHISM, "domain": [2, 4000000000], "multiplicities": [[1, 0]]}, f"block dimensions must be in 1..{MAX_BLOCK_DIM}, got (2, 4000000000)"),
+        ("change", {**_MORPHISM, "unitaries": [_RAGGED]}, "matrix rows must be nonempty and of equal length"),
+    ],
+    ids=["state-block-too-large", "state-ragged-density", "morphism-block-too-large", "morphism-ragged-unitary"],
+)
+def test_a_loader_reports_the_check_that_failed(tmp_path, capsys, command, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(_STATE_2))
+    code, out, err = _run(capsys, command, str(bad), *([str(state)] if command == "change" else []))
+    assert (code, out) == (2, "")
+    assert err == f"error: ShapeMismatch: {message}\n"
 
 
 # The child caps its own address space, then runs ``nce``: building a

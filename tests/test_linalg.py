@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncentropy import AlgebraShape, Seed, State, StochasticMap, shannon
+from ncentropy import AlgebraShape, Seed, State, shannon
 from ncentropy.errors import NotProbabilityVector, ShapeMismatch
 from ncentropy.linalg import (
     _ginibre,
@@ -162,11 +162,9 @@ def test_one_vector_check_rejects_every_malformed_vector(p):
         shannon(p)
     shape = AlgebraShape((1,) * max(len(p), 1))
     ones = (np.ones((1, 1)),) * len(shape)
-    # a stochastic matrix and a state check their shapes first
+    # a state checks its shape first
     vector = np.ndim(p) == 1 and len(p) > 0
     expected = NotProbabilityVector if vector else ShapeMismatch
-    with pytest.raises(expected):
-        StochasticMap([[0.0, 1.0], p] if vector else [p])
     with pytest.raises(expected):
         State(shape, p, ones)
 

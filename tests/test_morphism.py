@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from ncentropy import (
     classical_state,
     compose,
     convex_combine,
+    entropy_change,
     evaluate,
     external_sum_morphism,
     external_sum_state,
@@ -31,8 +33,9 @@ from ncentropy.errors import DegenerateSpectrum, NotHermitian, NotOrthogonalInpu
 from ncentropy.disintegration import QuantumDisintegrationData, quantum_disintegrate
 from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
 from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
-from ncentropy import linalg, morphism
+from ncentropy import cli, linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
+from ncentropy.state import state_to_json
 from predicates import adjoint, extensionally_equal, identity, identity_morphism, is_positive, multiply, random_morphism
 
 
@@ -237,6 +240,28 @@ def test_pullback_agrees_with_the_disintegration_pullback():
         data = quantum_disintegrate(f, omega)
         assert isinstance(data, QuantumDisintegrationData)
         assert _pullback_error(pullback(f, omega), data.pullback_weights, data.pullback_densities) < 1e-14
+
+
+_DFT3 = np.exp(-2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+# M_2 + C in M_3 through the 3 x 3 discrete Fourier transform
+_DFT_MORPHISM = Morphism(AlgebraShape((2, 1)), AlgebraShape((3,)), np.array([[1, 1]]), (_DFT3,))
+
+
+@pytest.mark.parametrize("t", [1e-7, 1e-8, 1e-9, 1e-11])
+@pytest.mark.parametrize("spread", [False, True], ids=["one-vector", "two-vectors"])
+def test_a_light_pulled_back_block_is_still_a_density(tmp_path, capsys, t, spread):
+    # the pure state along F (a, b, sqrt(1 - t)) puts weight t on M_2: dividing the rounding
+    # of U^dag (p rho) U by t would give that block a negative eigenvalue far below -DEFAULT_TOL
+    a, b = (math.sqrt(t / 2), math.sqrt(t / 2)) if spread else (math.sqrt(t), 0.0)
+    omega = block_pure_state(AlgebraShape((3,)), 0, _DFT3 @ np.array([a, b, math.sqrt(1.0 - t)]))
+    binary = -t * math.log(t) - (1.0 - t) * math.log1p(-t)
+    assert abs(entropy_change(_DFT_MORPHISM, omega) + binary) <= 1e-12
+    morphism_path, state_path = tmp_path / "morphism.json", tmp_path / "state.json"
+    morphism_path.write_text(json.dumps(morphism_to_json(_DFT_MORPHISM)))
+    state_path.write_text(json.dumps(state_to_json(omega)))
+    for command in ("change", "pullback"):
+        assert cli.main([command, str(morphism_path), str(state_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compose_with_identity_and_terminal():
