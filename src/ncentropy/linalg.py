@@ -8,7 +8,8 @@ Every other module decides "is this a density?" with ``check_density``,
 "is this a probability vector?" with ``check_probability_vector``, takes
 Hermitian spectra from ``hermitian_spectrum``, the package's one
 ``eigvalsh`` call (a 1x1 spectrum is read off the entry, and an exactly
-Hermitian matrix is decomposed without symmetrizing it), and forms
+Hermitian matrix is decomposed without symmetrizing it), support blocks
+from ``support_projection``, and forms
 Kronecker products with ``kron``, which has ``np.kron``'s bits.  Hot
 reductions call the ufuncs' ``reduce``, skipping the Python wrappers of
 ``ndarray.sum``/``max``/``min``.
@@ -128,11 +129,21 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
         if not math.isfinite(deviation):
             raise ShapeMismatch("matrix entries must be finite")
         return deviation, np.array([((z + z.conjugate()) / 2).real])
+    deviation, h = _spectral_matrix(m)
+    return deviation, np.linalg.eigvalsh(h)
+
+
+def _spectral_matrix(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """``max |m - m^dag|`` and the Hermitian matrix whose spectrum ``hermitian_spectrum`` takes.
+
+    That is ``m`` itself at deviation 0.0 and ``(m + m^dag)/2`` otherwise.
+    A NaN or infinite entry raises ShapeMismatch.
+    """
     adjoint = m.conj().T
     deviation = float(np.maximum.reduce(np.abs(m - adjoint), axis=None))
     if not math.isfinite(deviation):
         raise ShapeMismatch("matrix entries must be finite")
-    return deviation, np.linalg.eigvalsh(m if deviation == 0.0 else (m + adjoint) / 2)
+    return deviation, (m if deviation == 0.0 else (m + adjoint) / 2)
 
 
 def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
@@ -202,6 +213,22 @@ def eigh(h: np.ndarray):
     part, or an observable ``measurement_morphism`` has checked.
     """
     return np.linalg.eigh(h)
+
+
+def support_projection(rho: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The projection onto the eigenvectors of ``rho``'s k eigenvalues above ``DEFAULT_TOL``.
+
+    ``vals`` is ``check_density(rho, ...)``, the ascending spectrum that
+    ``State`` keeps: that of the Hermitian matrix H that ``hermitian_spectrum``
+    decomposes, ``rho`` itself when it is exactly Hermitian and its
+    Hermitian part otherwise.  The projection is of H, and k counts
+    ``vals``, so its trace is ``support_rank``'s count: it takes the top k
+    columns of ``eigh(H)``.
+    """
+    m = rho.shape[0]
+    k = int(np.count_nonzero(vals > DEFAULT_TOL))
+    cols = eigh(_spectral_matrix(rho)[1])[1][:, m - k :][:, ::-1]  # descending: the product's rounding depends on the column order
+    return cols @ cols.conj().T
 
 
 def project_to_density(rho: np.ndarray) -> np.ndarray:

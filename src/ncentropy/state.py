@@ -10,8 +10,10 @@ Validating a density takes its spectrum, so a ``State`` keeps what
 ``linalg.check_density`` computed: per block, the ascending eigenvalues
 of ``(rho + rho^dag)/2``; the shared placeholder's was kept when it was built.
 ``support_rank``, and the Segal entropy in ``entropy``, read those values
-instead of decomposing the density again.  Supports, orthogonality and
-purity are decided at the fixed ``linalg.DEFAULT_TOL``.
+instead of decomposing the density again; ``support`` projects onto the
+eigenvectors of that same Hermitian part, keeping as many as
+``support_rank`` counts.  Supports, orthogonality and purity are decided
+at the fixed ``linalg.DEFAULT_TOL``.
 """
 
 from __future__ import annotations
@@ -105,17 +107,18 @@ def evaluate(omega: State, a: AlgebraElement) -> complex:
 def support(omega: State) -> AlgebraElement:
     """Smallest projection absorbing the state: an element with ``p^dag p = p`` blockwise.
 
-    Block ``x`` is the spectral projection of ``rho_x`` onto eigenvalues
-    above ``DEFAULT_TOL`` when ``p_x > DEFAULT_TOL``, and the zero matrix otherwise.
+    Block ``x`` is ``linalg.support_projection(rho_x, spectrum_x)`` when
+    ``p_x > DEFAULT_TOL``, and the zero matrix otherwise: the spectral
+    projection of the Hermitian part of ``rho_x`` (``rho_x`` itself when it
+    is exactly Hermitian) onto the eigenvalues of the kept spectrum above
+    ``DEFAULT_TOL``, so its trace is the block's share of ``support_rank``.
     """
     blocks = []
-    for p, rho, m in zip(omega.weights, omega.densities, omega.shape.blocks):
+    for p, rho, vals in zip(omega.weights, omega.densities, omega.spectra):
         if p > DEFAULT_TOL:
-            vals, vecs = linalg.eigh(rho)
-            cols = vecs[:, vals > DEFAULT_TOL][:, ::-1]  # descending: the product's rounding depends on the column order
-            blocks.append(cols @ cols.conj().T)
+            blocks.append(linalg.support_projection(rho, vals))
         else:
-            blocks.append(np.zeros((m, m), dtype=np.complex128))
+            blocks.append(np.zeros(rho.shape, dtype=np.complex128))
     return AlgebraElement(omega.shape, tuple(blocks))
 
 

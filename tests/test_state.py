@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -20,9 +21,9 @@ from ncentropy import (
     support,
 )
 from ncentropy.errors import IndexOutOfRange, NotDensity, NotProbabilityVector, OutOfRange, ShapeMismatch
-from ncentropy import linalg
-from ncentropy.linalg import max_abs, sample_density, sample_simplex
-from ncentropy.state import support_rank
+from ncentropy import cli, linalg
+from ncentropy.linalg import max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.state import state_to_json, support_rank
 
 from predicates import identity, is_projection, multiply
 
@@ -104,6 +105,19 @@ def test_support_is_projection_and_absorbs():
         assert abs(evaluate(omega, sandwiched) - evaluate(omega, a)) < 1e-9
 
 
+def test_the_support_trace_is_the_support_rank():
+    rng = np.random.default_rng(17)
+    for blocks in ((1, 2, 3), (16,), (20, 5), (64,), (40, 17)):
+        for rank in (1, 2, 4, 8, None):
+            weights = sample_simplex(len(blocks), rng)
+            weights[0] = 0.0 if len(blocks) > 1 else 1.0
+            densities = tuple(sample_density(m, rng, rank=None if rank is None else min(rank, m)) for m in blocks)
+            omega = State(AlgebraShape(blocks), weights / weights.sum(), densities)
+            p = support(omega)
+            assert round(sum(b.trace().real for b in p.blocks)) == support_rank(omega)
+            assert is_projection(p, 1e-9)
+
+
 def test_support_minimality():
     # rank equals the number of nonzero eigenvalues, and any strictly
     # smaller spectral projection loses absorption
@@ -126,6 +140,31 @@ def test_orthogonality_examples():
     # oracle: the product of the two rank-1 projectors is nonzero
     assert max_abs(support(plus).blocks[0] @ support(e0).blocks[0]) > 0.1
     assert not are_orthogonal(plus, e0)
+
+
+def test_supports_of_nearly_hermitian_densities_have_the_kept_rank(tmp_path, capsys):
+    # rank-8 densities on orthogonal column sets of a Haar unitary, each
+    # plus 2e-11 (A - A^T): Hermitian within DEFAULT_TOL only.  The lower
+    # triangle alone is another Hermitian matrix, whose near-null
+    # eigenvalues pass DEFAULT_TOL; the support is of the Hermitian part.
+    rng = np.random.default_rng(11)
+    u = sample_unitary(64, rng)
+
+    def near_hermitian(cols, a):
+        return State(AlgebraShape((64,)), [1.0], (cols @ sample_density(8, rng) @ cols.conj().T + 2e-11 * (a - a.T),))
+
+    omega, xi = (near_hermitian(u[:, 8 * i : 8 * i + 8], rng.uniform(-1, 1, (64, 64))) for i in (0, 1))
+    for state in (omega, xi):
+        assert support_rank(state) == 8
+        assert round(support(state).blocks[0].trace().real) == 8
+    assert are_orthogonal(omega, xi)
+    paths = []
+    for i, state in enumerate((omega, xi)):
+        paths.append(str(tmp_path / f"near_hermitian_{i}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(state_to_json(state), fh)
+    assert cli.main(["orthogonal", *paths]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 def test_orthogonality_symmetric_and_null_mass():
