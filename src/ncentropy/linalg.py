@@ -14,7 +14,8 @@ Kronecker products with ``kron``, which has ``np.kron``'s bits.  Hot
 reductions call the ufuncs' ``reduce``, skipping the Python wrappers of
 ``ndarray.sum``/``max``/``min``.
 ``check_density`` checks at the caller's ``tol``; every other threshold
-here is ``DEFAULT_TOL``.  Everything here is a pure function of its
+here is ``DEFAULT_TOL``, and ``SUPPORT_SLACK`` bounds the error of a
+low-rank support block.  Everything here is a pure function of its
 inputs; matrices are plain ``numpy`` arrays of ``complex128``, and
 ``placeholder(n)``/``identity_matrix(n)`` are shared read-only, one per dimension.
 """
@@ -32,6 +33,10 @@ from .errors import IndexOutOfRange, NotDensity, NotProbabilityVector, ShapeMism
 # One tolerance governs every "is zero / is PSD / is Hermitian" decision
 # so the verification suites stay coherent.
 DEFAULT_TOL = 1e-10
+# support_projection keeps a low-rank basis only when its projection is
+# proven within this Frobenius distance of the exact spectral projection
+SUPPORT_SLACK = DEFAULT_TOL / 100
+_UNIT_ROUNDOFF = 2.0**-53
 
 _placeholders: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # n -> placeholder(n) and its spectrum
 
@@ -222,13 +227,109 @@ def support_projection(rho: np.ndarray, vals: np.ndarray) -> np.ndarray:
     ``State`` keeps: that of the Hermitian matrix H that ``hermitian_spectrum``
     decomposes, ``rho`` itself when it is exactly Hermitian and its
     Hermitian part otherwise.  The projection is of H, and k counts
-    ``vals``, so its trace is ``support_rank``'s count: it takes the top k
-    columns of ``eigh(H)``.
+    ``vals``, so its trace is ``support_rank``'s count.  A block of
+    dimension m >= 32 with 4k <= m takes the O(m^2 k) ``_low_rank_support``
+    and keeps it when its bound is at most ``SUPPORT_SLACK``; every other
+    block, and a refused one, takes the top k columns of ``eigh(H)``.
     """
     m = rho.shape[0]
     k = int(np.count_nonzero(vals > DEFAULT_TOL))
-    cols = eigh(_spectral_matrix(rho)[1])[1][:, m - k :][:, ::-1]  # descending: the product's rounding depends on the column order
+    h = _spectral_matrix(rho)[1]
+    if m >= 32 and 0 < 4 * k <= m:  # on smaller blocks, or at k above m/4, eigh is about as fast
+        q, bound = _low_rank_support(h, vals, k)
+        if bound <= SUPPORT_SLACK:
+            return q @ q.conj().T
+    cols = eigh(h)[1][:, m - k :][:, ::-1]  # descending: the product's rounding depends on the column order
     return cols @ cols.conj().T
+
+
+def _low_rank_support(h: np.ndarray, vals: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """A basis Q of k columns of H, and a bound on ``||fl(Q Q^dag) - P||_F``.
+
+    H is an exactly Hermitian m x m matrix, ``vals`` its spectrum as
+    ``eigvalsh`` computed it, and P its spectral projection onto its k
+    largest eigenvalues.  Q is the computed QR basis of the k columns of H with the
+    largest diagonal entries, B the Hermitian part of the computed
+    ``Q^dag H Q``, theta its least eigenvalue, and lambda = ``vals[m-k-1]``
+    the largest dropped eigenvalue.  The bound is ``inf`` unless the gap
+    below is positive.
+
+    Exact part.  Let V, V' hold orthonormal eigenvectors of H for its k
+    largest and its m - k other eigenvalues, L' the latter, c = V^dag Q,
+    s = V'^dag Q, R = HQ - QB and eps >= ||Q^dag Q - I||_F.  If every
+    eigenvalue of B exceeds every one of L' by delta > 0, then
+    ``V'^dag R = L' s - s B``, and in B's eigenbasis each entry of s is that
+    of ``V'^dag R`` divided by a difference of at least delta, so
+    ``||s||_F <= sigma = ||R||_F / delta`` (the sin-theta theorem: Davis &
+    Kahan, SIAM J. Numer. Anal. 7, 1970).  In the basis (V, V'),
+    ``Q Q^dag - P`` has the blocks ``c c^dag - I``, ``c s^dag``, its adjoint
+    and ``s s^dag``; ``c c^dag - I`` has the singular values of
+    ``c^dag c - I = Q^dag Q - I - s^dag s``, and ``||c||_2^2 <= 1 + eps``, so::
+
+        ||Q Q^dag - P||_F <= (eps + sigma^2) + sqrt(2 (1 + eps)) sigma + sigma^2.
+
+    P is unique where this is below 1/2: were the (m-k)th and (m-k+1)th
+    eigenvalues equal, one more column in V' would give
+    ``1 - eps <= sigma^2``.
+
+    Rounding.  u = 2^-53, and m <= 2^20 (a larger dense block needs over
+    16 TiB), so every count n below has nu < 2^-12 and
+    ``gamma_n = nu / (1 - nu) < 1.001 nu``.  ``_chunked_matmul`` sums an
+    inner dimension n in chunks of s, so either part of an entry is a real
+    sum of 2s products per chunk, and ceil(n/s) - 1 more additions: it is
+    within ``sqrt(2) gamma_c (|A| |B|)`` of the exact product entrywise,
+    c its count, and within ``sqrt(2) gamma_c ||A||_F ||B||_F``
+    in norm, whatever the order and fused multiply-adds (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1, 3.6
+    and Lemma 3.3).  ``frobenius_norm`` sums nonnegative squares, so
+    ``F(X) = 1.001 frobenius_norm(X) >= ||X||_F``; its margin over the
+    1.0002 it needs covers the relative u of each scalar operation below
+    (the subtraction in delta cancels only where sigma is far above 1).
+    With q = F(Q), the computed ``D = Q^dag Q - I`` gives
+    ``eps = F(D) + sqrt(2) gamma_c(m) q^2``, c(n) the count over n, and the computed
+    ``R^ = fl(fl(HQ) - fl(QB))`` gives ``||R||_F <= r = F(R^) +
+    sqrt(2) (gamma_c(m) F(H) + gamma_c(k) F(B)) q``.  LAPACK's Hermitian
+    eigenvalues lie within ``p(n) u ||A||_2`` of the exact ones, p a
+    modestly growing function (LAPACK Users' Guide, 3rd ed., 4.7); with
+    p(n) = n^2, ``delta = theta - lambda - u (k^2 F(B) + m^2 F(H))``.  The
+    returned ``fl(Q Q^dag)``, a plain product of inner dimension k, adds
+    ``sqrt(2) gamma_2k q^2``.
+    """
+    m = h.shape[0]
+    cols = np.argsort(h.diagonal().real)[::-1][:k]  # largest diagonal first
+    q = np.linalg.qr(h[:, cols])[0]
+    q_adj = q.conj().T
+    z, terms_m = _chunked_matmul(h, q)
+    b = hermitian_part(q_adj @ z)
+    theta = hermitian_spectrum(b)[1][0]
+    qb, terms_k = _chunked_matmul(q, b)
+    gram = _chunked_matmul(q_adj, q)[0]
+    gram[np.diag_indices(k)] -= 1.0
+    f_q, f_h, f_b, f_d, f_r = (1.001 * frobenius_norm(x) for x in (q, h, b, gram, z - qb))
+
+    def gamma(n):  # sqrt(2) gamma_n
+        return math.sqrt(2.0) * 1.001 * _UNIT_ROUNDOFF * n
+
+    eps = f_d + gamma(terms_m) * f_q * f_q
+    r = f_r + (gamma(terms_m) * f_h + gamma(terms_k) * f_b) * f_q
+    delta = theta - vals[m - k - 1] - _UNIT_ROUNDOFF * (k * k * f_b + m * m * f_h)
+    if not delta > 0.0:
+        return q, math.inf
+    sigma = r / delta
+    return q, math.sqrt(2.0 * (1.0 + eps)) * sigma + eps + 2.0 * sigma * sigma + gamma(2 * k) * f_q * f_q
+
+
+def _chunked_matmul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a @ b`` with its inner dimension n summed in chunks of s = ``isqrt(2n)``, and the rounding count 2s + ceil(n/s).
+
+    A plain product's rounding count is 2n; this one's grows with about sqrt(8n).
+    """
+    n = a.shape[1]
+    s = math.isqrt(2 * n)
+    out = a[:, :s] @ b[:s]
+    for i in range(s, n, s):
+        out += a[:, i : i + s] @ b[i : i + s]
+    return out, 2 * s + -(-n // s)
 
 
 def project_to_density(rho: np.ndarray) -> np.ndarray:

@@ -3,13 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from ncentropy import AlgebraShape, Seed, State, shannon
+from ncentropy import AlgebraShape, Seed, State, linalg, shannon
 from ncentropy.errors import NotProbabilityVector, ShapeMismatch
 from ncentropy.linalg import (
+    DEFAULT_TOL,
+    SUPPORT_SLACK,
     _ginibre,
     as_matrix,
+    check_density,
     check_probability_vector,
     eigh,
+    frobenius_norm,
     hermitian_part,
     hermitian_spectrum,
     kron,
@@ -19,6 +23,7 @@ from ncentropy.linalg import (
     sample_density,
     sample_simplex,
     sample_unitary,
+    support_projection,
 )
 
 
@@ -285,3 +290,77 @@ def test_as_matrix_rejects_non_finite_entries(bad, part):
     m[0, 1] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
     with pytest.raises(ShapeMismatch, match="finite"):
         as_matrix(m)
+
+
+def _eigh_support(h, k):
+    """The product of the top k eigenvectors of ``np.linalg.eigh(h)``, in descending order, with their adjoint."""
+    cols = np.linalg.eigh(h)[1][:, h.shape[0] - k :][:, ::-1]
+    return cols @ cols.conj().T
+
+
+def _no_eigh(h):
+    raise AssertionError("the low-rank support fell back to eigh")
+
+
+def _no_low_rank_support(h, vals, k):
+    raise AssertionError("a block outside the low-rank range took the low-rank path")
+
+
+@pytest.mark.parametrize("m, k", [(16, 4), (64, 8), (112, 12), (256, 8)])
+def test_a_low_rank_support_is_the_eigh_projection(m, k):
+    rho = sample_density(m, np.random.default_rng(m + k), rank=k)
+    vals = check_density(rho, DEFAULT_TOL)
+    q, bound = linalg._low_rank_support(rho, vals, k)
+    assert bound <= SUPPORT_SLACK
+    assert frobenius_norm(q @ q.conj().T - _eigh_support(rho, k)) <= 1e-13
+
+
+@pytest.mark.parametrize("m, k, low_rank", [(16, 4, False), (31, 7, False), (32, 8, True), (32, 9, False), (64, 1, True), (64, 16, True), (64, 17, False)])
+def test_blocks_from_dimension_32_with_4k_at_most_m_take_the_low_rank_path(m, k, low_rank, monkeypatch):
+    rho = sample_density(m, np.random.default_rng(m + k), rank=k)
+    vals = check_density(rho, DEFAULT_TOL)
+    expected = _eigh_support(rho, k)
+    if low_rank:
+        monkeypatch.setattr(linalg, "eigh", _no_eigh)
+    else:
+        monkeypatch.setattr(linalg, "_low_rank_support", _no_low_rank_support)
+    assert frobenius_norm(support_projection(rho, vals) - expected) <= 1e-13
+
+
+def test_small_exactly_hermitian_blocks_keep_the_eigh_bits():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3, 4):
+        for rank in range(1, m + 1):
+            rho = sample_density(m, rng, rank=rank)
+            vals, vecs = np.linalg.eigh(rho)
+            cols = vecs[:, vals > DEFAULT_TOL][:, ::-1]
+            assert np.array_equal(support_projection(rho, check_density(rho, DEFAULT_TOL)), cols @ cols.conj().T)
+
+
+def _parallel_columns():
+    """0.9 |v><v| + 0.1 |w><w| on M_32, v = (e0 + e1)/sqrt 2: the two columns of largest diagonal are parallel."""
+    m = 32
+    v = np.zeros(m, dtype=complex)
+    v[:2] = 1 / np.sqrt(2)
+    w = np.zeros(m, dtype=complex)
+    w[2:] = np.exp(2j * np.pi * np.arange(m - 2) / 7) / np.sqrt(m - 2)
+    return hermitian_part(0.9 * np.outer(v, v.conj()) + 0.1 * np.outer(w, w.conj())), 2
+
+
+def _tiny_kept_eigenvalue():
+    """A rank-4 density on M_32 whose smallest kept eigenvalue, 3e-10, leaves too small a gap."""
+    u = sample_unitary(32, np.random.default_rng(5))[:, :4]
+    return hermitian_part((u * [0.5, 0.3, 0.2 - 3e-10, 3e-10]) @ u.conj().T), 4
+
+
+@pytest.mark.parametrize(
+    "case, lowest, highest",
+    [(_parallel_columns, np.inf, np.inf), (_tiny_kept_eigenvalue, 1e-6, 1e-4)],
+    ids=["parallel-columns", "tiny-kept-eigenvalue"],
+)
+def test_a_refused_certificate_falls_back_to_eigh_bit_for_bit(case, lowest, highest):
+    rho, k = case()
+    vals = check_density(rho, DEFAULT_TOL)
+    assert np.count_nonzero(vals > DEFAULT_TOL) == k
+    assert lowest <= linalg._low_rank_support(rho, vals, k)[1] <= highest
+    assert np.array_equal(support_projection(rho, vals), _eigh_support(rho, k))
