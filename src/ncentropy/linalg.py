@@ -248,9 +248,9 @@ def _low_rank_support(h: np.ndarray, vals: np.ndarray, k: int) -> tuple[np.ndarr
 
     H is an exactly Hermitian m x m matrix, ``vals`` its spectrum as
     ``eigvalsh`` computed it, and P its spectral projection onto its k
-    largest eigenvalues.  Q is the computed QR basis of the k columns of H with the
-    largest diagonal entries, B the Hermitian part of the computed
-    ``Q^dag H Q``, theta its least eigenvalue, and lambda = ``vals[m-k-1]``
+    largest eigenvalues.  Q is the computed QR basis of the k columns of H
+    with the largest diagonal entries, B the Hermitian part of the computed
+    ``Q^dag (HQ)``, theta its least eigenvalue, and lambda = ``vals[m-k-1]``
     the largest dropped eigenvalue.  The bound is ``inf`` unless the gap
     below is positive.
 
@@ -274,19 +274,23 @@ def _low_rank_support(h: np.ndarray, vals: np.ndarray, k: int) -> tuple[np.ndarr
 
     Rounding.  u = 2^-53, and m <= 2^20 (a larger dense block needs over
     16 TiB), so every count n below has nu < 2^-12 and
-    ``gamma_n = nu / (1 - nu) < 1.001 nu``.  ``_chunked_matmul`` sums an
-    inner dimension n in chunks of s, so either part of an entry is a real
-    sum of 2s products per chunk, and ceil(n/s) - 1 more additions: it is
-    within ``sqrt(2) gamma_c (|A| |B|)`` of the exact product entrywise,
-    c its count, and within ``sqrt(2) gamma_c ||A||_F ||B||_F``
-    in norm, whatever the order and fused multiply-adds (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1, 3.6
-    and Lemma 3.3).  ``frobenius_norm`` sums nonnegative squares, so
-    ``F(X) = 1.001 frobenius_norm(X) >= ||X||_F``; its margin over the
-    1.0002 it needs covers the relative u of each scalar operation below
-    (the subtraction in delta cancels only where sigma is far above 1).
+    ``gamma_n = nu / (1 - nu) < 1.001 nu``.  Products are conventional
+    inner products, in any order and with or without fused multiply-adds.
+    Either part of an entry of a product that ``_chunked_matmul`` sums over
+    an inner dimension n in chunks of s is a real sum of 2s products per
+    chunk plus ceil(n/s) - 1 additions of the chunks' sums, and the two
+    real products of each part of ``a b`` add up to at most ``|a| |b|``; so
+    the product is within ``sqrt(2) gamma_c(n) |A| |B|`` of the exact one
+    entrywise and within ``sqrt(2) gamma_c(n) ||A||_F ||B||_F`` in norm,
+    c(n) = 2s + ceil(n/s) being the count it returns (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., 3.1, 3.6 and Lemma 3.3).
+    A plain product has c = 2n.  ``frobenius_norm`` sums nonnegative
+    squares, so ``F(X) = 1.001 frobenius_norm(X) >= ||X||_F``; its margin
+    over the 1.0002 it needs covers the relative u of each scalar operation
+    below (the subtraction in delta cancels only where sigma is far above
+    1).  Any Hermitian B serves above, so B's own rounding does not enter.
     With q = F(Q), the computed ``D = Q^dag Q - I`` gives
-    ``eps = F(D) + sqrt(2) gamma_c(m) q^2``, c(n) the count over n, and the computed
+    ``eps = F(D) + sqrt(2) gamma_c(m) q^2``, and the computed
     ``R^ = fl(fl(HQ) - fl(QB))`` gives ``||R||_F <= r = F(R^) +
     sqrt(2) (gamma_c(m) F(H) + gamma_c(k) F(B)) q``.  LAPACK's Hermitian
     eigenvalues lie within ``p(n) u ||A||_2`` of the exact ones, p a

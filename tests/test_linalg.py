@@ -315,7 +315,10 @@ def test_a_low_rank_support_is_the_eigh_projection(m, k):
     assert frobenius_norm(q @ q.conj().T - _eigh_support(rho, k)) <= 1e-13
 
 
-@pytest.mark.parametrize("m, k, low_rank", [(16, 4, False), (31, 7, False), (32, 8, True), (32, 9, False), (64, 1, True), (64, 16, True), (64, 17, False)])
+@pytest.mark.parametrize(
+    "m, k, low_rank",
+    [(16, 4, False), (31, 7, False), (32, 8, True), (32, 9, False), (64, 1, True), (64, 16, True), (64, 17, False)],
+)
 def test_blocks_from_dimension_32_with_4k_at_most_m_take_the_low_rank_path(m, k, low_rank, monkeypatch):
     rho = sample_density(m, np.random.default_rng(m + k), rank=k)
     vals = check_density(rho, DEFAULT_TOL)
