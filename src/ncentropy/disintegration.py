@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import von_neumann
+from .entropy import _plogp
 from .errors import InconsistentData, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
@@ -99,13 +99,18 @@ def quantum_disintegrate(f: Morphism, omega: State):
     and tests the block factorization against the pullback state.  The
     candidate ``tau`` blocks are read off by partial-tracing the domain
     factor, which is exact whenever a factorization exists, so verifying
-    the reconstruction decides existence.  Their traces need no check: each
-    ``sum_x tr tau_yx`` is ``sum_x p_x tr(rho_x U_x U_x^dag)`` up to rounding,
-    within about ``3 DEFAULT_TOL`` of 1 (``Morphism``, ``State``).  Returns
-    the witness data, or a ``NoDisintegration`` naming the first failed check.
+    the reconstruction decides existence.  A candidate is PSD up to
+    ``_factor_tolerances``' allowance ``max(FACTOR_TOL, r_y / q_y)``: it is
+    a partial trace divided by the pullback weight q_y, so its rounding
+    grows as ``1/q_y``.  Their traces are checked by ``disintegration_entropy``:
+    each ``sum_x tr tau_yx`` is ``sum_x p_x tr(rho_x U_x U_x^dag)`` up to
+    rounding, within about ``3 DEFAULT_TOL`` of 1 (``Morphism``, ``State``).
+    Returns the witness data, or a ``NoDisintegration`` naming the first
+    failed check.
     """
     pulled, conjugated = _pullback_with_blocks(f, omega)
     q, sigmas = pulled.weights, pulled.densities
+    allowed = _factor_tolerances(f, omega, q)
     tau: dict = {}
     for x, (p, rho, m) in enumerate(zip(omega.weights, omega.densities, conjugated)):
         eff = FACTOR_TOL * max_abs(p * rho)
@@ -130,7 +135,7 @@ def quantum_disintegrate(f: Morphism, omega: State):
                 continue
             cand = hermitian_part(np.einsum("iaja->ij", seg.reshape(copies, n, copies, n)) / q[y])  # trace out the n-factor
             lowest = hermitian_spectrum(cand)[1][0]
-            if lowest < -FACTOR_TOL:
+            if lowest < -allowed[y]:
                 return NoDisintegration(
                     f"candidate factor for domain block {y} in codomain block {x} is not PSD",
                     float(-lowest),
@@ -143,6 +148,63 @@ def quantum_disintegrate(f: Morphism, omega: State):
                 )
             tau[(y, x)] = cand
     return QuantumDisintegrationData(tau, q.copy(), sigmas)
+
+
+def _factor_tolerances(f: Morphism, omega: State, q) -> list[float]:
+    """Per domain block y, ``max(FACTOR_TOL, r_y / q_y)``: how far the candidate ``tau`` blocks of y may miss being a density.
+
+    ``r_y = 20 (d_y + C_y^2) u kappa_y`` bounds the rounding of the weighted
+    partial traces ``q_y tau_yx``; over the codomain blocks x with
+    ``c = c[x, y] > 0``, d_y sums ``m = m_x``, C_y sums c, and kappa_y sums
+    ``kappa_yx = c n p_x ||rho_x||_F`` (``frobenius_norm``), ``n = n_y``.
+    A block of pullback weight at most ``DEFAULT_TOL`` gets ``FACTOR_TOL``:
+    no candidate is formed for it.
+
+    Proof.  u = 2^-53, t = ``DEFAULT_TOL``, m <= 2^20 (a larger dense block
+    needs over 16 TiB), |X| is entrywise.  Sums in any order, with or without
+    fused multiply-adds, err by at most ``gamma_k = k u / (1 - k u)`` times
+    the sum of the terms' moduli, and either part of a complex product
+    ``fl(A B)`` by ``g = sqrt(2) gamma_2m`` times ``|A| |B|`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1 and 3.6).
+    ``_pullback_with_blocks`` forms ``M = fl(fl(U^dag W) U)``, and
+    ``W = fl(p rho)`` is ``p rho`` within ``u |W| / (1 - u)``, so
+    ``|M - U^dag (p rho) U| <= (2g + g^2 + 1.01 u) |U|^dag |W| |U|``.  The
+    candidate sums M's segment over the n-factor: ``T^ = fl(PT(M))`` is
+    within ``gamma_n PT(|M|)`` of ``PT(M)``, so with
+    ``K = PT(|U_s|^dag |W| |U_s|) >= 0``, ``U_s`` the segment's cn columns
+    of U, ``|T^ - T| <= e K``, ``e <= 8 m u``, T the exact partial trace.
+    Each column of U has squared norm at most 1 + t (``Morphism``) and
+    ``|| |W| ||_2 <= ||W||_F``, so ``||K||_F`` and ``tr K`` are at most
+    ``c n (1 + t) ||W||_F <= 1.001 kappa_yx``.
+    Dividing by q_y and taking the Hermitian part add ``2.01 u |T^| / q_y``.
+    So each candidate lies within ``(8 m + 2.01) u 1.001 kappa_yx / q_y``
+    in Frobenius norm, and its trace within as much, of ``H(T) / q_y``,
+    which is PSD wherever the state factors.  LAPACK's eigenvalues of a
+    k x k matrix A lie within ``k^2 u ||A||_2`` of the exact ones (as in
+    ``linalg._low_rank_support``), so a candidate's least eigenvalue, and
+    that of their block diagonal (k = C_y), stays above
+    ``-(8 d_y + 2.01 + 1.01 C_y^2) u kappa_y / q_y >= -r_y / q_y``.  The
+    weight q_y is ``w^ / S^``, ``S^`` the sum of all computed weights, within
+    about ``3 DEFAULT_TOL`` of 1 up to rounding, and ``w^ = fl(tr PT'(M))``
+    sums ``N_y <= d_y`` diagonal entries of M, so it is within
+    ``(6.7 d_y + 1.01) u kappa_y`` of ``w_y = sum_x tr T_yx``.  The computed
+    trace of the block diagonal is ``w_y / q_y`` up to
+    ``(8 d_y + 2.01 + 1.01 C_y) u kappa_y / q_y``, so it is within
+    ``(15 d_y + 4 C_y^2) u kappa_y / q_y <= 0.75 r_y / q_y`` of ``S^``, and
+    within the allowance of 1, as ``FACTOR_TOL = 100 DEFAULT_TOL`` covers
+    the ``|S^ - 1|`` left.
+    """
+    d, c_sum, kappa = ([0] * len(f.domain) for _ in range(3))
+    for p, rho, m, segments in zip(omega.weights.tolist(), omega.densities, f.codomain.blocks, f.segments):
+        norm = p * frobenius_norm(rho)
+        for y, _, copies, n in segments:
+            d[y] += m
+            c_sum[y] += copies
+            kappa[y] += copies * n * norm
+    return [
+        max(FACTOR_TOL, 20.0 * (dy + cy * cy) * 2.0**-53 * ky / qy) if qy > DEFAULT_TOL else FACTOR_TOL
+        for dy, cy, ky, qy in zip(d, c_sum, kappa, q.tolist())
+    ]
 
 
 def _factored_block(f: Morphism, x: int, tau: dict, q, sigmas) -> np.ndarray:
@@ -201,20 +263,27 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
 def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegrationData) -> float:
     """Entropy production of a disintegration witness.
 
-    Equals the entropy change of ``(f, omega)``: each domain block of
-    positive pullback weight contributes its weight times the entropy of
-    the block-diagonal assembly of its ``tau`` factors, at least ``-s log s``
-    if its positive eigenvalues sum to ``s``: about ``-3 DEFAULT_TOL`` for a
-    witness of ``quantum_disintegrate`` (-9.0e-11 for a pure state on M_256
-    through M_1 at a unitarity deviation of 0.9 ``DEFAULT_TOL``).
+    Equals the entropy change of ``(f, omega)``: each domain block y of
+    pullback weight q_y above ``DEFAULT_TOL`` contributes q_y times the
+    entropy of tau_y, the block-diagonal assembly of its ``tau`` factors.
     InconsistentData unless the witness reproduces ``omega``, every entry
     of each ``U_x^dag (p_x rho_x) U_x - R_x`` at most ``FACTOR_TOL`` (a NaN
     fails; ``_verify_witness``, which reads only ``f``, ``omega`` and the
-    witness), and unless every domain block of pullback weight above
-    ``DEFAULT_TOL`` has a ``tau`` block.
+    witness), unless every such y has a ``tau`` block, and unless each
+    tau_y is a density within ``_factor_tolerances``' allowance
+    ``max(FACTOR_TOL, r_y / q_y)``: Hermitian, its least eigenvalue and
+    ``sum_x tr tau_yx - 1`` within it.  The entropy skips negative
+    eigenvalues, so it is at least ``-s log s`` if the positive ones sum
+    to s, and s is at most 1 plus (C_y + 1) times the allowance for a
+    C_y x C_y tau_y.  For a witness of ``quantum_disintegrate`` s is about
+    the total trace, and ``-s log s`` about ``-3 DEFAULT_TOL`` (-9.0e-11
+    for a pure state on M_256 through M_1 at a unitarity deviation of
+    0.9 ``DEFAULT_TOL``); at a tiny q_y the allowance is ``r_y / q_y``, so
+    y's weighted term is still at least about ``-(C_y + 1) r_y``.
     """
     _verify_witness(f, omega, data)
     q = data.pullback_weights
+    allowed = _factor_tolerances(f, omega, q)
     total = 0.0
     for y in range(len(f.domain)):
         if q[y] <= DEFAULT_TOL:
@@ -222,5 +291,14 @@ def disintegration_entropy(f: Morphism, omega: State, data: QuantumDisintegratio
         parts = [data.tau[(y, x)] for x in range(len(f.codomain)) if (y, x) in data.tau]
         if not parts:
             raise InconsistentData(f"witness holds no tau block for domain block {y} of pullback weight {q[y]:.3e}")
-        total += q[y] * von_neumann(block_diag(parts), FACTOR_TOL)
+        tau = block_diag(parts)
+        deviation, vals = hermitian_spectrum(tau)
+        trace = tau.trace().real
+        if deviation > allowed[y]:
+            raise InconsistentData(f"tau of domain block {y} deviates from Hermitian by {deviation:.3e}")
+        if not vals[0] >= -allowed[y]:
+            raise InconsistentData(f"tau of domain block {y} has eigenvalue {vals[0]:.3e} < -{allowed[y]:.3e}")
+        if not abs(trace - 1.0) <= allowed[y]:
+            raise InconsistentData(f"tau of domain block {y} has trace {trace:.12g}, not 1 within {allowed[y]:.3e}")
+        total += q[y] * _plogp(vals)
     return total

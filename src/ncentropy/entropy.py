@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, check_density, check_probability_vector
+from .linalg import as_matrix, check_density, check_probability_vector
 from .morphism import Morphism, pullback
 from .state import State, convex_combine
 
@@ -27,9 +27,9 @@ def shannon(p) -> float:
     return _plogp(check_probability_vector(p))
 
 
-def von_neumann(rho, tol: float = DEFAULT_TOL) -> float:
+def von_neumann(rho) -> float:
     """Entropy of a density matrix: the Shannon entropy of its spectrum."""
-    return _plogp(check_density(as_matrix(rho), tol))
+    return _plogp(check_density(as_matrix(rho)))
 
 
 def segal(omega: State) -> float:

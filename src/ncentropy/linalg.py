@@ -13,10 +13,9 @@ from ``support_projection``, and forms
 Kronecker products with ``kron``, which has ``np.kron``'s bits.  Hot
 reductions call the ufuncs' ``reduce``, skipping the Python wrappers of
 ``ndarray.sum``/``max``/``min``.
-``check_density`` checks at the caller's ``tol``; every other threshold
-here is ``DEFAULT_TOL``, and ``SUPPORT_SLACK`` bounds the error of a
-low-rank support block.  Everything here is a pure function of its
-inputs; matrices are plain ``numpy`` arrays of ``complex128``, and
+Every threshold here is ``DEFAULT_TOL``, and ``SUPPORT_SLACK`` bounds
+the error of a low-rank support block.  Everything here is a pure
+function of its inputs; matrices are plain ``numpy`` arrays of ``complex128``, and
 ``placeholder(n)``/``identity_matrix(n)`` are shared read-only, one per dimension.
 """
 
@@ -151,26 +150,26 @@ def _spectral_matrix(m: np.ndarray) -> tuple[float, np.ndarray]:
     return deviation, (m if deviation == 0.0 else (m + adjoint) / 2)
 
 
-def check_density(rho: np.ndarray, tol: float) -> np.ndarray:
-    """Raise NotDensity unless ``rho`` is a density within ``tol``; returns ``hermitian_spectrum(rho)[1]``.
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """Raise NotDensity unless ``rho`` is a density within ``DEFAULT_TOL``; returns ``hermitian_spectrum(rho)[1]``.
 
-    At ``tol >= DEFAULT_TOL`` the shared ``placeholder(n)`` itself (not an equal array) returns its kept spectrum.
+    The shared ``placeholder(n)`` itself (not an equal array) returns its kept spectrum.
     """
     kept = _placeholders.get(rho.shape[0])
-    if kept is not None and kept[0] is rho and tol >= DEFAULT_TOL:
+    if kept is not None and kept[0] is rho:
         return kept[1]
     if rho.shape[0] != rho.shape[1] or rho.size == 0:
         raise NotDensity(f"density must be a nonempty square matrix, got {rho.shape}")
     deviation, vals = hermitian_spectrum(rho)
-    if deviation > tol:
+    if deviation > DEFAULT_TOL:
         raise NotDensity(f"density deviates from Hermitian by {deviation:.3e}")
-    if not vals[0] >= -tol:  # a NaN spectrum fails
+    if not vals[0] >= -DEFAULT_TOL:  # a NaN spectrum fails
         if not math.isfinite(vals[0]):
             raise NotDensity("density spectrum is not finite")
-        raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{tol:.3e}")
+        raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{DEFAULT_TOL:.3e}")
     trace = np.add.reduce(vals)
-    if not abs(trace - 1.0) <= tol:
-        raise NotDensity(f"density trace {trace:.12g} != 1 within {tol:.3e}")
+    if not abs(trace - 1.0) <= DEFAULT_TOL:
+        raise NotDensity(f"density trace {trace:.12g} != 1 within {DEFAULT_TOL:.3e}")
     return vals
 
 
@@ -191,11 +190,11 @@ def check_probability_vector(p) -> np.ndarray:
 
 
 def placeholder(n: int) -> np.ndarray:
-    """The shared ``eye(n) / n``, kept with its ``check_density`` spectrum at ``DEFAULT_TOL``."""
+    """The shared ``eye(n) / n``, kept with its ``check_density`` spectrum."""
     if n not in _placeholders:
         rho = np.eye(n, dtype=np.complex128) / n
         rho.flags.writeable = False
-        vals = check_density(rho, DEFAULT_TOL)
+        vals = check_density(rho)
         vals.flags.writeable = False
         _placeholders[n] = rho, vals
     return _placeholders[n][0]
@@ -223,7 +222,7 @@ def eigh(h: np.ndarray):
 def support_projection(rho: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The projection onto the eigenvectors of ``rho``'s k eigenvalues above ``DEFAULT_TOL``.
 
-    ``vals`` is ``check_density(rho, ...)``, the ascending spectrum that
+    ``vals`` is ``check_density(rho)``, the ascending spectrum that
     ``State`` keeps: that of the Hermitian matrix H that ``hermitian_spectrum``
     decomposes, ``rho`` itself when it is exactly Hermitian and its
     Hermitian part otherwise.  The projection is of H, and k counts

@@ -98,8 +98,7 @@ class Morphism:
             if u.shape != (m, m):
                 raise ShapeMismatch(f"unitary of shape {u.shape} does not match block dimension {m}")
             if bound is None or bound > DEFAULT_TOL:
-                eye = linalg.identity_matrix(m)
-                bound = 0.0 if u is eye else linalg.frobenius_norm(u.conj().T @ u - eye)
+                bound = _unitarity_deviation(u)
                 if not bound <= DEFAULT_TOL:  # a NaN deviation fails
                     raise NotUnitary(f"block unitary has ||U^dag U - I||_F above {DEFAULT_TOL:.0e}")
             deviations.append(bound)
@@ -107,6 +106,32 @@ class Morphism:
         object.__setattr__(self, "unitaries", mats)
         object.__setattr__(self, "segments", tuple(segments))
         object.__setattr__(self, "unitarity_deviations", tuple(deviations))
+
+
+def _unitarity_deviation(u: np.ndarray) -> float:
+    """``||U^dag U - I||_F`` as measured; 0.0 for the shared identity, inf where ``||U||_F^2`` already rules U out.
+
+    One ``np.vdot`` gives ``s^ = fl(||U||_F^2)`` without a floating-point
+    warning, also where it overflows.  U is refused unless
+    ``|s^ - m| <= sqrt(m) DEFAULT_TOL + 6 m^3 u``, u = 2^-53, and no U that
+    the product accepts is refused: ``E = U^dag U - I`` has
+    ``tr E = ||U||_F^2 - m`` and ``|tr E| <= sqrt(m) ||E||_F``.  An accepted
+    U has a computed ``||fl(U^dag U) - I||_F`` of at most t = ``DEFAULT_TOL``,
+    so ``||E||_F <= (1 + 4 m^2 u) t + sqrt(2) gamma_2m ||U||_F^2`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1 and 3.6),
+    and ``||U||_F^2 <= 1.001 m``; ``s^``, a sum of 2m^2 squares, is within
+    ``gamma_(2m^2) ||U||_F^2`` of it.  For m <= 2^20 (a larger dense block
+    needs over 16 TiB) that gives ``|s^ - m| <= sqrt(m) t + 5 m^3 u``.  Past
+    the check, every entry of ``U^dag U``, and every partial sum of one, is
+    at most ``||U||_F^2``, about m, in modulus: the product cannot overflow.
+    """
+    m = len(u)
+    eye = linalg.identity_matrix(m)
+    if u is eye:
+        return 0.0
+    if not abs(np.vdot(u, u).real - m) <= math.sqrt(m) * DEFAULT_TOL + 6.0 * m**3 * 2.0**-53:
+        return math.inf
+    return linalg.frobenius_norm(u.conj().T @ u - eye)
 
 
 def _bounded_morphism(domain, codomain, c, unitaries, bounds) -> Morphism:
@@ -371,5 +396,4 @@ def morphism_from_json(data) -> Morphism:
         raise  # a field's own check, which names what is wrong
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed morphism encoding: missing or bad field {exc}") from exc
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing U^dag U fails as NotUnitary, without warnings
-        return Morphism(domain, codomain, c, unitaries)
+    return Morphism(domain, codomain, c, unitaries)

@@ -60,7 +60,7 @@ class State:
                 if rho.ndim != 2:
                     raise ShapeMismatch(f"expected a matrix, got array of ndim {rho.ndim}")
                 raise ShapeMismatch(f"density of shape {rho.shape} does not match block dimension {m}")
-            spectra.append(linalg.check_density(rho, DEFAULT_TOL))
+            spectra.append(linalg.check_density(rho))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "densities", mats)
         object.__setattr__(self, "spectra", tuple(spectra))

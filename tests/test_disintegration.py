@@ -18,12 +18,21 @@ from ncentropy import (
     quantum_disintegrate,
 )
 from ncentropy import cli
-from ncentropy.disintegration import FACTOR_TOL, _factored_block, _verify_witness
+from ncentropy.disintegration import FACTOR_TOL, _factor_tolerances, _factored_block, _verify_witness
 from ncentropy.entropy import LOG2
 from ncentropy.errors import InconsistentData, NotUnitary
 from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
-from ncentropy.linalg import DEFAULT_TOL, check_probability_vector, hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
-from ncentropy.morphism import morphism_to_json
+from ncentropy.linalg import (
+    DEFAULT_TOL,
+    check_probability_vector,
+    hermitian_part,
+    max_abs,
+    project_to_density,
+    sample_density,
+    sample_simplex,
+    sample_unitary,
+)
+from ncentropy.morphism import morphism_to_json, pullback
 from ncentropy.state import state_to_json
 
 from predicates import function_morphism, random_morphism
@@ -218,6 +227,92 @@ def test_quantum_disintegrate_rejects_a_candidate_factor_that_is_not_psd():
     result = quantum_disintegrate(f, omega)
     assert result.violation == "candidate factor for domain block 0 in codomain block 0 is not PSD"
     assert abs(result.residual - 0.9 / 2.1) < 1e-6
+
+
+def _light_block(q, rng, tau=None):
+    """M_2 + C into M_5 by (2, 1) copies through a Haar unitary, and the block ``U (tau (x) q sigma + (1 - q)) U^dag``.
+
+    sigma is a random density on M_2, and tau a random pure state unless given.
+    """
+    f = Morphism(AlgebraShape((2, 1)), AlgebraShape((5,)), np.array([[2, 1]]), (sample_unitary(5, rng),))
+    if tau is None:
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        tau = np.outer(v, v.conj()) / np.vdot(v, v).real
+    one = np.ones((1, 1), dtype=complex)
+    block = _factored_block(f, 0, {(0, 0): tau, (1, 0): one}, [q, 1.0 - q], (sample_density(2, rng), one))
+    u = f.unitaries[0]
+    return f, u @ block @ u.conj().T
+
+
+def test_a_state_that_factors_at_a_tiny_pullback_weight_disintegrates():
+    # the candidate tau is a partial trace divided by q, so its rounding grows as 1/q:
+    # against the fixed FACTOR_TOL, 7 of the 100 draws at q = 1e-9 were refused as not PSD
+    for q in (1e-6, 1e-7, 1e-8, 1e-9):
+        for d in range(100):
+            f, rho = _light_block(q, np.random.default_rng(1000 + d))
+            omega = State(f.codomain, [1.0], (project_to_density(rho),))
+            data = quantum_disintegrate(f, omega)
+            assert isinstance(data, QuantumDisintegrationData), (q, d, data)
+            assert abs(disintegration_entropy(f, omega, data) - entropy_change(f, omega)) < 1e-8
+
+
+def test_a_candidate_factor_clearly_below_its_allowance_is_refused():
+    # tau's least eigenvalue is -1e-6 tr tau at q = 1e-6; the state's is about -1e-12,
+    # a density within DEFAULT_TOL, and the candidate's allowance r / q is below 1e-7
+    for d in range(20):
+        rng = np.random.default_rng(2000 + d)
+        v = sample_unitary(2, rng)
+        f, rho = _light_block(1e-6, rng, v @ np.diag([1.0 + 1e-6, -1e-6]) @ v.conj().T)
+        omega = State(f.codomain, [1.0], (rho,))
+        assert _factor_tolerances(f, omega, pullback(f, omega).weights)[0] < 1e-7
+        result = quantum_disintegrate(f, omega)
+        assert result.violation == "candidate factor for domain block 0 in codomain block 0 is not PSD"
+        assert abs(result.residual - 1e-6) < 1e-8
+
+
+def test_the_candidate_allowance_is_its_formula():
+    # M_2 + M_1 into M_5 + M_3 by copies (2, 1) and (1, 1): r_y = 20 (d_y + C_y^2) u kappa_y, kappa_y = sum_x c n p_x ||rho_x||_F
+    rng = np.random.default_rng(4)
+    f = Morphism(AlgebraShape((2, 1)), AlgebraShape((5, 3)), np.array([[2, 1], [1, 1]]), (sample_unitary(5, rng), sample_unitary(3, rng)))
+    omega = State(f.codomain, [0.7, 0.3], (sample_density(5, rng), sample_density(3, rng)))
+    norms = [p * np.linalg.norm(rho) for p, rho in zip(omega.weights, omega.densities)]
+    r = [20.0 * (8 + 3**2) * 2.0**-53 * (4 * norms[0] + 2 * norms[1]), 20.0 * (8 + 2**2) * 2.0**-53 * (norms[0] + norms[1])]
+    for q in ([1e-9, 1.0 - 1e-9], [0.5, 1e-12], [1e-11, 0.0]):
+        expected = [max(FACTOR_TOL, r_y / q_y) if q_y > DEFAULT_TOL else FACTOR_TOL for r_y, q_y in zip(r, q)]
+        assert _factor_tolerances(f, omega, np.array(q)) == pytest.approx(expected, rel=1e-12)
+    assert _factor_tolerances(f, omega, np.array([1e-9, 0.5]))[0] > 1e3 * FACTOR_TOL
+
+
+def test_witness_whose_tau_traces_miss_one_is_inconsistent():
+    # M_1 + M_1 into M_2: the witness reproduces omega exactly, but at q = 0.5
+    # the tau of domain block 0 has trace 1 + 1e-6 (and that of block 1, 1 - 1e-6)
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((2,)), np.array([[1, 1]]), (np.eye(2),))
+    omega = State(f.codomain, [1.0], (np.diag([0.5 + 0.5e-6, 0.5 - 0.5e-6]).astype(complex),))
+    one = np.ones((1, 1), dtype=complex)
+    data = QuantumDisintegrationData({(0, 0): (1 + 1e-6) * one, (1, 0): (1 - 1e-6) * one}, np.array([0.5, 0.5]), (one, one))
+    _verify_witness(f, omega, data)
+    with pytest.raises(InconsistentData, match=r"tau of domain block 0 has trace 1\.000001, not 1 within 1\.000e-08"):
+        disintegration_entropy(f, omega, data)
+
+
+@pytest.mark.parametrize(
+    "tau, in_state, message",
+    [
+        ([[1.0 + 1e-6, 0.0], [0.0, -1e-6]], [[1.0, 0.0], [0.0, 0.0]], r"has eigenvalue -1\.000e-06 < -1\.000e-08"),
+        ([[0.5, 1e-6], [0.0, 0.5]], [[0.5, 0.5e-6], [0.5e-6, 0.5]], r"deviates from Hermitian by 1\.000e-06"),
+    ],
+    ids=["negative-eigenvalue", "not-hermitian"],
+)
+def test_witness_whose_tau_is_no_density_is_inconsistent(tau, in_state, message):
+    # M_64 + M_1 into M_129 by (2, 1) copies at q = (0.5, 0.5): omega holds tau_in_state (x) sigma_0 / 2
+    # for sigma_0 = 1/64, which spreads the witness's 1e-6 to residual entries of at most 7.8e-9, within FACTOR_TOL
+    f = Morphism(AlgebraShape((64, 1)), AlgebraShape((129,)), np.array([[2, 1]]), (np.eye(129),))
+    sigma, one = np.eye(64, dtype=complex) / 64, np.ones((1, 1), dtype=complex)
+    omega = State(f.codomain, [1.0], (_factored_block(f, 0, {(0, 0): np.array(in_state), (1, 0): one}, [0.5, 0.5], (sigma, one)),))
+    data = QuantumDisintegrationData({(0, 0): np.array(tau, dtype=complex), (1, 0): one}, np.array([0.5, 0.5]), (sigma, one))
+    _verify_witness(f, omega, data)
+    with pytest.raises(InconsistentData, match="tau of domain block 0 " + message):
+        disintegration_entropy(f, omega, data)
 
 
 def test_quantum_disintegrate_through_m1_at_the_unitarity_tolerance(tmp_path, capsys):

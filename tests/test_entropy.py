@@ -305,14 +305,22 @@ def test_segal_reads_the_validated_spectrum_bit_for_bit():
 
 
 def test_segal_matches_von_neumann_at_the_state_tolerance():
-    skew = np.diag([0.5, 0.5]).astype(complex)
-    skew[0, 1] = 5e-11  # Hermitian deviation 5e-11, inside the State tolerance
-    negative = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
-    for rho in (skew, negative):
+    def skew(e):  # Hermitian deviation e
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = e
+        return rho
+
+    def negative(e):
+        return np.diag([1.0 + e, -e]).astype(complex)
+
+    for rho in (skew(5e-11), negative(5e-11)):  # inside the State tolerance
         omega = State(AlgebraShape((2,)), [1.0], (rho,))
         assert abs(segal(omega) - von_neumann(rho)) == 0.0
+    for rho in (skew(2e-10), negative(2e-10)):  # outside it, both refuse
         with pytest.raises(NotDensity):
-            von_neumann(rho, 1e-12)
+            State(AlgebraShape((2,)), [1.0], (rho,))
+        with pytest.raises(NotDensity):
+            von_neumann(rho)
 
 
 def test_entropy_change_decomposes_each_domain_block_once(monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,7 +311,7 @@ def _no_low_rank_support(h, vals, k):
 @pytest.mark.parametrize("m, k", [(16, 4), (64, 8), (112, 12), (256, 8)])
 def test_a_low_rank_support_is_the_eigh_projection(m, k):
     rho = sample_density(m, np.random.default_rng(m + k), rank=k)
-    vals = check_density(rho, DEFAULT_TOL)
+    vals = check_density(rho)
     q, bound = linalg._low_rank_support(rho, vals, k)
     assert bound <= SUPPORT_SLACK
     assert frobenius_norm(q @ q.conj().T - _eigh_support(rho, k)) <= 1e-13
@@ -321,7 +323,7 @@ def test_a_low_rank_support_is_the_eigh_projection(m, k):
 )
 def test_blocks_from_dimension_32_with_4k_at_most_m_take_the_low_rank_path(m, k, low_rank, monkeypatch):
     rho = sample_density(m, np.random.default_rng(m + k), rank=k)
-    vals = check_density(rho, DEFAULT_TOL)
+    vals = check_density(rho)
     expected = _eigh_support(rho, k)
     if low_rank:
         monkeypatch.setattr(linalg, "eigh", _no_eigh)
@@ -337,7 +339,7 @@ def test_small_exactly_hermitian_blocks_keep_the_eigh_bits():
             rho = sample_density(m, rng, rank=rank)
             vals, vecs = np.linalg.eigh(rho)
             cols = vecs[:, vals > DEFAULT_TOL][:, ::-1]
-            assert np.array_equal(support_projection(rho, check_density(rho, DEFAULT_TOL)), cols @ cols.conj().T)
+            assert np.array_equal(support_projection(rho, check_density(rho)), cols @ cols.conj().T)
 
 
 def _parallel_columns():
@@ -363,7 +365,81 @@ def _tiny_kept_eigenvalue():
 )
 def test_a_refused_certificate_falls_back_to_eigh_bit_for_bit(case, lowest, highest):
     rho, k = case()
-    vals = check_density(rho, DEFAULT_TOL)
+    vals = check_density(rho)
     assert np.count_nonzero(vals > DEFAULT_TOL) == k
     assert lowest <= linalg._low_rank_support(rho, vals, k)[1] <= highest
     assert np.array_equal(support_projection(rho, vals), _eigh_support(rho, k))
+
+
+def _rounding_count(n):
+    """2s + ceil(n / s), s = isqrt(2n): the roundings of a product whose inner dimension n is summed in chunks of s."""
+    s = math.isqrt(2 * n)
+    return 2 * s + (n + s - 1) // s
+
+
+def test_chunked_products_count_their_roundings():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 10_000)), rng.standard_normal((10_000, 3))
+    for n in range(1, 10_001):
+        out, count = linalg._chunked_matmul(a[:, :n], b[:n])
+        assert count == _rounding_count(n)
+        if n % 997 == 0:
+            assert max_abs(out - a[:, :n] @ b[:n]) <= 1e-12 * n
+    assert _rounding_count(112) == 36  # 2m = 224 for a plain product
+
+
+def _sqrt_below(x):
+    """A rational lower bound on the square root of the rational ``x``, within 1e-30."""
+    return Fraction(math.isqrt(math.floor(x * 10**60)), 10**30)
+
+
+def _proven_support_bound(m, k, norms, theta, lam):
+    """``_low_rank_support``'s proof evaluated exactly: the least bound the proof allows from what it measured.
+
+    ``norms`` are ``frobenius_norm`` of Q, H, B, ``Q^dag Q - I`` and R, each at
+    most 1.0002 times the norm it stands for, and ``gamma_n = n u / (1 - n u)``.
+    """
+    u = Fraction(1, 2**53)
+    f_q, f_h, f_b, f_d, f_r = (Fraction(10002, 10000) * Fraction(x) for x in norms)
+
+    def gamma(n):  # sqrt(2) gamma_n, from below
+        return _sqrt_below(Fraction(2)) * n * u / (1 - n * u)
+
+    c_m, c_k = _rounding_count(m), _rounding_count(k)
+    eps = f_d + gamma(c_m) * f_q**2
+    r = f_r + (gamma(c_m) * f_h + gamma(c_k) * f_b) * f_q
+    delta = Fraction(theta) - Fraction(lam) - u * (k * k * f_b + m * m * f_h)
+    sigma = r / delta
+    return _sqrt_below(2 * (1 + eps)) * sigma + eps + 2 * sigma**2 + gamma(2 * k) * f_q**2
+
+
+def _diagonal(values, m):
+    return np.diag(np.array(values + [0.0] * (m - len(values)), dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (sample_density(64, np.random.default_rng(1), rank=8), 8),
+        lambda: (sample_density(112, np.random.default_rng(2), rank=12), 12),
+        lambda: (sample_density(256, np.random.default_rng(3), rank=8), 8),
+        # an exact basis and a wide gap: the rounding terms eps and gamma_2k q^2 carry the bound
+        lambda: (_diagonal([0.25] * 4, 32), 4),
+        # an exact basis and a gap of 6e-13, 43% of it taken by the eigenvalues' rounding: sigma is 0.05
+        lambda: (_diagonal([1.0] * 4 + [1.0 - 6e-13], 32), 4),
+        _tiny_kept_eigenvalue,
+    ],
+    ids=["64-8", "112-12", "256-8", "wide-gap", "narrow-gap", "tiny-kept-eigenvalue"],
+)
+def test_the_low_rank_support_bound_is_its_proof(case, monkeypatch):
+    h, k = case()
+    m = h.shape[0]
+    vals = hermitian_spectrum(h)[1]
+    norms, spectra = [], []
+    norm, spectrum = linalg.frobenius_norm, linalg.hermitian_spectrum
+    monkeypatch.setattr(linalg, "frobenius_norm", lambda x: norms.append(norm(x)) or norms[-1])
+    monkeypatch.setattr(linalg, "hermitian_spectrum", lambda x: spectra.append(spectrum(x)) or spectra[-1])
+    bound = linalg._low_rank_support(h, vals, k)[1]
+    assert len(norms) == 5 and len(spectra) == 1
+    proven = _proven_support_bound(m, k, norms, spectra[0][1][0], vals[m - k - 1])
+    assert proven <= Fraction(bound) <= Fraction(1004, 1000) * proven  # the function's margins: 1.001 over 1.0002 and 1 + n u

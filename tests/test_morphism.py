@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from ncentropy import (
 from ncentropy.errors import DegenerateSpectrum, NotHermitian, NotOrthogonalInput, NotUnitary, ShapeMismatch
 from ncentropy.disintegration import QuantumDisintegrationData, quantum_disintegrate
 from ncentropy.harness import _disintegrable_state, _sample_disintegrable, factor_inclusion, generate_instance, InstanceFamily
-from ncentropy.linalg import hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
+from ncentropy.linalg import DEFAULT_TOL, hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import cli, linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
 from ncentropy.state import state_to_json
@@ -78,10 +79,23 @@ def test_morphism_validation():
     ):
         with pytest.raises(ShapeMismatch):
             Morphism(domain, codomain, bad, u)
-    # the second's U^dag U overflows to nan, a deviation no comparison may pass
-    for unitary in (np.eye(2) * 2, np.array([[1e200, 1e200], [1e200, 1e200j]])):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitary):
-            Morphism(AlgebraShape((2,)), AlgebraShape((2,)), np.array([[1]]), (unitary,))
+
+
+def test_a_unitary_far_from_norm_m_raises_without_a_warning():
+    # ||U||_F^2 is measured first: the last two's U^dag U would overflow to inf and nan
+    for unitary in (np.eye(2) * 2, np.array([[1e200, 1e200], [1e200, 1e200j]]), np.array([[1e200, 1e200], [1e200, 0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary):
+                Morphism(AlgebraShape((2,)), AlgebraShape((2,)), np.array([[1]]), (unitary,))
+
+
+def test_the_norm_check_passes_every_unitary_the_product_accepts():
+    # U = (1 + a) I has |tr(U^dag U - I)| = sqrt(m) ||U^dag U - I||_F, where that bound is tight
+    for m in (1, 2, 3, 16, 256):
+        a = math.sqrt(1.0 + 0.999 * DEFAULT_TOL / math.sqrt(m)) - 1.0
+        f = Morphism(AlgebraShape((1,)), AlgebraShape((m,)), np.array([[m]]), ((1.0 + a) * np.eye(m),))
+        assert 0.99 * DEFAULT_TOL < f.unitarity_deviations[0] <= DEFAULT_TOL
 
 
 def test_apply_identity_morphism():

@@ -1,7 +1,9 @@
 """Each library decision has one threshold: only these functions take ``tol``.
 
-``von_neumann`` and ``check_density`` are called at both ``DEFAULT_TOL``
-and ``FACTOR_TOL``; ``run_suite``/``run_all`` carry ``nce verify --tol``.
+``run_suite``/``run_all`` carry ``nce verify --tol``; no library function
+takes one.  A disintegration's candidate factors are checked against an
+allowance that the disintegration module computes from its own rounding,
+not against a threshold a caller passes.
 The predicates whose tests use several values live in ``tests/predicates.py``.
 Every other threshold is a named module constant, and the library modules
 write no small float literal anywhere else.
@@ -13,12 +15,7 @@ import inspect
 import ncentropy
 from ncentropy import algebra, disintegration, entropy, linalg, morphism, state
 
-TAKES_TOL = {
-    "von_neumann",
-    "check_density",
-    "run_suite",
-    "run_all",
-}
+TAKES_TOL = {"run_suite", "run_all"}
 
 
 def _public_functions():
