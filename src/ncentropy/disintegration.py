@@ -3,15 +3,14 @@
 A classical disintegration is a stochastic one-sided inverse of a
 probability-preserving map of finite sets; it always exists.  The
 quantum analogue asks each weighted codomain density, conjugated into
-the canonical layout, to factor segment-by-segment as
-``tau_{yx} (x) q_y sigma_y`` with PSD ``tau`` blocks normalized per
-domain block; existence then forces a nonnegative entropy change, and
-the change equals a weighted entropy of the assembled ``tau`` blocks.
+the canonical layout, to equal ``R_x = blockdiag_y(tau_yx (x) q_y sigma_y)``
+with PSD ``tau`` blocks normalized per domain block, which one residual
+per codomain block decides; existence then forces a nonnegative entropy
+change, equal to a weighted entropy of the assembled ``tau`` blocks.
 
 ``disintegration_entropy`` re-checks a witness on its own: per codomain
-block every entry of ``E_x = U_x^dag (p_x rho_x) U_x - R_x``,
-``R_x = blockdiag_y(tau_yx (x) q_y sigma_y)``, must be at most
-``FACTOR_TOL``.  Most witnesses are accepted by one ``m^3`` product and
+block every entry of ``E_x = U_x^dag (p_x rho_x) U_x - R_x`` must be at
+most ``FACTOR_TOL``.  Most witnesses are accepted by one ``m^3`` product and
 a proven bound on ``max |E_x|`` (``_verify_witness``); only the others
 have ``E_x`` formed entrywise, so the check accepts exactly the witnesses
 whose entrywise residual is within the threshold,
@@ -29,6 +28,7 @@ from .entropy import _plogp
 from .errors import InconsistentData, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
+    _UNIT_ROUNDOFF,
     block_diag,
     frobenius_norm,
     hermitian_part,
@@ -95,44 +95,28 @@ class NoDisintegration:
 def quantum_disintegrate(f: Morphism, omega: State):
     """Decide existence of a disintegration for ``(f, omega)`` constructively.
 
-    Conjugates each weighted codomain density into the canonical layout
-    and tests the block factorization against the pullback state.  The
-    candidate ``tau`` blocks are read off by partial-tracing the domain
-    factor, which is exact whenever a factorization exists, so verifying
-    the reconstruction decides existence.  A candidate is PSD up to
-    ``_factor_tolerances``' allowance ``max(FACTOR_TOL, r_y / q_y)``: it is
-    a partial trace divided by the pullback weight q_y, so its rounding
-    grows as ``1/q_y``.  Their traces are checked by ``disintegration_entropy``:
-    each ``sum_x tr tau_yx`` is ``sum_x p_x tr(rho_x U_x U_x^dag)`` up to
-    rounding, within about ``3 DEFAULT_TOL`` of 1 (``Morphism``, ``State``).
-    Returns the witness data, or a ``NoDisintegration`` naming the first
-    failed check.
+    One exists exactly when each ``M_x = U_x^dag (p_x rho_x) U_x`` equals
+    ``R_x``.  The candidate ``tau`` blocks, partial traces of M_x's diagonal
+    segments over the domain factor divided by q_y, are exact whenever it
+    does; a domain block of q_y at most ``DEFAULT_TOL`` gets none.  Refused,
+    in this order: a candidate not PSD within ``_factor_tolerances``'
+    ``max(FACTOR_TOL, r_y / q_y)`` (its rounding grows as ``1/q_y``), and a
+    codomain block with an entry of ``M_x - R_x`` (formed in place) above
+    ``FACTOR_TOL max |p_x rho_x|``: coupling between segments, charge on a
+    segment without ``tau`` and a segment that does not factor all stay there.
+    ``disintegration_entropy`` checks the traces: each ``sum_x tr tau_yx`` is
+    ``sum_x p_x tr(rho_x U_x U_x^dag)`` up to rounding, within about
+    ``3 DEFAULT_TOL`` of 1 (``Morphism``, ``State``).
     """
     pulled, conjugated = _pullback_with_blocks(f, omega)
     q, sigmas = pulled.weights, pulled.densities
     allowed = _factor_tolerances(f, omega, q)
     tau: dict = {}
     for x, (p, rho, m) in enumerate(zip(omega.weights, omega.densities, conjugated)):
-        eff = FACTOR_TOL * max_abs(p * rho)
-        segs = f.segments[x]
-        for i, (y, rows, _, _) in enumerate(segs):
-            for y2, cols, _, _ in segs[i + 1 :]:
-                coupling = max_abs(m[rows, cols])
-                if coupling > eff:
-                    return NoDisintegration(
-                        f"off-diagonal coupling between domain blocks {y} and {y2} inside codomain block {x}",
-                        coupling,
-                    )
-        for y, rows, copies, n in segs:
-            seg = m[rows, rows]
-            if q[y] <= DEFAULT_TOL:
-                charge = max_abs(seg)
-                if charge > eff:
-                    return NoDisintegration(
-                        f"codomain block {x} charges domain block {y} of pullback weight zero",
-                        charge,
-                    )
+        for y, rows, copies, n in f.segments[x]:
+            if q[y] <= DEFAULT_TOL:  # no tau: any charge on the segment stays in the residual
                 continue
+            seg = m[rows, rows]
             cand = hermitian_part(np.einsum("iaja->ij", seg.reshape(copies, n, copies, n)) / q[y])  # trace out the n-factor
             lowest = hermitian_spectrum(cand)[1][0]
             if lowest < -allowed[y]:
@@ -140,13 +124,11 @@ def quantum_disintegrate(f: Morphism, omega: State):
                     f"candidate factor for domain block {y} in codomain block {x} is not PSD",
                     float(-lowest),
                 )
-            residual = max_abs(seg - kron(cand, q[y] * sigmas[y]))
-            if residual > eff:
-                return NoDisintegration(
-                    f"segment for domain block {y} in codomain block {x} does not factor through the pullback density",
-                    residual,
-                )
+            seg -= kron(cand, q[y] * sigmas[y])  # in place: m becomes U^dag (p rho) U - R
             tau[(y, x)] = cand
+        residual = max_abs(m)
+        if not residual <= FACTOR_TOL * max_abs(p * rho):
+            return NoDisintegration(f"codomain block {x} does not factor through the pullback", residual)
     return QuantumDisintegrationData(tau, q.copy(), sigmas)
 
 
@@ -202,7 +184,7 @@ def _factor_tolerances(f: Morphism, omega: State, q) -> list[float]:
             c_sum[y] += copies
             kappa[y] += copies * n * norm
     return [
-        max(FACTOR_TOL, 20.0 * (dy + cy * cy) * 2.0**-53 * ky / qy) if qy > DEFAULT_TOL else FACTOR_TOL
+        max(FACTOR_TOL, 20.0 * (dy + cy * cy) * _UNIT_ROUNDOFF * ky / qy) if qy > DEFAULT_TOL else FACTOR_TOL
         for dy, cy, ky, qy in zip(d, c_sum, kappa, q.tolist())
     ]
 
@@ -233,15 +215,25 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
     column ``r_j`` of R, is at most ``t ||r_j|| <= t ||R||_F``, so
     ``max |E| <= sqrt(1 + t) ||G||_F + t ||R||_F``.
     Only where that bound exceeds the threshold are E and the dense R
-    formed; a NaN residual fails.
+    formed; a NaN residual fails.  Each field must first be an array of the
+    shape ``f`` gives it: one weight and one ``n_y x n_y`` density per domain
+    block, one ``c x c`` ``tau`` block per key, each key a pair with ``c > 0``.
     """
     sizes = {(y, x): copies for x, segments in enumerate(f.segments) for y, _, copies, _ in segments}
-    for key, t in data.tau.items():
+    for key in data.tau:
         if key not in sizes:
             raise InconsistentData(f"tau key {key!r} names no (domain, codomain) pair with c[x, y] > 0")
-        if np.shape(t) != (sizes[key],) * 2:
-            raise InconsistentData(f"tau block {key} has shape {np.shape(t)}, expected {(sizes[key],) * 2}")
     q, sigmas = data.pullback_weights, data.pullback_densities
+    if len(sigmas) != len(f.domain):
+        raise InconsistentData(f"witness holds {len(sigmas)} pullback densities for {len(f.domain)} domain blocks")
+    fields = [("pullback_weights", q, (len(f.domain),))]
+    fields += [(f"pullback density {y}", s, (n, n)) for y, (s, n) in enumerate(zip(sigmas, f.domain.blocks))]
+    fields += [(f"tau block {key}", t, (sizes[key],) * 2) for key, t in data.tau.items()]
+    for name, value, shape in fields:
+        if not isinstance(value, np.ndarray):
+            raise InconsistentData(f"{name} is a {type(value).__name__}, expected an array of shape {shape}")
+        if value.shape != shape:
+            raise InconsistentData(f"{name} has shape {value.shape}, expected {shape}")
     for x, (p, rho, u) in enumerate(zip(omega.weights, omega.densities, f.unitaries)):
         weighted = p * rho
         m = len(u)

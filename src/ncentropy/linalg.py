@@ -35,7 +35,7 @@ DEFAULT_TOL = 1e-10
 # support_projection keeps a low-rank basis only when its projection is
 # proven within this Frobenius distance of the exact spectral projection
 SUPPORT_SLACK = DEFAULT_TOL / 100
-_UNIT_ROUNDOFF = 2.0**-53
+_UNIT_ROUNDOFF = 2.0**-53  # u, the unit roundoff of binary64: the proven rounding bounds scale it
 
 _placeholders: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # n -> placeholder(n) and its spectrum
 

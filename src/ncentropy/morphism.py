@@ -129,7 +129,7 @@ def _unitarity_deviation(u: np.ndarray) -> float:
     eye = linalg.identity_matrix(m)
     if u is eye:
         return 0.0
-    if not abs(np.vdot(u, u).real - m) <= math.sqrt(m) * DEFAULT_TOL + 6.0 * m**3 * 2.0**-53:
+    if not abs(np.vdot(u, u).real - m) <= math.sqrt(m) * DEFAULT_TOL + 6.0 * m**3 * linalg._UNIT_ROUNDOFF:
         return math.inf
     return linalg.frobenius_norm(u.conj().T @ u - eye)
 
@@ -180,8 +180,8 @@ def pullback(f: Morphism, omega: State) -> State:
 def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
     """``pullback`` through the whole canonical-layout blocks ``U_x^dag (p_x rho_x) U_x``, returned with it.
 
-    ``quantum_disintegrate`` reads their off-diagonal segments too, also
-    those of codomain blocks of weight zero; only positive weights are summed.
+    The blocks are fresh arrays the caller owns and may overwrite, also those
+    of codomain blocks of weight zero; only positive weights are summed.
     """
     accum = _accumulators(f, omega)
     blocks = []
@@ -284,7 +284,7 @@ def _composite_bound(d_u: float, d_v: float, m: int) -> float:
     + 4 eta <= d_u + sqrt(m) d_v + 13 m^2 u`` where that is at most 1; a larger
     bound exceeds ``DEFAULT_TOL``, and ``Morphism`` measures W instead.
     """
-    return d_u + math.sqrt(m) * d_v + 13.0 * m * m * 2.0**-53
+    return d_u + math.sqrt(m) * d_v + 13.0 * m * m * linalg._UNIT_ROUNDOFF
 
 
 def is_isomorphism(f: Morphism) -> bool:

@@ -173,6 +173,25 @@ def test_witness_with_a_wrong_size_tau_block_is_inconsistent():
         disintegration_entropy(INCLUSION, omega, replace(data, tau={(0, 0): np.eye(3) / 3}))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pullback_weights", np.zeros(0), r"pullback_weights has shape \(0,\), expected \(1,\)"),
+        ("pullback_weights", np.array([1.0, 0.0]), r"pullback_weights has shape \(2,\), expected \(1,\)"),
+        ("pullback_densities", (np.eye(3) / 3,), r"pullback density 0 has shape \(3, 3\), expected \(2, 2\)"),
+        ("pullback_densities", (), "witness holds 0 pullback densities for 1 domain blocks"),
+        ("tau", {(0, 0): [[0.5, 0.0], [0.0, 0.5]]}, r"tau block \(0, 0\) is a list, expected an array of shape \(2, 2\)"),
+    ],
+    ids=["no-weight", "two-weights", "sigma-3x3", "no-sigma", "tau-nested-list"],
+)
+def test_witness_with_a_malformed_field_is_inconsistent(field, value, message):
+    omega = State(INCLUSION.codomain, np.ones(1), (np.eye(4) / 4,))
+    data = quantum_disintegrate(INCLUSION, omega)
+    assert abs(disintegration_entropy(INCLUSION, omega, data) - LOG2) < 1e-9
+    with pytest.raises(InconsistentData, match=message):
+        disintegration_entropy(INCLUSION, omega, replace(data, **{field: value}))
+
+
 def test_witness_with_a_tau_key_naming_no_segment_is_inconsistent():
     omega = State(AlgebraShape((4,)), np.ones(1), (np.eye(4) / 4,))
     data = quantum_disintegrate(INCLUSION, omega)
@@ -206,7 +225,7 @@ def test_quantum_disintegrate_rejects_off_diagonal_coupling():
     f = Morphism(AlgebraShape((1, 1)), AlgebraShape((2,)), np.array([[1, 1]]), (np.eye(2),))
     omega = State(f.codomain, [1.0], (np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]),))
     result = quantum_disintegrate(f, omega)
-    assert result.violation == "off-diagonal coupling between domain blocks 0 and 1 inside codomain block 0"
+    assert result.violation == "codomain block 0 does not factor through the pullback"
     assert result.residual == abs(0.2 + 0.1j)  # 0.2236
 
 
@@ -214,9 +233,20 @@ def test_quantum_disintegrate_rejects_a_charge_on_a_domain_block_of_weight_zero(
     f = Morphism(AlgebraShape((1, 1)), AlgebraShape((1, 1)), np.eye(2, dtype=int), (np.eye(1), np.eye(1)))
     omega = State(f.codomain, [1 - 1e-11, 1e-11], (np.eye(1), np.eye(1)))
     result = quantum_disintegrate(f, omega)
-    assert result.violation == "codomain block 1 charges domain block 1 of pullback weight zero"
+    assert result.violation == "codomain block 1 does not factor through the pullback"
     assert result.residual == 1e-11
 
+
+def test_quantum_disintegrate_names_the_codomain_block_that_does_not_factor():
+    # M_1 + M_1 into M_1 + M_2 by [[1, 0], [1, 1]]: block 0 factors, block 1
+    # couples its two segments by 0.5 * 0.2
+    f = Morphism(AlgebraShape((1, 1)), AlgebraShape((1, 2)), np.array([[1, 0], [1, 1]]), (np.eye(1), np.eye(2)))
+    omega = State(f.codomain, [0.5, 0.5], (np.eye(1), np.array([[0.6, 0.2], [0.2, 0.4]])))
+    result = quantum_disintegrate(f, omega)
+    assert result.violation == "codomain block 1 does not factor through the pullback"
+    assert result.residual == 0.5 * 0.2
+    uncoupled = State(f.codomain, [0.5, 0.5], (np.eye(1), np.diag([0.6, 0.4])))
+    assert isinstance(quantum_disintegrate(f, uncoupled), QuantumDisintegrationData)
 
 
 def test_quantum_disintegrate_rejects_a_candidate_factor_that_is_not_psd():

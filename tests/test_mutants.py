@@ -13,16 +13,18 @@ functor passing every suite is covered by
 
 A kernel mutant replaces a function below the entropy change at every
 module binding of it in the package, and each suite listed for it must
-report a failure too.
+report a failure too, and so must ``disintegration`` when its
+``FACTOR_TOL`` is infinite.
 """
 
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ncentropy import Seed, entropy, linalg, run_suite, state
+from ncentropy import Seed, disintegration, entropy, linalg, run_suite, state
 from ncentropy.algebra import AlgebraElement
 from ncentropy.linalg import DEFAULT_TOL, max_abs
 from ncentropy.morphism import pullback
@@ -250,3 +252,11 @@ def test_kernel_mutant_is_caught_by_its_suites(name, monkeypatch):
         monkeypatch.setattr(module, exact.__name__, mutant)
     passed = {suite: run_suite(suite, 20, Seed(42), 1e-9).passed for suite in suites}
     assert passed == dict.fromkeys(suites, False)
+
+
+def test_an_infinite_factor_tolerance_is_caught_by_disintegration(monkeypatch):
+    # every negative draw of the suite is refused by the block residual
+    # alone, so accepting every state fails it (seed 42 and each of seeds 1-30)
+    monkeypatch.setattr(disintegration, "FACTOR_TOL", math.inf)
+    report = run_suite("disintegration", 20, Seed(42), 1e-9)
+    assert {message for _, message, _ in report.failures} == {"factorization found despite violated product criterion"}

@@ -6,7 +6,8 @@ allowance that the disintegration module computes from its own rounding,
 not against a threshold a caller passes.
 The predicates whose tests use several values live in ``tests/predicates.py``.
 Every other threshold is a named module constant, and the library modules
-write no small float literal anywhere else.
+write no small float literal, nor a constant power below 1e-6 such as
+``2.0**-53``, anywhere else.
 """
 
 import ast
@@ -34,8 +35,17 @@ def test_only_the_allowlisted_functions_take_a_tol():
     assert takes_tol == TAKES_TOL
 
 
+def _constant_value(node):
+    """The value of an expression of number literals and arithmetic operators, such as ``2.0**-53``; else None."""
+    parts = list(ast.walk(node))
+    arithmetic = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator)
+    if all(isinstance(n, arithmetic) and type(getattr(n, "value", 0)) in (int, float) for n in parts):
+        return eval(compile(ast.Expression(node), "<constant>", "eval"))
+    return None
+
+
 def _small_literals_outside_module_constants(module):
-    """``(line, value)`` of each float literal in ``(0, 1e-6)`` that no module-level assignment holds."""
+    """``(line, value)`` of each float literal, or constant power such as ``2.0**-53``, in ``(0, 1e-6)`` that no module-level assignment holds."""
     tree = ast.parse(inspect.getsource(module))
     named = {
         id(node)
@@ -44,11 +54,14 @@ def _small_literals_outside_module_constants(module):
         for node in ast.walk(stmt)
     }
     return [
-        (node.lineno, node.value)
+        (node.lineno, value)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Constant)
-        and type(node.value) is float
-        and 0.0 < node.value < 1e-6
+        if (
+            (isinstance(node, ast.Constant) and type(node.value) is float)
+            or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
+        )
+        and isinstance(value := _constant_value(node), float)
+        and 0.0 < value < 1e-6
         and id(node) not in named
     ]
 
