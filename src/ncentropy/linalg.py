@@ -21,6 +21,7 @@ function of its inputs; matrices are plain ``numpy`` arrays of ``complex128``, a
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -124,36 +125,44 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
     of ``(z + conj(z))/2``, which is what LAPACK returns for n = 1.  At
     deviation 0.0 ``m`` itself is decomposed: it equals ``(m + m^dag)/2``,
     in bits too unless it holds a negative zero, whose sign the sum may flip
-    (and with it the eigenvalues' last bits).  A NaN or infinite entry
-    raises ShapeMismatch before any eigenvalue is taken.
+    (and with it the eigenvalues' last bits).  Overflow rule: only a NaN or infinite entry
+    raises ShapeMismatch; a finite ``m`` that overflows gets deviation inf or a non-finite spectrum, silently.
     """
     if m.shape == (1, 1):
         z = m.item(0)
         deviation = abs(z - z.conjugate())
-        if not math.isfinite(deviation):
+        if not math.isfinite(deviation) and not cmath.isfinite(z):
             raise ShapeMismatch("matrix entries must be finite")
         return deviation, np.array([((z + z.conjugate()) / 2).real])
     deviation, h = _spectral_matrix(m)
-    return deviation, np.linalg.eigvalsh(h)
+    try:
+        return deviation, np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError:  # LAPACK does not converge on a Hermitian part that overflowed to inf or NaN
+        return deviation, np.full(len(h), math.nan)
 
 
 def _spectral_matrix(m: np.ndarray) -> tuple[float, np.ndarray]:
     """``max |m - m^dag|`` and the Hermitian matrix whose spectrum ``hermitian_spectrum`` takes.
 
     That is ``m`` itself at deviation 0.0 and ``(m + m^dag)/2`` otherwise.
-    A NaN or infinite entry raises ShapeMismatch.
+    Overflow rule: both are formed under ``np.errstate(over="ignore", invalid="ignore")``,
+    and only a NaN or infinite entry raises ShapeMismatch.
     """
     adjoint = m.conj().T
-    deviation = float(np.maximum.reduce(np.abs(m - adjoint), axis=None))
-    if not math.isfinite(deviation):
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = float(np.maximum.reduce(np.abs(m - adjoint), axis=None))
+        h = m if deviation == 0.0 else (m + adjoint) / 2
+    if not math.isfinite(deviation) and not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ShapeMismatch("matrix entries must be finite")
-    return deviation, (m if deviation == 0.0 else (m + adjoint) / 2)
+    return deviation, h
 
 
 def check_density(rho: np.ndarray) -> np.ndarray:
     """Raise NotDensity unless ``rho`` is a density within ``DEFAULT_TOL``; returns ``hermitian_spectrum(rho)[1]``.
 
     The shared ``placeholder(n)`` itself (not an equal array) returns its kept spectrum.
+    Overflow rule: a finite ``rho`` whose deviation, spectrum or trace (a sum of Python floats)
+    overflows to inf or NaN raises NotDensity, without a numpy warning.
     """
     kept = _placeholders.get(rho.shape[0])
     if kept is not None and kept[0] is rho:
@@ -167,18 +176,20 @@ def check_density(rho: np.ndarray) -> np.ndarray:
         if not math.isfinite(vals[0]):
             raise NotDensity("density spectrum is not finite")
         raise NotDensity(f"density has eigenvalue {vals[0]:.3e} < -{DEFAULT_TOL:.3e}")
-    trace = np.add.reduce(vals)
+    trace = sum(vals.tolist())
     if not abs(trace - 1.0) <= DEFAULT_TOL:
         raise NotDensity(f"density trace {trace:.12g} != 1 within {DEFAULT_TOL:.3e}")
     return vals
 
 
 def check_probability_vector(p) -> np.ndarray:
-    """Raise NotProbabilityVector unless ``p`` is a probability vector within ``DEFAULT_TOL``; returns it clipped at 0."""
+    """Raise NotProbabilityVector unless ``p`` is a probability vector within ``DEFAULT_TOL``; returns it clipped at 0.
+
+    Overflow rule: the sum is of Python floats, so finite entries that overflow fail it at inf, silently."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise NotProbabilityVector(f"expected a nonempty vector, got shape {p.shape}")
-    total = np.add.reduce(p)  # finite unless an entry is not, or the sum overflows
+    total = sum(p.tolist())  # finite unless an entry is not, or the sum overflows
     if not math.isfinite(total) and not np.isfinite(p).all():
         raise NotProbabilityVector("entries must be finite")
     lowest = np.minimum.reduce(p)

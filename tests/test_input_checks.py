@@ -1,8 +1,9 @@
 """Each input check raises its typed ``InvariantViolation`` at the check that names the fault.
 
 The message fragment pins the check itself, so an earlier check of the
-same type cannot stand in for it, and the check comes before any
-arithmetic that would warn on the bad input.
+same type cannot stand in for it, and no numpy warning is raised on the
+way: the check comes before any arithmetic that would warn on the bad
+input, or that arithmetic overflows silently and the check names the inf.
 """
 
 import warnings
@@ -28,7 +29,7 @@ from ncentropy import (
     measurement_morphism,
     pullback,
 )
-from ncentropy.errors import NotDensity, OutOfRange, ShapeMismatch
+from ncentropy.errors import NotDensity, NotHermitian, NotProbabilityVector, OutOfRange, ShapeMismatch
 from ncentropy.linalg import as_matrix
 
 LINE = AlgebraShape((1,))
@@ -37,6 +38,11 @@ BIT_AND_QUBIT = AlgebraShape((1, 2))
 EYE1, EYE2, EYE3 = (np.eye(n, dtype=np.complex128) for n in (1, 2, 3))
 # exactly Hermitian, but its entries' modulus overflows, so eigvalsh returns nan
 NAN_SPECTRUM = np.array([[-1, 1.7e308 - 1e308j], [1.7e308 + 1e308j, 1e308]])
+# finite entries, yet m - m^dag overflows; (m + m^dag) / 2 overflows off the diagonal;
+# and (m + m^dag) / 2 overflows on the diagonal, where LAPACK's eigensolver does not converge
+DEVIATION_OVERFLOWS = np.array([[0.5, 1e308], [-1e308, 0.5]])
+HERMITIAN_PART_OVERFLOWS = np.array([[0.5, 1.5e308], [1.4e308, 0.5]])
+NOT_CONVERGING = np.array([[0.5, 0.5, 0], [-0.5, 1.7e308, 0], [0, 0, 0.5]])
 
 
 def _doubling() -> Morphism:
@@ -64,8 +70,15 @@ CHECKS = [
     ("pullback-codomain", lambda: pullback(_doubling(), _point()), ShapeMismatch, "pulled through morphism with codomain"),
     ("compose-inner-codomain", lambda: compose(_doubling(), _doubling()), ShapeMismatch, "cannot compose"),
     ("measurement-one-dimensional-block", lambda: measurement_morphism(LINE, 0, EYE1), ShapeMismatch, "at least 2"),
+    ("measurement-deviation-overflows", lambda: measurement_morphism(QUBIT, 0, [[0, 1e308], [-1e308, 0]]), NotHermitian, "deviates from its adjoint by inf"),
     ("state-density-count", lambda: State(BIT_AND_QUBIT, np.array([0.5, 0.5]), (EYE1,)), ShapeMismatch, "expected 2 densities, got 1"),
     ("state-density-nan-spectrum", lambda: State(QUBIT, np.ones(1), (NAN_SPECTRUM,)), NotDensity, "density spectrum is not finite"),
+    ("state-density-deviation-overflows", lambda: State(QUBIT, np.ones(1), (DEVIATION_OVERFLOWS,)), NotDensity, "deviates from Hermitian by inf"),
+    ("state-density-hermitian-part-overflows", lambda: State(QUBIT, np.ones(1), (HERMITIAN_PART_OVERFLOWS,)), NotDensity, r"deviates from Hermitian by 1\.000e\+307"),
+    ("state-density-eigensolver-does-not-converge", lambda: State(AlgebraShape((3,)), np.ones(1), (NOT_CONVERGING,)), NotDensity, r"deviates from Hermitian by 1\.000e\+00"),
+    ("state-1x1-density-deviation-overflows", lambda: State(LINE, np.ones(1), (np.array([[1 + 1e308j]]),)), NotDensity, "deviates from Hermitian by inf"),
+    ("state-density-trace-overflows", lambda: State(QUBIT, np.ones(1), (np.diag([1e308, 1e308]),)), NotDensity, "density trace inf"),
+    ("state-weight-sum-overflows", lambda: State(AlgebraShape((1, 1)), np.array([1e308, 1e308]), (EYE1, EYE1)), NotProbabilityVector, "entries sum to inf"),
     ("state-density-ndim", lambda: State(LINE, np.ones(1), (np.ones(1),)), ShapeMismatch, "expected a matrix, got array of ndim 1"),
     ("pure-state-vector-length", lambda: block_pure_state(QUBIT, 0, [1, 0, 0]), ShapeMismatch, "vector of length 3"),
     ("pure-state-zero-vector", lambda: block_pure_state(QUBIT, 0, [0, 0]), ShapeMismatch, "vector of norm 0.0"),

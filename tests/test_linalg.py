@@ -443,3 +443,23 @@ def test_the_low_rank_support_bound_is_its_proof(case, monkeypatch):
     assert len(norms) == 5 and len(spectra) == 1
     proven = _proven_support_bound(m, k, norms, spectra[0][1][0], vals[m - k - 1])
     assert proven <= Fraction(bound) <= Fraction(1004, 1000) * proven  # the function's margins: 1.001 over 1.0002 and 1 + n u
+
+
+def test_the_low_rank_support_bound_holds_against_40_digits():
+    # a rank-4 density on M_16 whose smallest kept eigenvalue t shrinks 10x per
+    # step: the gap below it shrinks with it until the certificate refuses
+    from mpmath import mp  # a test dependency only: the library stays numpy-only
+    u = sample_unitary(16, np.random.default_rng(5))[:, :4]
+    accepted, t = 0, 0.1
+    while True:
+        h = hermitian_part((u * [0.4, 0.3, 0.3 - t, t]) @ u.conj().T)
+        vals = check_density(h)
+        assert np.count_nonzero(vals > DEFAULT_TOL) == 4
+        q, bound = linalg._low_rank_support(h, vals, 4)
+        if bound > SUPPORT_SLACK:
+            break
+        with mp.workdps(40):
+            vecs = mp.eighe(mp.matrix(h.tolist()))[1][:, 12:]  # ascending: the 4 largest eigenvalues' vectors
+            assert mp.mnorm(mp.matrix((q @ q.conj().T).tolist()) - vecs * vecs.H, "F") <= bound
+        accepted, t = accepted + 1, t / 10
+    assert accepted >= 2

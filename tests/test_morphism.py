@@ -82,7 +82,7 @@ def test_morphism_validation():
 
 
 def test_a_unitary_far_from_norm_m_raises_without_a_warning():
-    # ||U||_F^2 is measured first: the last two's U^dag U would overflow to inf and nan
+    # the last two's U^dag U overflows to inf and nan, which the product measures without a warning
     for unitary in (np.eye(2) * 2, np.array([[1e200, 1e200], [1e200, 1e200j]]), np.array([[1e200, 1e200], [1e200, 0]])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -516,6 +516,12 @@ def test_measurement_morphism():
     clustered = measurement_morphism(AlgebraShape((3,)), 0, np.diag([1.0, 1.0 + 1e-13, 0.0]))
     assert clustered.domain.blocks == (1, 1)
     assert clustered.multiplicities.tolist() == [[2, 1]]
+
+    # the gap between +-1.7e308 overflows to inf, which separates the two points without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wide = measurement_morphism(AlgebraShape((2,)), 0, np.diag([1.7e308, -1.7e308]))
+    assert wide.domain.blocks == (1, 1)
 
 
 def test_measurement_morphism_rejects_bad_observables():
