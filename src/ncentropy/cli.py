@@ -4,8 +4,12 @@ Machine-readable output goes to stdout, diagnostics to stderr.  Exit
 codes: 0 on success (and passing suites), 1 on suite failure, 2 on
 malformed input, on usage errors, or when the blocks that a morphism
 file declares do not fit in memory (in the commands with a ``morphism``
-argument: ``pullback``, ``change``, ``holevo`` and ``disintegrate``;
-each prints nothing before it has its result).
+argument: ``pullback``, ``change``, ``holevo`` and ``disintegrate``).
+
+Every command that reads files runs through ``_run``, which loads its
+state files first and its morphism file last, refusing a morphism whose
+``codomain`` differs from the first state's shape before any of its
+blocks is built; it prints nothing before it has the command's result.
 
 ``main`` builds its parser once per process and reuses it on later calls
 while ``NCE_SEED``, which supplies the ``verify --seed`` default, keeps
@@ -94,10 +98,6 @@ def _at_least(convert, low):
     return parse
 
 
-def _load_state(path: str) -> State:
-    return st.state_from_json(_load_json(path))
-
-
 def _load_morphism(path: str, codomain: AlgebraShape) -> mor.Morphism:
     """The morphism in ``path``, refused before any block is built unless it maps into ``codomain``, a loaded state's shape."""
     data = _load_json(path)
@@ -106,81 +106,59 @@ def _load_morphism(path: str, codomain: AlgebraShape) -> mor.Morphism:
     return mor.morphism_from_json(data)
 
 
-def _cmd_entropy(args) -> int:
-    omega = _load_state(args.state)
-    print(_fmt(ent.segal(omega), args.bits))
+def _run(compute, positionals, args) -> int:
+    """Load the files ``positionals`` names, states first and ``morphism`` last, and print ``compute(args, *loaded)``.
+
+    ``loaded`` holds the morphism, when there is one, before the states; it
+    is checked against the first state's shape.  A float result is an
+    entropy, printed by ``_fmt``; any other result is printed as JSON.
+    """
+    loaded = [st.state_from_json(_load_json(getattr(args, name))) for name in positionals if name != "morphism"]
+    if "morphism" in positionals:
+        loaded.insert(0, _load_morphism(args.morphism, loaded[0].shape))
+    result = compute(args, *loaded)
+    print(_fmt(result, args.bits) if isinstance(result, float) else json.dumps(result))
     return 0
 
 
-def _cmd_pullback(args) -> int:
-    omega = _load_state(args.state)
-    f = _load_morphism(args.morphism, omega.shape)
-    print(json.dumps(st.state_to_json(mor.pullback(f, omega))))
-    return 0
-
-
-def _cmd_change(args) -> int:
-    omega = _load_state(args.state)
-    f = _load_morphism(args.morphism, omega.shape)
-    print(_fmt(ent.entropy_change(f, omega), args.bits))
-    return 0
-
-
-def _cmd_holevo(args) -> int:
-    omega = _load_state(args.state_a)
-    xi = _load_state(args.state_b)
-    f = _load_morphism(args.morphism, omega.shape)
-    print(_fmt(ent.holevo_change(f, args.lam, omega, xi), args.bits))
-    return 0
-
-
-def _cmd_support(args) -> int:
-    omega = _load_state(args.state)
-    print(json.dumps(element_to_json(st.support(omega))))
-    return 0
-
-
-def _cmd_orthogonal(args) -> int:
-    a = _load_state(args.state_a)
-    b = _load_state(args.state_b)
-    print(json.dumps(st.are_orthogonal(a, b)))
-    return 0
-
-
-def _cmd_disintegrate(args) -> int:
-    omega = _load_state(args.state)
-    f = _load_morphism(args.morphism, omega.shape)
+def _disintegration(args, f: mor.Morphism, omega: State) -> dict:
+    """The ``disintegrate`` payload."""
     unit = ent.LOG2 if args.bits else 1.0  # divided out, as in ``_fmt``
     if args.classical:
         try:
             psi = dis.classical_disintegrate(f, omega)
         except ShapeMismatch as exc:
             raise InvariantViolation("--classical requires a morphism between commutative algebras") from exc
-        production = ent.entropy_change(f, omega)
-        payload = {
-            "exists": True,
-            "psi": psi.tolist(),
-            "entropy_production": production / unit,
-        }
-        print(json.dumps(payload))
-        return 0
+        return {"exists": True, "psi": psi.tolist(), "entropy_production": ent.entropy_change(f, omega) / unit}
     result = dis.quantum_disintegrate(f, omega)
     if isinstance(result, dis.NoDisintegration):
-        payload = {
-            "exists": False,
-            "tau": None,
-            "violations": [result.violation],
-            "entropy_production": None,
-        }
-    else:
-        payload = {
-            "exists": True,
-            "tau": {f"{y},{x}": matrix_to_json(t) for (y, x), t in sorted(result.tau.items())},
-            "violations": [],
-            "entropy_production": dis.disintegration_entropy(f, omega, result) / unit,
-        }
-    print(json.dumps(payload))
-    return 0
+        return {"exists": False, "tau": None, "violations": [result.violation], "entropy_production": None}
+    return {
+        "exists": True,
+        "tau": {f"{y},{x}": matrix_to_json(t) for (y, x), t in sorted(result.tau.items())},
+        "violations": [],
+        "entropy_production": dis.disintegration_entropy(f, omega, result) / unit,
+    }
+
+
+_BITS = ("--bits", {"action": "store_true", "help": "report entropies in bits instead of nats"})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": float, "required": True, "metavar": "WEIGHT"})
+_CLASSICAL = ("--classical", {"action": "store_true", "help": "use the stochastic inverse of a map of finite sets"})
+
+# name: (help, positional arguments, options, what the command prints from ``args`` and its loaded files)
+_FILE_COMMANDS = {
+    "entropy": ("Segal entropy of a state", ["state"], [_BITS], lambda args, omega: ent.segal(omega)),
+    "pullback": ("pull a state back through a morphism", ["morphism", "state"], [],
+                 lambda args, f, omega: st.state_to_json(mor.pullback(f, omega))),
+    "change": ("entropy change of a state along a morphism", ["morphism", "state"], [_BITS],
+               lambda args, f, omega: ent.entropy_change(f, omega)),
+    "holevo": ("mixing deviation of the entropy change", ["morphism", "state_a", "state_b"], [_LAMBDA, _BITS],
+               lambda args, f, omega, xi: ent.holevo_change(f, args.lam, omega, xi)),
+    "support": ("support projection of a state", ["state"], [], lambda args, omega: element_to_json(st.support(omega))),
+    "orthogonal": ("whether two states have orthogonal supports", ["state_a", "state_b"], [],
+                   lambda args, a, b: st.are_orthogonal(a, b)),
+    "disintegrate": ("construct or refute a disintegration", ["morphism", "state"], [_CLASSICAL, _BITS], _disintegration),
+}
 
 
 def _worked_examples() -> dict:
@@ -259,48 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_bits(p):
-        p.add_argument("--bits", action="store_true", help="report entropies in bits instead of nats")
-
-    p = sub.add_parser("entropy", help="Segal entropy of a state")
-    p.add_argument("state")
-    add_bits(p)
-    p.set_defaults(func=_cmd_entropy)
-
-    p = sub.add_parser("pullback", help="pull a state back through a morphism")
-    p.add_argument("morphism")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_pullback)
-
-    p = sub.add_parser("change", help="entropy change of a state along a morphism")
-    p.add_argument("morphism")
-    p.add_argument("state")
-    add_bits(p)
-    p.set_defaults(func=_cmd_change)
-
-    p = sub.add_parser("holevo", help="mixing deviation of the entropy change")
-    p.add_argument("morphism")
-    p.add_argument("state_a")
-    p.add_argument("state_b")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, metavar="WEIGHT")
-    add_bits(p)
-    p.set_defaults(func=_cmd_holevo)
-
-    p = sub.add_parser("support", help="support projection of a state")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_support)
-
-    p = sub.add_parser("orthogonal", help="whether two states have orthogonal supports")
-    p.add_argument("state_a")
-    p.add_argument("state_b")
-    p.set_defaults(func=_cmd_orthogonal)
-
-    p = sub.add_parser("disintegrate", help="construct or refute a disintegration")
-    p.add_argument("morphism")
-    p.add_argument("state")
-    p.add_argument("--classical", action="store_true", help="use the stochastic inverse of a map of finite sets")
-    add_bits(p)
-    p.set_defaults(func=_cmd_disintegrate)
+    for name, (help_text, positionals, options, compute) in _FILE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=functools.partial(_run, compute, positionals))
 
     p = sub.add_parser("example", help="emit a worked instance as JSON files")
     p.add_argument("name", choices=["bell", "plus-measurement", "remark-quartic"])

@@ -224,8 +224,8 @@ def eigh(h: np.ndarray):
 
     Returns ``(eigenvalues, eigenvectors)`` in ascending order, eigenvectors
     as the matching unitary columns, so that ``h == V @ diag(vals) @ V.conj().T``.
-    Callers pass a checked Hermitian matrix: a ``State`` density, a Hermitian
-    part, or an observable ``measurement_morphism`` has checked.
+    Callers pass an exactly Hermitian matrix: a Hermitian part, or the
+    matrix ``_spectral_matrix`` returns for a density or an observable.
     """
     return np.linalg.eigh(h)
 

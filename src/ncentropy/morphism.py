@@ -304,7 +304,8 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     listed in descending order) maps to its spectral projection inside
     ``block``; the largest eigenvalue additionally carries the identity
     of every other codomain block so the morphism is unital.  NotHermitian
-    if the observable deviates from its adjoint by more than ``DEFAULT_TOL``.
+    if the observable deviates from its adjoint by more than ``DEFAULT_TOL``
+    or its spectrum is not finite; its Hermitian part is decomposed.
     """
     linalg.check_block_index(block, len(codomain))
     m = codomain.blocks[block]
@@ -313,10 +314,12 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     obs = as_matrix(observable)
     if obs.shape != (m, m):
         raise ShapeMismatch(f"observable of shape {obs.shape} does not fit block dimension {m}")
-    deviation = linalg._spectral_matrix(obs)[0]
+    deviation, h = linalg._spectral_matrix(obs)
     if deviation > DEFAULT_TOL:
         raise NotHermitian(f"matrix deviates from its adjoint by {deviation:.3e} > {DEFAULT_TOL:.3e}")
-    vals, vecs = linalg.eigh(obs)
+    vals, vecs = linalg.eigh(h)
+    if not np.isfinite(vals).all():
+        raise NotHermitian("observable spectrum is not finite")
     vals, vecs = vals[::-1].tolist(), vecs[:, ::-1]  # descending: the largest eigenvalue is point 0; Python floats overflow silently
     cluster_sizes = [1]
     for i in range(1, len(vals)):

@@ -3,7 +3,8 @@
 import numpy as np
 
 from ncentropy import AlgebraElement, AlgebraShape, Morphism, apply
-from ncentropy.linalg import DEFAULT_TOL, hermitian_spectrum, max_abs, sample_unitary
+from ncentropy.disintegration import _factored_block
+from ncentropy.linalg import DEFAULT_TOL, hermitian_spectrum, max_abs, sample_density, sample_unitary
 
 
 def identity(shape: AlgebraShape) -> AlgebraElement:
@@ -69,3 +70,18 @@ def extensionally_equal(f, g, tol: float = 1e-9) -> bool:
                 if any(max_abs(p - q) > tol for p, q in zip(fa.blocks, ga.blocks)):
                     return False
     return True
+
+
+def light_block(q, rng, tau=None):
+    """M_2 + C into M_5 by (2, 1) copies through a Haar unitary, and the block ``U (tau (x) q sigma + (1 - q)) U^dag``.
+
+    sigma is a random density on M_2, and tau a random pure state unless given.
+    """
+    f = Morphism(AlgebraShape((2, 1)), AlgebraShape((5,)), np.array([[2, 1]]), (sample_unitary(5, rng),))
+    if tau is None:
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        tau = np.outer(v, v.conj()) / np.vdot(v, v).real
+    one = np.ones((1, 1), dtype=complex)
+    block = _factored_block(f, 0, {(0, 0): tau, (1, 0): one}, [q, 1.0 - q], (sample_density(2, rng), one))
+    u = f.unitaries[0]
+    return f, u @ block @ u.conj().T

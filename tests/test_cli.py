@@ -6,11 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from ncentropy import cli, harness
+from ncentropy import State, cli, harness
 from ncentropy.algebra import MAX_BLOCK_DIM
-from ncentropy.morphism import morphism_from_json
-from ncentropy.state import state_from_json
-from predicates import extensionally_equal
+from ncentropy.linalg import project_to_density
+from ncentropy.morphism import morphism_from_json, morphism_to_json
+from ncentropy.state import state_from_json, state_to_json
+from predicates import extensionally_equal, light_block
 
 
 LOG2 = math.log(2.0)
@@ -460,3 +461,96 @@ def test_repeated_calls_do_not_share_options(tmp_path, capsys):
     assert code == 0 and abs(float(out) + 1.0) < 1e-9
     code, out, _ = _run(capsys, "change", morphism, state)
     assert code == 0 and abs(float(out) + LOG2) < 1e-9
+
+
+def _light_files():
+    """M_2 + C into M_5 and a state on M_5 that factors through it at pullback weight 1e-9 on the M_2 block."""
+    f, rho = light_block(1e-9, np.random.default_rng(1034))
+    return morphism_to_json(f), state_to_json(State(f.codomain, [1.0], (project_to_density(rho),)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, files, code, fragment",
+    [
+        ("entropy", (None, {**_STATE_2, "densities": [[[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]]}), 2, "NotDensity: density deviates from Hermitian by inf"),
+        ("entropy", (None, {**_STATE_2, "densities": [[[[0.5, 0], [1.5e308, 0]], [[1.4e308, 0], [0.5, 0]]]]}), 2, "NotDensity: density deviates from Hermitian by 1.000e+307"),
+        ("entropy", (None, {"shape": [3], "weights": [1.0], "densities": [[[[0.5, 0], [0.5, 0], [0, 0]], [[-0.5, 0], [1.7e308, 0], [0, 0]], [[0, 0], [0, 0], [0.5, 0]]]]}), 2, "NotDensity: density deviates from Hermitian by 1.000e+00"),
+        ("entropy", (None, {"shape": [1], "weights": [1.0], "densities": [[[[1, 1e308]]]]}), 2, "NotDensity: density deviates from Hermitian by inf"),
+        ("entropy", (None, {**_STATE_2, "densities": [[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]}), 2, "NotDensity: density trace inf"),
+        ("entropy", (None, {**_STATE, "weights": [1e308, 1e308]}), 2, "NotProbabilityVector: entries sum to inf"),
+        ("disintegrate", _light_files, 0, '"exists": true'),
+        (
+            "disintegrate",
+            ({"domain": [1, 1], "codomain": [3], "multiplicities": [[2, 1]], "unitaries": None},
+            {"shape": [3], "weights": [1.0], "densities": [[[[3e-10, 0], [0, 0], [0, 0]], [[0, 0], [-0.9e-10, 0], [0, 0]], [[0, 0], [0, 0], [1 - 2.1e-10, 0]]]]}),
+            0,
+            '"violations": ["candidate factor for domain block 0 in codomain block 0 is not PSD"]',
+        ),
+        (
+            "disintegrate",
+            ({"domain": [1, 1], "codomain": [2], "multiplicities": [[1, 1]], "unitaries": None},
+            {**_STATE_2, "densities": [[[[0.6, 0], [0.2, 0.1]], [[0.2, -0.1], [0.4, 0]]]]}),
+            0,
+            '"violations": ["codomain block 0 does not factor through the pullback"]',
+        ),
+        (
+            "disintegrate",
+            ({"domain": [1, 1], "codomain": [1, 1], "multiplicities": [[1, 0], [0, 1]], "unitaries": None},
+            {**_STATE, "weights": [0.99999999999, 1e-11]}),
+            0,
+            '"violations": ["codomain block 1 does not factor through the pullback"]',
+        ),
+    ],
+    ids=[f"overflow-{i}" for i in range(1, 7)] + ["light-factor", "not-psd-factor", "coupled-segments", "charge-on-weight-zero"],
+)
+def test_a_command_on_files_reports_its_outcome_without_a_warning(tmp_path, capsys, command, files, code, fragment):
+    # overflow-1 to overflow-6: finite entries whose Hermitian deviation, Hermitian part (twice; on
+    # overflow-3's the eigensolver does not converge), 1x1 deviation, trace or weight sum overflows
+    morphism, state = files() if callable(files) else files
+    paths = []
+    for name, payload in [("morphism", morphism), ("state", state)]:
+        if payload is not None:
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(payload))
+    got, out, err = _run(capsys, command, *map(str, paths))
+    assert got == code
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+    else:
+        assert err == "" and fragment in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "{quartic_state}"],
+        ["change", "{quartic_morphism}", "{quartic_state}"],
+        ["holevo", "{quartic_morphism}", "{quartic_state}", "{bell_state}", "--lambda", "0.3"],
+        ["disintegrate", "{map_morphism}", "{map_state}"],
+        ["disintegrate", "{map_morphism}", "{map_state}", "--classical"],
+    ],
+    ids=["entropy", "change", "holevo", "disintegrate", "disintegrate-classical"],
+)
+def test_bits_times_log_2_are_nats(tmp_path, capsys, argv):
+    files = {}
+    for name in ("bell", "remark-quartic"):
+        bundle = json.loads(_run(capsys, "example", name, "--dir", str(tmp_path))[1])
+        prefix = name.removeprefix("remark-")
+        files[f"{prefix}_morphism"], files[f"{prefix}_state"] = bundle["files"]["morphism"], bundle["files"]["state"]
+    # the map {0} -> 0, {1, 2} -> 1 of finite sets, and a state on its codomain
+    for name, payload in [
+        ("map_morphism", {"domain": [1, 1], "codomain": [1, 1, 1], "multiplicities": [[1, 0], [0, 1], [0, 1]], "unitaries": None}),
+        ("map_state", {"shape": [1, 1, 1], "weights": [0.5, 0.25, 0.25], "densities": [[[[1, 0]]], [[[1, 0]]], [[[1, 0]]]]}),
+    ]:
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    values = []
+    for extra in ([], ["--bits"]):
+        code, out, err = _run(capsys, *(a.format(**files) for a in argv), *extra)
+        assert (code, err) == (0, "")
+        value = json.loads(out)
+        values.append(value["entropy_production"] if isinstance(value, dict) else value)
+    nats, bits = values
+    assert abs(nats) > 0.1  # a value whose unit shows
+    assert abs(bits * LOG2 - nats) < 1e-11

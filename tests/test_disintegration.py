@@ -35,7 +35,7 @@ from ncentropy.linalg import (
 from ncentropy.morphism import morphism_to_json, pullback
 from ncentropy.state import state_to_json
 
-from predicates import function_morphism, random_morphism
+from predicates import function_morphism, light_block, random_morphism
 
 
 INCLUSION = factor_inclusion(2, 2)
@@ -259,27 +259,12 @@ def test_quantum_disintegrate_rejects_a_candidate_factor_that_is_not_psd():
     assert abs(result.residual - 0.9 / 2.1) < 1e-6
 
 
-def _light_block(q, rng, tau=None):
-    """M_2 + C into M_5 by (2, 1) copies through a Haar unitary, and the block ``U (tau (x) q sigma + (1 - q)) U^dag``.
-
-    sigma is a random density on M_2, and tau a random pure state unless given.
-    """
-    f = Morphism(AlgebraShape((2, 1)), AlgebraShape((5,)), np.array([[2, 1]]), (sample_unitary(5, rng),))
-    if tau is None:
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        tau = np.outer(v, v.conj()) / np.vdot(v, v).real
-    one = np.ones((1, 1), dtype=complex)
-    block = _factored_block(f, 0, {(0, 0): tau, (1, 0): one}, [q, 1.0 - q], (sample_density(2, rng), one))
-    u = f.unitaries[0]
-    return f, u @ block @ u.conj().T
-
-
 def test_a_state_that_factors_at_a_tiny_pullback_weight_disintegrates():
     # the candidate tau is a partial trace divided by q, so its rounding grows as 1/q:
     # against the fixed FACTOR_TOL, 7 of the 100 draws at q = 1e-9 were refused as not PSD
     for q in (1e-6, 1e-7, 1e-8, 1e-9):
         for d in range(100):
-            f, rho = _light_block(q, np.random.default_rng(1000 + d))
+            f, rho = light_block(q, np.random.default_rng(1000 + d))
             omega = State(f.codomain, [1.0], (project_to_density(rho),))
             data = quantum_disintegrate(f, omega)
             assert isinstance(data, QuantumDisintegrationData), (q, d, data)
@@ -292,7 +277,7 @@ def test_a_candidate_factor_clearly_below_its_allowance_is_refused():
     for d in range(20):
         rng = np.random.default_rng(2000 + d)
         v = sample_unitary(2, rng)
-        f, rho = _light_block(1e-6, rng, v @ np.diag([1.0 + 1e-6, -1e-6]) @ v.conj().T)
+        f, rho = light_block(1e-6, rng, v @ np.diag([1.0 + 1e-6, -1e-6]) @ v.conj().T)
         omega = State(f.codomain, [1.0], (rho,))
         assert _factor_tolerances(f, omega, pullback(f, omega).weights)[0] < 1e-7
         result = quantum_disintegrate(f, omega)

@@ -70,6 +70,7 @@ CHECKS = [
     ("pullback-codomain", lambda: pullback(_doubling(), _point()), ShapeMismatch, "pulled through morphism with codomain"),
     ("compose-inner-codomain", lambda: compose(_doubling(), _doubling()), ShapeMismatch, "cannot compose"),
     ("measurement-one-dimensional-block", lambda: measurement_morphism(LINE, 0, EYE1), ShapeMismatch, "at least 2"),
+    ("measurement-nan-spectrum", lambda: measurement_morphism(QUBIT, 0, NAN_SPECTRUM), NotHermitian, "observable spectrum is not finite"),
     ("measurement-deviation-overflows", lambda: measurement_morphism(QUBIT, 0, [[0, 1e308], [-1e308, 0]]), NotHermitian, "deviates from its adjoint by inf"),
     ("state-density-count", lambda: State(BIT_AND_QUBIT, np.array([0.5, 0.5]), (EYE1,)), ShapeMismatch, "expected 2 densities, got 1"),
     ("state-density-nan-spectrum", lambda: State(QUBIT, np.ones(1), (NAN_SPECTRUM,)), NotDensity, "density spectrum is not finite"),

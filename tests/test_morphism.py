@@ -532,6 +532,8 @@ def test_measurement_morphism_rejects_bad_observables():
         measurement_morphism(AlgebraShape((2,)), 0, np.ones((2, 3)))
     within = measurement_morphism(AlgebraShape((2,)), 0, np.array([[1.0, 5e-11], [0.0, -1.0]]))
     assert within.domain.blocks == (1, 1)
+    u, hermitian_part = within.unitaries[0], np.array([[1.0, 2.5e-11], [2.5e-11, -1.0]])
+    assert max_abs(u.conj().T @ hermitian_part @ u - np.diag([1.0, -1.0])) < 1e-13  # not the lower triangle's eigenvectors
 
 
 def test_summand_projection():
