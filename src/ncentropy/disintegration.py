@@ -108,8 +108,7 @@ def quantum_disintegrate(f: Morphism, omega: State):
     ``sum_x p_x tr(rho_x U_x U_x^dag)`` up to rounding, within about
     ``3 DEFAULT_TOL`` of 1 (``Morphism``, ``State``).
     """
-    pulled, conjugated = _pullback_with_blocks(f, omega)
-    q, sigmas = pulled.weights, pulled.densities
+    q, sigmas, conjugated = _pullback_with_blocks(f, omega)
     allowed = _factor_tolerances(f, omega, q)
     tau: dict = {}
     for x, (p, rho, m) in enumerate(zip(omega.weights, omega.densities, conjugated)):
@@ -129,7 +128,7 @@ def quantum_disintegrate(f: Morphism, omega: State):
         residual = max_abs(m)
         if not residual <= FACTOR_TOL * max_abs(p * rho):
             return NoDisintegration(f"codomain block {x} does not factor through the pullback", residual)
-    return QuantumDisintegrationData(tau, q.copy(), sigmas)
+    return QuantumDisintegrationData(tau, q, sigmas)
 
 
 def _factor_tolerances(f: Morphism, omega: State, q) -> list[float]:

@@ -30,6 +30,7 @@ from .algebra import AlgebraElement, AlgebraShape, direct_sum_shape
 from .errors import (
     DegenerateSpectrum,
     InvariantViolation,
+    NotDensity,
     NotHermitian,
     NotOrthogonalInput,
     NotUnitary,
@@ -39,7 +40,6 @@ from .linalg import DEFAULT_TOL, as_matrix
 from .state import State, are_orthogonal
 
 WEIGHT_FLOOR = 1e-13  # a pulled-back block of weight at most this gets the placeholder density
-PROJECT_BELOW = 1e-5  # a heavier pulled-back block of weight at most this is projected onto the densities
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +153,9 @@ def pullback(f: Morphism, omega: State) -> State:
     ``a = U_x^dag (p_x rho_x)`` once, then ``a[k:k+n] @ U_x[:, k:k+n]`` per
     copy starting at row ``k``, so a block of dimension ``m`` costs
     ``m^3 + m sum_y c[x,y] n_y^2`` multiply-adds instead of ``2 m^3``.
+    Summing copies, or dividing rounding by a small weight, can leave a
+    block an eigenvalue below ``-DEFAULT_TOL``: ``State`` refuses exactly
+    those blocks, which get ``linalg.project_to_density`` of themselves.
     """
     accum = _accumulators(f, omega)
     for p, rho, u, segments in zip(omega.weights.tolist(), omega.densities, f.unitaries, f.segments):
@@ -162,11 +165,16 @@ def pullback(f: Morphism, omega: State) -> State:
         for y, seg, _, n in segments:
             for k in range(seg.start, seg.stop, n):
                 accum[y] += a[k : k + n] @ u[:, k : k + n]
-    return _pulled_state(f.domain, accum)
+    weights, densities = _pulled(f.domain, accum)
+    try:
+        return State(f.domain, weights, densities)
+    except NotDensity:  # a refusal for any other reason is raised again by the second State
+        low = [linalg.hermitian_spectrum(s)[1][0] < -DEFAULT_TOL for s in densities]
+        return State(f.domain, weights, tuple(linalg.project_to_density(s) if b else s for s, b in zip(densities, low)))
 
 
-def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
-    """``pullback`` through the whole canonical-layout blocks ``U_x^dag (p_x rho_x) U_x``, returned with it.
+def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[np.ndarray, tuple, list]:
+    """``_pulled``'s arrays, unvalidated, through the whole canonical-layout blocks ``U_x^dag (p_x rho_x) U_x``, and those blocks.
 
     The blocks are fresh arrays the caller owns and may overwrite, also those
     of codomain blocks of weight zero; only positive weights are summed.
@@ -180,7 +188,7 @@ def _pullback_with_blocks(f: Morphism, omega: State) -> tuple[State, list]:
             continue
         for y, seg, copies, n in segments:
             accum[y] += np.einsum("aiaj->ij", m[seg, seg].reshape(copies, n, copies, n))  # trace out the copy index
-    return _pulled_state(f.domain, accum), blocks
+    return *_pulled(f.domain, accum), blocks
 
 
 def _accumulators(f: Morphism, omega: State) -> list:
@@ -190,24 +198,14 @@ def _accumulators(f: Morphism, omega: State) -> list:
     return [np.zeros((n, n), dtype=np.complex128) for n in f.domain.blocks]
 
 
-def _pulled_state(domain: AlgebraShape, accum: list) -> State:
-    """The state whose weighted block densities are ``accum``, weights clipped at 0.
-
-    A block of weight at most ``WEIGHT_FLOOR`` gets the placeholder density.
-    One of weight at most ``PROJECT_BELOW`` gets ``linalg.project_to_density(a / q)``:
-    dividing the rounding of ``a``, about ``1e-16``, by a small ``q`` can leave
-    ``a / q`` an eigenvalue below ``-DEFAULT_TOL``, which ``State`` refuses.
-    """
+def _pulled(domain: AlgebraShape, accum: list) -> tuple[np.ndarray, tuple]:
+    """Weights clipped at 0 and normalised, and densities ``hermitian_part(a / q)`` of ``accum`` (placeholders at ``q <= WEIGHT_FLOOR``)."""
     weights = np.maximum([a.trace().real for a in accum], 0.0)
-    densities = []
-    for q, a, n in zip(weights.tolist(), accum, domain.blocks):
-        if q > PROJECT_BELOW:
-            densities.append(linalg.hermitian_part(a / q))
-        elif q > WEIGHT_FLOOR:
-            densities.append(linalg.project_to_density(a / q))
-        else:
-            densities.append(linalg.placeholder(n))
-    return State(domain, weights / np.add.reduce(weights), tuple(densities))
+    densities = tuple(
+        linalg.hermitian_part(a / q) if q > WEIGHT_FLOOR else linalg.placeholder(n)
+        for q, a, n in zip(weights.tolist(), accum, domain.blocks)
+    )
+    return weights / np.add.reduce(weights), densities
 
 
 def initial(shape: AlgebraShape) -> Morphism:

@@ -554,3 +554,32 @@ def test_bits_times_log_2_are_nats(tmp_path, capsys, argv):
     nats, bits = values
     assert abs(nats) > 0.1  # a value whose unit shows
     assert abs(bits * LOG2 - nats) < 1e-11
+
+
+# M_2 into M_4 by two copies, and diag(0.5 + e, -e, 0.5 + e, -e) at e = 9e-11: the loader
+# accepts each eigenvalue -e, and the pullback sums two copies of it to -2e, below -DEFAULT_TOL
+_E = 9e-11
+_COPIES_FILES = (
+    {"domain": [2], "codomain": [4], "multiplicities": [[2]], "unitaries": None},
+    {"shape": [4], "weights": [1.0], "densities": [[[[v if i == j else 0.0, 0.0] for j in range(4)] for i, v in enumerate([0.5 + _E, -_E] * 2)]]},
+)
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["change", "{morphism}", "{state}"], lambda out: out == "0.693147180505\n"),  # the entropy of the state
+        (["pullback", "{morphism}", "{state}"], lambda out: json.loads(out)["densities"] == [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
+        (["holevo", "{morphism}", "{state}", "{state}", "--lambda", "0.3"], lambda out: abs(float(out)) < 1e-12),
+        (["disintegrate", "{morphism}", "{state}"], lambda out: json.loads(out)["exists"]),
+    ],
+    ids=["change", "pullback", "holevo", "disintegrate"],
+)
+def test_a_state_the_loader_accepts_is_accepted_through_a_pullback(tmp_path, capsys, argv, printed):
+    files = {}
+    for name, payload in zip(("morphism", "state"), _COPIES_FILES):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    assert _run(capsys, "entropy", files["state"]) == (0, "0.693147180505\n", "")
+    code, out, err = _run(capsys, *(a.format(**files) for a in argv))
+    assert (code, err) == (0, "") and printed(out)

@@ -377,6 +377,25 @@ def test_witness_check_falls_back_to_a_zero_segment_for_a_domain_block_of_weight
     assert abs(disintegration_entropy(f, omega, moved) - entropy_change(f, omega)) < 1e-8
     assert factored == [0]
 
+
+def test_own_witnesses_are_accepted_on_the_one_product_bound(monkeypatch):
+    # the dense fallback of the witness check gives the same verdict as its bound,
+    # so only this test notices a bound that no longer holds for exact witnesses
+    from ncentropy import disintegration
+
+    def dense_fallback(*args):
+        raise AssertionError("the witness check formed a dense block")
+
+    cases = [_sample_disintegrable(Seed(43, k).rng())[:2] for k in range(40)]
+    cases += [(f, _disintegrable_state(f, Seed(44, n).rng())[0]) for n, f in ((16, factor_inclusion(16, 4)), (64, factor_inclusion(64, 4)))]
+    for f, omega in cases:
+        data = quantum_disintegrate(f, omega)
+        assert isinstance(data, QuantumDisintegrationData)
+        with monkeypatch.context() as patch:
+            patch.setattr(disintegration, "_factored_block", dense_fallback)
+            disintegration_entropy(f, omega, data)
+
+
 def test_quantum_disintegrate_with_a_weight_zero_codomain_block():
     # M_2 into M_4 (two copies) and M_2 (one copy); the second block has weight zero
     f = Morphism(

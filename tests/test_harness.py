@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +262,22 @@ def test_reference_entropy_matches_the_closed_forms():
         assert abs(reference - closed[name]) < 1e-12, name
         changes.append(entropy_change(f, omega))
     assert abs(harness.fit_scaling_constant(changes, [closed[name] for name in examples]) - 1.0) < 1e-12
+
+
+def test_gate_verdicts_agree_across_openblas_kernels():
+    # the report's residuals may differ in the last bits between OpenBLAS kernels; its verdicts may not
+    runs = []
+    for kernel in (None, "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        argv = [sys.executable, "-m", "ncentropy.cli", "verify", "--suite", "all", "--trials", "20", "--seed", "42"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        if proc.returncode == -signal.SIGILL:
+            pytest.skip(f"this CPU cannot run the {kernel} kernel")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    if runs[0] == runs[1]:
+        pytest.skip("OPENBLAS_CORETYPE=Haswell gives the default kernel's bytes here")
+    default, haswell = ([(s["suite"], s["pass"]) for s in json.loads(out)["suites"]] for out in runs)
+    assert default == haswell and len(default) == len(SUITES)

@@ -200,9 +200,9 @@ def test_pullback_with_blocks_has_the_bits_of_the_einsum_partial_trace():
     most_copies = 0
     for f, omega in _einsum_cases():
         weights, densities = _pullback_by_einsum(f, omega)
-        pulled = morphism._pullback_with_blocks(f, omega)[0]
-        assert np.array_equal(pulled.weights, weights)
-        assert all(np.array_equal(a, b) for a, b in zip(pulled.densities, densities))
+        pulled_weights, pulled_densities, _ = morphism._pullback_with_blocks(f, omega)
+        assert np.array_equal(pulled_weights, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(pulled_densities, densities))
         most_copies = max(most_copies, int(f.multiplicities.max()))
     assert most_copies >= 4  # sums of three or more copies, where the order of addition shows
 
@@ -276,6 +276,17 @@ def test_a_light_pulled_back_block_is_still_a_density(tmp_path, capsys, t, sprea
     for command in ("change", "pullback"):
         assert cli.main([command, str(morphism_path), str(state_path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_pullback_projects_exactly_the_blocks_state_refuses():
+    # M_2 + M_2 into M_4 + M_2 by (2, 1) copies: the two copies of -e in the first codomain block
+    # pull back to -2e, below -DEFAULT_TOL, and the single copy of -e in the second stays -e
+    e = 9e-11
+    f = Morphism(AlgebraShape((2, 2)), AlgebraShape((4, 2)), np.array([[2, 0], [0, 1]]), (np.eye(4), np.eye(2)))
+    omega = State(f.codomain, [0.5, 0.5], (np.diag([0.5 + e, -e] * 2).astype(complex), np.diag([1 + e, -e]).astype(complex)))
+    pulled = pullback(f, omega)
+    assert max_abs(pulled.densities[0] - np.diag([1.0, 0.0])) < 1e-15 and pulled.spectra[0][0] >= 0.0
+    assert abs(pulled.spectra[1][0] + e) < 1e-15
 
 
 def test_compose_with_identity_and_terminal():
@@ -583,6 +594,22 @@ def test_support_image_lemma():
         image = apply(f, support(pullback(f, omega)))
         difference = AlgebraElement(image.shape, tuple(a - b for a, b in zip(image.blocks, support(omega).blocks)))
         assert is_positive(difference, 1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 17(b): support thresholds each normalised block density at DEFAULT_TOL, "
+    "so the pullback can drop a direction of weighted mass p_x * lambda / q_y that support(omega) keeps",
+)
+def test_support_image_lemma_near_the_support_threshold():
+    # M_2 into M_2 + M_2, one copy each; the eigenvalue 1e-9 of the light block pulls back at 5e-11:
+    # support(omega) has rank 3, support(f* omega) rank 1, and the image misses supp omega by 1.0
+    f = Morphism(AlgebraShape((2,)), AlgebraShape((2, 2)), np.array([[1], [1]]), (np.eye(2), np.eye(2)))
+    omega = State(f.codomain, [0.05, 0.95], (np.diag([1 - 1e-9, 1e-9]).astype(complex), np.diag([1.0, 0.0]).astype(complex)))
+    image = apply(f, support(pullback(f, omega)))
+    difference = AlgebraElement(image.shape, tuple(a - b for a, b in zip(image.blocks, support(omega).blocks)))
+    assert is_positive(difference, 1e-8)
 
 
 def test_overlap_persistence_lemma():
