@@ -185,8 +185,12 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 def check_probability_vector(p) -> np.ndarray:
     """Raise NotProbabilityVector unless ``p`` is a probability vector within ``DEFAULT_TOL``; returns it clipped at 0.
 
+    Entries that are not real numbers (text, booleans, complex) raise ShapeMismatch before any cast.
     Overflow rule: the sum is of Python floats, so finite entries that overflow fail it at inf, silently."""
-    p = np.asarray(p, dtype=np.float64)
+    p = np.asarray(p)
+    if p.dtype.kind not in "iuf":
+        raise ShapeMismatch(f"probability vector entries must be real numbers, got dtype {p.dtype}")
+    p = p.astype(np.float64, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise NotProbabilityVector(f"expected a nonempty vector, got shape {p.shape}")
     total = sum(p.tolist())  # finite unless an entry is not, or the sum overflows
@@ -230,22 +234,23 @@ def eigh(h: np.ndarray):
     return np.linalg.eigh(h)
 
 
-def support_projection(rho: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The projection onto the eigenvectors of ``rho``'s k eigenvalues above ``DEFAULT_TOL``.
+def support_projection(rho: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
+    """The projection onto the eigenvectors of ``rho``'s k largest eigenvalues; the zero block at k = 0.
 
     ``vals`` is ``check_density(rho)``, the ascending spectrum that
     ``State`` keeps: that of the Hermitian matrix H that ``hermitian_spectrum``
     decomposes, ``rho`` itself when it is exactly Hermitian and its
-    Hermitian part otherwise.  The projection is of H, and k counts
-    ``vals``, so its trace is ``support_rank``'s count.  A block of
+    Hermitian part otherwise.  The projection is of H; ``state.support``
+    passes k = the count of ``p * vals`` above ``DEFAULT_TOL``.  A block of
     dimension m >= 32 with 4k <= m takes the O(m^2 k) ``_low_rank_support``
     and keeps it when its bound is at most ``SUPPORT_SLACK``; every other
     block, and a refused one, takes the top k columns of ``eigh(H)``.
     """
     m = rho.shape[0]
-    k = int(np.count_nonzero(vals > DEFAULT_TOL))
+    if k == 0:
+        return np.zeros((m, m), dtype=np.complex128)
     h = _spectral_matrix(rho)[1]
-    if m >= 32 and 0 < 4 * k <= m:  # on smaller blocks, or at k above m/4, eigh is about as fast
+    if m >= 32 and 4 * k <= m:  # on smaller blocks, or at k above m/4, eigh is about as fast
         q, bound = _low_rank_support(h, vals, k)
         if bound <= SUPPORT_SLACK:
             return q @ q.conj().T

@@ -12,8 +12,9 @@ of ``(rho + rho^dag)/2``; the shared placeholder's was kept when it was built.
 ``support_rank``, and the Segal entropy in ``entropy``, read those values
 instead of decomposing the density again; ``support`` projects onto the
 eigenvectors of that same Hermitian part, keeping as many as
-``support_rank`` counts.  Supports, orthogonality and purity are decided
-at the fixed ``linalg.DEFAULT_TOL``.
+``support_rank`` counts.  One rule decides supports: block x keeps the
+eigenvalues lambda with ``p_x * lambda > linalg.DEFAULT_TOL``, the support
+of the density ``(+)_x p_x rho_x``; orthogonality and purity read it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class State:
     spectra: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.asarray(self.weights)
         if w.shape != (len(self.shape),):
             raise ShapeMismatch(f"expected {len(self.shape)} weights, got shape {w.shape}")
         w = linalg.check_probability_vector(w)
@@ -68,7 +69,7 @@ class State:
 
 def classical_state(p) -> State:
     """State on the commutative algebra with one 1-dim block per outcome."""
-    p = np.asarray(p, dtype=np.float64)
+    p = np.asarray(p)
     shape = AlgebraShape((1,) * len(p))
     ones = tuple(np.ones((1, 1), dtype=np.complex128) for _ in p)
     return State(shape, p, ones)
@@ -104,30 +105,26 @@ def evaluate(omega: State, a: AlgebraElement) -> complex:
     return total
 
 
+def _support_counts(omega: State) -> list[int]:
+    """Per block, the number of eigenvalues of ``p_x rho_x`` above ``DEFAULT_TOL``: the one support rule."""
+    return [int(np.count_nonzero(p * vals > DEFAULT_TOL)) for p, vals in zip(omega.weights, omega.spectra)]
+
+
 def support(omega: State) -> AlgebraElement:
     """Smallest projection absorbing the state: an element with ``p^dag p = p`` blockwise.
 
-    Block ``x`` is ``linalg.support_projection(rho_x, spectrum_x)`` when
-    ``p_x > DEFAULT_TOL``, and the zero matrix otherwise: the spectral
-    projection of the Hermitian part of ``rho_x`` (``rho_x`` itself when it
-    is exactly Hermitian) onto the eigenvalues of the kept spectrum above
-    ``DEFAULT_TOL``, so its trace is the block's share of ``support_rank``.
+    Block ``x`` projects the Hermitian part of ``rho_x`` (``rho_x`` itself
+    when it is exactly Hermitian) onto its eigenvalues lambda with
+    ``p_x * lambda > DEFAULT_TOL``: the support of the density
+    ``(+)_x p_x rho_x``, with the zero block at weight zero.  The block
+    traces sum to ``support_rank``.
     """
-    blocks = []
-    for p, rho, vals in zip(omega.weights, omega.densities, omega.spectra):
-        if p > DEFAULT_TOL:
-            blocks.append(linalg.support_projection(rho, vals))
-        else:
-            blocks.append(np.zeros(rho.shape, dtype=np.complex128))
-    return AlgebraElement(omega.shape, tuple(blocks))
+    blocks = zip(omega.densities, omega.spectra, _support_counts(omega))
+    return AlgebraElement(omega.shape, tuple(linalg.support_projection(rho, vals, k) for rho, vals, k in blocks))
 
 
 def support_rank(omega: State) -> int:
-    rank = 0
-    for p, vals in zip(omega.weights, omega.spectra):
-        if p > DEFAULT_TOL:
-            rank += int(np.sum(vals > DEFAULT_TOL))
-    return rank
+    return sum(_support_counts(omega))
 
 
 def are_orthogonal(omega: State, xi: State) -> bool:
@@ -182,7 +179,7 @@ def state_to_json(omega: State) -> dict:
 def state_from_json(data) -> State:
     try:
         shape = AlgebraShape(tuple(data["shape"]))
-        weights = np.asarray(data["weights"], dtype=np.float64)
+        weights = np.asarray(data["weights"])
         densities = tuple(linalg.matrix_from_json(r) for r in data["densities"])
     except InvariantViolation:
         raise  # a field's own check, which names what is wrong

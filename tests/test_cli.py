@@ -229,6 +229,7 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         ("entropy", {**_STATE, "weights": [float("nan"), 1.0]}, "NotProbabilityVector"),
         ("entropy", {**_STATE, "weights": [float("inf"), 0.0]}, "NotProbabilityVector"),
         ("entropy", {**_STATE, "weights": ["a", 0.5]}, "ShapeMismatch"),
+        ("entropy", {**_STATE, "weights": ["0.5", "5e-1"]}, "ShapeMismatch: probability vector entries must be real numbers"),
         ("entropy", {**_STATE, "shape": ["a", 1]}, "ShapeMismatch"),
         ("change", {**_MORPHISM, "multiplicities": [["a"]]}, "ShapeMismatch"),
         ("change", {**_MORPHISM, "domain": ["a"]}, "ShapeMismatch"),
@@ -253,6 +254,7 @@ _MORPHISM = {"domain": [2], "codomain": [2], "multiplicities": [[1]], "unitaries
         "nan-weight",
         "inf-weight",
         "text-weight",
+        "numeric-text-weights",
         "text-shape",
         "text-multiplicity",
         "text-domain",

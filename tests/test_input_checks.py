@@ -28,6 +28,7 @@ from ncentropy import (
     initial,
     measurement_morphism,
     pullback,
+    shannon,
 )
 from ncentropy.errors import NotDensity, NotHermitian, NotProbabilityVector, OutOfRange, ShapeMismatch
 from ncentropy.linalg import as_matrix
@@ -80,6 +81,8 @@ CHECKS = [
     ("state-1x1-density-deviation-overflows", lambda: State(LINE, np.ones(1), (np.array([[1 + 1e308j]]),)), NotDensity, "deviates from Hermitian by inf"),
     ("state-density-trace-overflows", lambda: State(QUBIT, np.ones(1), (np.diag([1e308, 1e308]),)), NotDensity, "density trace inf"),
     ("state-weight-sum-overflows", lambda: State(AlgebraShape((1, 1)), np.array([1e308, 1e308]), (EYE1, EYE1)), NotProbabilityVector, "entries sum to inf"),
+    ("state-complex-weights", lambda: State(AlgebraShape((1, 1)), [0.5 + 0.4j, 0.5 - 0.4j], (EYE1, EYE1)), ShapeMismatch, "entries must be real numbers, got dtype complex128"),
+    ("shannon-complex-entries", lambda: shannon(np.array([0.5 + 0.4j, 0.5 - 0.4j])), ShapeMismatch, "entries must be real numbers, got dtype complex128"),
     ("state-density-ndim", lambda: State(LINE, np.ones(1), (np.ones(1),)), ShapeMismatch, "expected a matrix, got array of ndim 1"),
     ("pure-state-vector-length", lambda: block_pure_state(QUBIT, 0, [1, 0, 0]), ShapeMismatch, "vector of length 3"),
     ("pure-state-zero-vector", lambda: block_pure_state(QUBIT, 0, [0, 0]), ShapeMismatch, "vector of norm 0.0"),

@@ -329,7 +329,7 @@ def test_blocks_from_dimension_32_with_4k_at_most_m_take_the_low_rank_path(m, k,
         monkeypatch.setattr(linalg, "eigh", _no_eigh)
     else:
         monkeypatch.setattr(linalg, "_low_rank_support", _no_low_rank_support)
-    assert frobenius_norm(support_projection(rho, vals) - expected) <= 1e-13
+    assert frobenius_norm(support_projection(rho, vals, k) - expected) <= 1e-13
 
 
 def test_small_exactly_hermitian_blocks_keep_the_eigh_bits():
@@ -339,7 +339,8 @@ def test_small_exactly_hermitian_blocks_keep_the_eigh_bits():
             rho = sample_density(m, rng, rank=rank)
             vals, vecs = np.linalg.eigh(rho)
             cols = vecs[:, vals > DEFAULT_TOL][:, ::-1]
-            assert np.array_equal(support_projection(rho, check_density(rho)), cols @ cols.conj().T)
+            kept = check_density(rho)
+            assert np.array_equal(support_projection(rho, kept, np.count_nonzero(kept > DEFAULT_TOL)), cols @ cols.conj().T)
 
 
 def _parallel_columns():
@@ -368,7 +369,7 @@ def test_a_refused_certificate_falls_back_to_eigh_bit_for_bit(case, lowest, high
     vals = check_density(rho)
     assert np.count_nonzero(vals > DEFAULT_TOL) == k
     assert lowest <= linalg._low_rank_support(rho, vals, k)[1] <= highest
-    assert np.array_equal(support_projection(rho, vals), _eigh_support(rho, k))
+    assert np.array_equal(support_projection(rho, vals, k), _eigh_support(rho, k))
 
 
 def _rounding_count(n):

@@ -36,7 +36,7 @@ from ncentropy.harness import _disintegrable_state, _sample_disintegrable, facto
 from ncentropy.linalg import DEFAULT_TOL, hermitian_part, max_abs, sample_density, sample_simplex, sample_unitary
 from ncentropy import cli, linalg, morphism
 from ncentropy.morphism import morphism_from_json, morphism_to_json
-from ncentropy.state import state_to_json
+from ncentropy.state import state_to_json, support_rank
 from predicates import adjoint, extensionally_equal, identity, identity_morphism, is_positive, multiply, random_morphism
 
 
@@ -596,20 +596,50 @@ def test_support_image_lemma():
         assert is_positive(difference, 1e-8)
 
 
+def _support_image_deficit(f, omega):
+    """The largest eigenvalue by which f(supp f* omega) - supp omega falls below zero, over the blocks."""
+    image = apply(f, support(pullback(f, omega)))
+    return max(-linalg.hermitian_spectrum(a - b)[1][0] for a, b in zip(image.blocks, support(omega).blocks))
+
+
+def test_support_image_lemma_near_the_support_threshold():
+    # M_2 into M_2 + M_2, one copy each; the eigenvalue 1e-9 of the block of weight 0.05 has the weighted
+    # eigenvalue 5e-11, below DEFAULT_TOL, so support(omega) drops it as the pullback does: ranks 2 and 1
+    f = Morphism(AlgebraShape((2,)), AlgebraShape((2, 2)), np.array([[1], [1]]), (np.eye(2), np.eye(2)))
+    omega = State(f.codomain, [0.05, 0.95], (np.diag([1 - 1e-9, 1e-9]).astype(complex), np.diag([1.0, 0.0]).astype(complex)))
+    assert (support_rank(omega), support_rank(pullback(f, omega))) == (2, 1)
+    assert _support_image_deficit(f, omega) <= 1e-8
+
+
+def _split_across_copies():
+    """``factor_inclusion(2, 2)`` and (1 - mu)|01><01| + mu|Phi+><Phi+| at mu = 1.5e-10.
+
+    supp omega keeps |Phi+> (weighted eigenvalue mu), but its mass splits over the two
+    copies: the pullback (1 - mu)|0><0| + mu I/2 has the eigenvalue mu/2 = 7.5e-11 on |1>.
+    """
+    mu = 1.5e-10
+    e01 = np.zeros(4)
+    e01[1] = 1.0
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    rho = (1 - mu) * np.outer(e01, e01) + mu * np.outer(phi, phi)
+    return factor_inclusion(2, 2), State(AlgebraShape((4,)), [1.0], (rho.astype(complex),))
+
+
+def test_a_direction_split_across_copies_is_dropped_by_the_pullback_alone():
+    f, omega = _split_across_copies()
+    assert (support_rank(omega), support_rank(pullback(f, omega))) == (2, 1)
+    assert _support_image_deficit(f, omega) == pytest.approx(np.sqrt(0.5), abs=1e-6)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 17(b): support thresholds each normalised block density at DEFAULT_TOL, "
-    "so the pullback can drop a direction of weighted mass p_x * lambda / q_y that support(omega) keeps",
+    reason="ROADMAP item 17(b): a weighted eigenvalue just above DEFAULT_TOL whose direction is split over "
+    "c copies pulls back at about 1/c of it, below the threshold; no single threshold keeps both",
 )
-def test_support_image_lemma_near_the_support_threshold():
-    # M_2 into M_2 + M_2, one copy each; the eigenvalue 1e-9 of the light block pulls back at 5e-11:
-    # support(omega) has rank 3, support(f* omega) rank 1, and the image misses supp omega by 1.0
-    f = Morphism(AlgebraShape((2,)), AlgebraShape((2, 2)), np.array([[1], [1]]), (np.eye(2), np.eye(2)))
-    omega = State(f.codomain, [0.05, 0.95], (np.diag([1 - 1e-9, 1e-9]).astype(complex), np.diag([1.0, 0.0]).astype(complex)))
-    image = apply(f, support(pullback(f, omega)))
-    difference = AlgebraElement(image.shape, tuple(a - b for a, b in zip(image.blocks, support(omega).blocks)))
-    assert is_positive(difference, 1e-8)
+def test_support_image_lemma_on_a_direction_split_across_copies():
+    f, omega = _split_across_copies()
+    assert _support_image_deficit(f, omega) <= 1e-8
 
 
 def test_overlap_persistence_lemma():

@@ -16,15 +16,17 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from ncentropy import cli
 from ncentropy.errors import InvariantViolation
-from ncentropy.linalg import matrix_from_json
+from ncentropy.harness import _DEFAULT, _sample_morphism
+from ncentropy.linalg import DEFAULT_TOL, hermitian_part, matrix_from_json, sample_unitary
 from ncentropy.morphism import morphism_from_json, morphism_to_json
-from ncentropy.state import state_from_json, state_to_json
+from ncentropy.state import State, state_from_json, state_to_json
 
 MAX_DIM = 64
 FIELDS = ("shape", "weights", "densities", "domain", "codomain", "multiplicities", "unitaries")
@@ -137,3 +139,73 @@ def test_cli_exits_0_or_2_and_prints_a_finite_number(bell_files, case):
     if code == 0:
         assert command != "example"
         assert math.isfinite(float(out.getvalue()))
+
+
+# Edge spectra that the loader accepts: per eigenvalue, a generic value, a value in
+# (-DEFAULT_TOL, 0), a value within three decades of DEFAULT_TOL, or 0; per block weight,
+# a generic weight, a light one in [1e-16, 1e-8], or 0.  Generic entries take what the
+# edge entries leave, so traces and weight sums are 1 within rounding.  A block's
+# eigenbasis is Haar, or the morphism's unitary for that block, so that its eigenvalues
+# sit on the copies the pullback adds up.
+_edge_eigenvalues = st.one_of(
+    st.floats(0.05, 1.0).map(lambda v: ("generic", v)),
+    st.floats(-0.99 * DEFAULT_TOL, 0.0).map(lambda v: ("edge", v)),
+    st.floats(-13.0, -7.0).map(lambda e: ("edge", 10.0**e)),
+    st.just(("edge", 0.0)),
+)
+_edge_weights = st.one_of(
+    st.floats(0.05, 1.0).map(lambda v: ("generic", v)),
+    st.floats(-16.0, -8.0).map(lambda e: ("edge", 10.0**e)),
+    st.just(("edge", 0.0)),
+)
+
+
+def _fill(entries, total):
+    """The values of ``entries``, the generic ones rescaled to sum with the edge ones to ``total``; one is generic."""
+    if all(kind == "edge" for kind, _ in entries):
+        entries = [("generic", 1.0)] + entries[1:]
+    edge = sum(v for kind, v in entries if kind == "edge")
+    generic = sum(v for kind, v in entries if kind == "generic")
+    return np.array([v if kind == "edge" else v * (total - edge) / generic for kind, v in entries])
+
+
+@st.composite
+def edge_states(draw, f, rng):
+    shape = f.codomain
+    weights = _fill(draw(st.lists(_edge_weights, min_size=len(shape), max_size=len(shape))), 1.0)
+    densities = []
+    for m, aligned in zip(shape.blocks, f.unitaries):
+        vals = _fill(draw(st.lists(_edge_eigenvalues, min_size=m, max_size=m)), 1.0)
+        u = aligned if draw(st.booleans()) else sample_unitary(m, rng)
+        densities.append(hermitian_part((u * vals) @ u.conj().T))
+    try:
+        return state_from_json(state_to_json(State(shape, weights, tuple(densities))))
+    except InvariantViolation:
+        reject()
+
+
+@pytest.fixture(scope="module")
+def edge_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edge")
+    return {name: str(root / f"{name}.json") for name in ("morphism", "state_a", "state_b")}
+
+
+@_settings(150)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_states_the_loader_accepts_are_accepted_through_a_morphism(edge_files, seed, data):
+    rng = np.random.default_rng(seed)
+    f = _sample_morphism(_DEFAULT, rng)
+    documents = {
+        "morphism": morphism_to_json(f),
+        "state_a": state_to_json(data.draw(edge_states(f, rng))),
+        "state_b": state_to_json(data.draw(edge_states(f, rng))),
+    }
+    for name, document in documents.items():
+        with open(edge_files[name], "w") as fh:
+            json.dump(document, fh)
+    morphism, a, b = (edge_files[name] for name in ("morphism", "state_a", "state_b"))
+    for argv in (["change", morphism, a], ["pullback", morphism, a], ["holevo", "--lambda", "0.3", morphism, a, b], ["disintegrate", morphism, a]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(argv)
+        assert (code, err.getvalue()) == (0, ""), argv

@@ -118,6 +118,29 @@ def test_the_support_trace_is_the_support_rank():
             assert is_projection(p, 1e-9)
 
 
+@pytest.mark.parametrize("factor, kept", [(1 + 1e-6, True), (1 - 1e-6, False)], ids=["above", "below"])
+def test_a_support_keeps_a_weighted_eigenvalue_above_the_threshold(factor, kept):
+    # p * lambda = factor * DEFAULT_TOL, once through the block weight and once through the eigenvalue
+    t = factor * linalg.DEFAULT_TOL
+    light_weight = State(AlgebraShape((1, 1)), [1 - t, t], (np.ones((1, 1)), np.ones((1, 1))))
+    light_vector = State(AlgebraShape((2,)), [1.0], (np.diag([1 - t, t]).astype(complex),))
+    half = State(AlgebraShape((2, 1)), [0.5, 0.5], (np.diag([1 - 2 * t, 2 * t]).astype(complex), np.ones((1, 1))))
+    for omega, rank in ((light_weight, 1), (light_vector, 1), (half, 2)):
+        assert support_rank(omega) == rank + kept
+        assert round(sum(b.trace().real for b in support(omega).blocks)) == rank + kept
+
+
+def test_a_zero_weight_block_has_the_zero_support_without_an_eigh_call(monkeypatch):
+    shapes = []
+    eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    omega = State(AlgebraShape((2, 3)), [1.0, 0.0], (sample_density(2, np.random.default_rng(0)), sample_density(3, np.random.default_rng(1))))
+    blocks = support(omega).blocks
+    assert shapes == [(2, 2)]
+    assert blocks[1].dtype == np.complex128 and not blocks[1].any()
+    assert support_rank(omega) == 2
+
+
 def test_support_minimality():
     # rank equals the number of nonzero eigenvalues, and any strictly
     # smaller spectral projection loses absorption
