@@ -7,8 +7,9 @@ given, such as ``Seed(...).rng()``.
 Every other module decides "is this a density?" with ``check_density``,
 "is this a probability vector?" with ``check_probability_vector``, takes
 Hermitian spectra from ``hermitian_spectrum``, the package's one
-``eigvalsh`` call (a 1x1 spectrum is read off the entry, and an exactly
-Hermitian matrix is decomposed without symmetrizing it), support blocks
+``eigvalsh`` call (a 1x1 spectrum is read off the entry), eigenvectors
+from ``hermitian_eigh``, its one ``eigh`` call (both decompose an exactly
+Hermitian matrix without symmetrizing it), support blocks
 from ``support_projection``, and forms
 Kronecker products with ``kron``, which has ``np.kron``'s bits.  Hot
 reductions call the ufuncs' ``reduce``, skipping the Python wrappers of
@@ -141,8 +142,21 @@ def hermitian_spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
         return deviation, np.full(len(h), math.nan)
 
 
+def hermitian_eigh(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``hermitian_spectrum``'s deviation, then the ascending eigenvalues and unitary eigenvector columns V of its matrix H.
+
+    ``H == V @ diag(vals) @ V^dag``; H is ``m`` itself at deviation 0.0 and ``(m + m^dag)/2`` otherwise.
+    Overflow rule: as ``hermitian_spectrum``'s; where LAPACK does not converge the eigenvalues and eigenvectors are NaN.
+    """
+    deviation, h = _spectral_matrix(m)
+    try:
+        return deviation, *np.linalg.eigh(h)
+    except np.linalg.LinAlgError:  # LAPACK does not converge on a Hermitian part that overflowed to inf or NaN
+        return deviation, np.full(len(h), math.nan), np.full(h.shape, complex(math.nan, math.nan))
+
+
 def _spectral_matrix(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """``max |m - m^dag|`` and the Hermitian matrix whose spectrum ``hermitian_spectrum`` takes.
+    """``max |m - m^dag|`` and the Hermitian matrix that ``hermitian_spectrum`` and ``hermitian_eigh`` decompose.
 
     That is ``m`` itself at deviation 0.0 and ``(m + m^dag)/2`` otherwise.
     Overflow rule: both are formed under ``np.errstate(over="ignore", invalid="ignore")``,
@@ -223,17 +237,6 @@ def identity_matrix(n: int) -> np.ndarray:
     return eye
 
 
-def eigh(h: np.ndarray):
-    """``np.linalg.eigh`` of a Hermitian matrix, which reads only its lower triangle.
-
-    Returns ``(eigenvalues, eigenvectors)`` in ascending order, eigenvectors
-    as the matching unitary columns, so that ``h == V @ diag(vals) @ V.conj().T``.
-    Callers pass an exactly Hermitian matrix: a Hermitian part, or the
-    matrix ``_spectral_matrix`` returns for a density or an observable.
-    """
-    return np.linalg.eigh(h)
-
-
 def support_projection(rho: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
     """The projection onto the eigenvectors of ``rho``'s k largest eigenvalues; the zero block at k = 0.
 
@@ -244,17 +247,16 @@ def support_projection(rho: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
     passes k = the count of ``p * vals`` above ``DEFAULT_TOL``.  A block of
     dimension m >= 32 with 4k <= m takes the O(m^2 k) ``_low_rank_support``
     and keeps it when its bound is at most ``SUPPORT_SLACK``; every other
-    block, and a refused one, takes the top k columns of ``eigh(H)``.
+    block, and a refused one, takes the top k columns of ``hermitian_eigh(rho)``.
     """
     m = rho.shape[0]
     if k == 0:
         return np.zeros((m, m), dtype=np.complex128)
-    h = _spectral_matrix(rho)[1]
     if m >= 32 and 4 * k <= m:  # on smaller blocks, or at k above m/4, eigh is about as fast
-        q, bound = _low_rank_support(h, vals, k)
+        q, bound = _low_rank_support(_spectral_matrix(rho)[1], vals, k)
         if bound <= SUPPORT_SLACK:
             return q @ q.conj().T
-    cols = eigh(h)[1][:, m - k :][:, ::-1]  # descending: the product's rounding depends on the column order
+    cols = hermitian_eigh(rho)[2][:, m - k :][:, ::-1]  # descending: the product's rounding depends on the column order
     return cols @ cols.conj().T
 
 
@@ -357,7 +359,7 @@ def project_to_density(rho: np.ndarray) -> np.ndarray:
     The one projection onto densities: ``rho`` needs a positive trace, and
     the result is a density up to the rounding of one product.
     """
-    vals, vecs = eigh(hermitian_part(rho))
+    vals, vecs = hermitian_eigh(rho)[1:]
     vals = np.clip(vals, 0.0, None)
     vals /= vals.sum()
     return (vecs * vals) @ vecs.conj().T

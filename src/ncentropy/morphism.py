@@ -132,10 +132,14 @@ def _bounded_morphism(domain, codomain, c, unitaries, bounds) -> Morphism:
 
 
 def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
-    """Image of a domain element under the homomorphism."""
+    """Image of a domain element under the homomorphism.
+
+    Overflow rule: the products are formed silently, and ``AlgebraElement`` refuses an inf or NaN entry with ShapeMismatch.
+    """
     if b.shape != f.domain:
         raise ShapeMismatch(f"element on {b.shape.blocks} fed to morphism with domain {f.domain.blocks}")
-    blocks = tuple(u @ _spread(segments, b.blocks) @ u.conj().T for u, segments in zip(f.unitaries, f.segments))
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = tuple(u @ _spread(segments, b.blocks) @ u.conj().T for u, segments in zip(f.unitaries, f.segments))
     return AlgebraElement(f.codomain, blocks)
 
 
@@ -312,11 +316,10 @@ def measurement_morphism(codomain: AlgebraShape, block: int, observable) -> Morp
     obs = as_matrix(observable)
     if obs.shape != (m, m):
         raise ShapeMismatch(f"observable of shape {obs.shape} does not fit block dimension {m}")
-    deviation, h = linalg._spectral_matrix(obs)
+    deviation, vals, vecs = linalg.hermitian_eigh(obs)
     if deviation > DEFAULT_TOL:
         raise NotHermitian(f"matrix deviates from its adjoint by {deviation:.3e} > {DEFAULT_TOL:.3e}")
-    vals, vecs = linalg.eigh(h)
-    if not np.isfinite(vals).all():
+    if not np.isfinite(vals).all():  # overflowed, or LAPACK did not converge
         raise NotHermitian("observable spectrum is not finite")
     vals, vecs = vals[::-1].tolist(), vecs[:, ::-1]  # descending: the largest eigenvalue is point 0; Python floats overflow silently
     cluster_sizes = [1]

@@ -95,13 +95,17 @@ def block_pure_state(shape: AlgebraShape, block: int, vector) -> State:
 
 
 def evaluate(omega: State, a: AlgebraElement) -> complex:
-    """Expectation ``sum_x p_x tr(rho_x a_x)``."""
+    """Expectation ``sum_x p_x tr(rho_x a_x)``.
+
+    Overflow rule: a finite ``a`` whose expectation overflows gives an inf or NaN value, silently.
+    """
     if omega.shape != a.shape:
         raise ShapeMismatch(f"state on {omega.shape.blocks} applied to element on {a.shape.blocks}")
     total = 0j
-    for p, rho, blk in zip(omega.weights.tolist(), omega.densities, a.blocks):
-        if p > 0.0:
-            total += p * complex(np.add.reduce(rho * blk.T, axis=None))  # tr(rho a) without the matrix product
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, rho, blk in zip(omega.weights.tolist(), omega.densities, a.blocks):
+            if p > 0.0:
+                total += p * complex(np.add.reduce(rho * blk.T, axis=None))  # tr(rho a) without the matrix product
     return total
 
 

@@ -58,7 +58,7 @@ def test_von_neumann_values():
 def test_von_neumann_matches_eigenvalue_oracle():
     for k in range(20):
         rho = sample_density(4, Seed(5, k).rng())
-        vals, _ = linalg.eigh(rho)
+        vals, _ = np.linalg.eigh(rho)
         assert abs(von_neumann(rho) - shannon(np.clip(vals, 0, None) / vals.sum())) < 1e-10
 
 
@@ -84,7 +84,7 @@ def test_segal_values():
 
 def _psd_log(m) -> np.ndarray:
     """Matrix logarithm on the support of a PSD matrix: eigenvalues up to ``DEFAULT_TOL`` contribute nothing."""
-    vals, vecs = linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(m)
     assert vals[0] >= -DEFAULT_TOL, "not positive semidefinite"
     keep = vals > DEFAULT_TOL
     log_vals = np.zeros_like(vals)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -281,3 +282,18 @@ def test_gate_verdicts_agree_across_openblas_kernels():
         pytest.skip("OPENBLAS_CORETYPE=Haswell gives the default kernel's bytes here")
     default, haswell = ([(s["suite"], s["pass"]) for s in json.loads(out)["suites"]] for out in runs)
     assert default == haswell and len(default) == len(SUITES)
+
+
+def test_gate_report_keeps_the_haswell_reference_bytes():
+    # a pure refactor keeps the gate's stdout byte for byte; under one pinned kernel, tests/gate_references.txt holds its sha256
+    if np.__version__ != "2.4.6":
+        pytest.skip(f"the references were made with numpy 2.4.6, not {np.__version__}")
+    rows = (line.split() for line in (Path(__file__).parent / "gate_references.txt").read_text().splitlines())
+    expected = next(row[3] for row in rows if row[:3] == ["Haswell", "42", "-"])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+    argv = [sys.executable, "-m", "ncentropy.cli", "verify", "--suite", "all", "--trials", "200", "--seed", "42", "--tol", "1e-9"]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    if proc.returncode == -signal.SIGILL:
+        pytest.skip("this CPU cannot run the Haswell kernel")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == expected

@@ -44,6 +44,9 @@ NAN_SPECTRUM = np.array([[-1, 1.7e308 - 1e308j], [1.7e308 + 1e308j, 1e308]])
 DEVIATION_OVERFLOWS = np.array([[0.5, 1e308], [-1e308, 0.5]])
 HERMITIAN_PART_OVERFLOWS = np.array([[0.5, 1.5e308], [1.4e308, 0.5]])
 NOT_CONVERGING = np.array([[0.5, 0.5, 0], [-0.5, 1.7e308, 0], [0, 0, 0.5]])
+# within DEFAULT_TOL of Hermitian, but (m + m^dag) / 2 overflows off the diagonal, where LAPACK does not converge
+OBSERVABLE_NOT_CONVERGING = [[0.5, 1.5e308, 0], [1.5e308 + 1e-11j, 0.5, 0], [0, 0, 0.5]]
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def _doubling() -> Morphism:
@@ -68,10 +71,12 @@ CHECKS = [
     ("morphism-multiplicity-float-above-dimension", lambda: Morphism(LINE, QUBIT, np.array([[1e300]]), (EYE2,)), ShapeMismatch, r"multiplicity 1e\+300 exceeds the dimension 2 of codomain block 0"),
     ("morphism-multiplicity-uint64-above-dimension", lambda: Morphism(LINE, QUBIT, np.array([[2**63]], dtype=np.uint64), (EYE2,)), ShapeMismatch, "multiplicity 9223372036854775808 exceeds the dimension 2 of codomain block 0"),
     ("apply-domain", lambda: apply(_doubling(), AlgebraElement(QUBIT, (EYE2,))), ShapeMismatch, "fed to morphism with domain"),
+    ("apply-overflows", lambda: apply(Morphism(QUBIT, QUBIT, np.array([[1]]), (HADAMARD,)), AlgebraElement(QUBIT, (np.full((2, 2), 1.5e308),))), ShapeMismatch, "matrix entries must be finite"),
     ("pullback-codomain", lambda: pullback(_doubling(), _point()), ShapeMismatch, "pulled through morphism with codomain"),
     ("compose-inner-codomain", lambda: compose(_doubling(), _doubling()), ShapeMismatch, "cannot compose"),
     ("measurement-one-dimensional-block", lambda: measurement_morphism(LINE, 0, EYE1), ShapeMismatch, "at least 2"),
     ("measurement-nan-spectrum", lambda: measurement_morphism(QUBIT, 0, NAN_SPECTRUM), NotHermitian, "observable spectrum is not finite"),
+    ("measurement-eigensolver-does-not-converge", lambda: measurement_morphism(AlgebraShape((3,)), 0, OBSERVABLE_NOT_CONVERGING), NotHermitian, "observable spectrum is not finite"),
     ("measurement-deviation-overflows", lambda: measurement_morphism(QUBIT, 0, [[0, 1e308], [-1e308, 0]]), NotHermitian, "deviates from its adjoint by inf"),
     ("state-density-count", lambda: State(BIT_AND_QUBIT, np.array([0.5, 0.5]), (EYE1,)), ShapeMismatch, "expected 2 densities, got 1"),
     ("state-density-nan-spectrum", lambda: State(QUBIT, np.ones(1), (NAN_SPECTRUM,)), NotDensity, "density spectrum is not finite"),

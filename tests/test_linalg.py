@@ -14,8 +14,8 @@ from ncentropy.linalg import (
     as_matrix,
     check_density,
     check_probability_vector,
-    eigh,
     frobenius_norm,
+    hermitian_eigh,
     hermitian_part,
     hermitian_spectrum,
     kron,
@@ -35,14 +35,14 @@ def _random_hermitian(rng, n):
 
 
 def test_eigh_diagonal():
-    vals, vecs = eigh(np.diag([3.0, 1.0]))
+    _, vals, vecs = hermitian_eigh(np.diag([3.0, 1.0]))
     assert np.allclose(vals, [1.0, 3.0])
     # eigenvectors are a permutation of the identity columns
     assert np.allclose(np.abs(vecs), [[0, 1], [1, 0]])
 
 
 def test_eigh_rank_one_projector():
-    vals, _ = eigh(np.full((2, 2), 0.5))
+    _, vals, _ = hermitian_eigh(np.full((2, 2), 0.5))
     assert np.allclose(vals, [0.0, 1.0], atol=1e-12)
 
 
@@ -51,7 +51,7 @@ def test_eigh_reconstruction_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):
         h = _random_hermitian(rng, 4)
-        vals, vecs = eigh(h)
+        _, vals, vecs = hermitian_eigh(h)
         assert max_abs((vecs * vals) @ vecs.conj().T - h) < 1e-10
         assert max_abs(vecs.conj().T @ vecs - np.eye(4)) < 1e-10
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -67,6 +67,10 @@ def test_hermitian_spectrum_is_bit_identical_on_the_hermitian_part():
         assert np.array_equal(vals, np.linalg.eigvalsh(h))
         assert deviation == max_abs(m - m.conj().T) and hermitian_spectrum(h)[0] == 0.0
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+        # hermitian_eigh decomposes the same matrix, with np.linalg.eigh's bits
+        eigh_deviation, eigh_vals, vecs = hermitian_eigh(m)
+        expected_vals, expected_vecs = np.linalg.eigh(h)
+        assert eigh_deviation == deviation and np.array_equal(eigh_vals, expected_vals) and np.array_equal(vecs, expected_vecs)
 
     # a 1x1 matrix is read off its entry; these entries have the bits
     # eigvalsh gives, down to the sign of zero
@@ -300,8 +304,8 @@ def _eigh_support(h, k):
     return cols @ cols.conj().T
 
 
-def _no_eigh(h):
-    raise AssertionError("the low-rank support fell back to eigh")
+def _no_eigh(m):
+    raise AssertionError("the low-rank support fell back to hermitian_eigh")
 
 
 def _no_low_rank_support(h, vals, k):
@@ -326,7 +330,7 @@ def test_blocks_from_dimension_32_with_4k_at_most_m_take_the_low_rank_path(m, k,
     vals = check_density(rho)
     expected = _eigh_support(rho, k)
     if low_rank:
-        monkeypatch.setattr(linalg, "eigh", _no_eigh)
+        monkeypatch.setattr(linalg, "hermitian_eigh", _no_eigh)
     else:
         monkeypatch.setattr(linalg, "_low_rank_support", _no_low_rank_support)
     assert frobenius_norm(support_projection(rho, vals, k) - expected) <= 1e-13

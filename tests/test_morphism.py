@@ -536,7 +536,7 @@ def test_measurement_morphism():
 
 
 def test_measurement_morphism_rejects_bad_observables():
-    # the observable is checked where it enters: linalg.eigh reads only its lower triangle
+    # the observable is checked where it enters: np.linalg.eigh reads only its lower triangle
     with pytest.raises(NotHermitian, match=r"deviates from its adjoint by 1\.000e\+00 > 1\.000e-10"):
         measurement_morphism(AlgebraShape((2,)), 0, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ShapeMismatch, match=r"observable of shape \(2, 3\) does not fit block dimension 2"):

@@ -195,7 +195,7 @@ def _support_above(cut):
         blocks = []
         for p, rho, m in zip(omega.weights, omega.densities, omega.shape.blocks):
             if p > DEFAULT_TOL:
-                vals, vecs = linalg.eigh(rho)
+                vals, vecs = np.linalg.eigh(rho)
                 cols = vecs[:, vals > cut]
                 blocks.append(cols @ cols.conj().T)
             else:

@@ -1,3 +1,4 @@
+import cmath
 import json
 import warnings
 
@@ -73,6 +74,14 @@ def test_evaluate_examples():
     assert abs(evaluate(two_point, b) - 3.5) < 1e-12
 
 
+def test_evaluate_of_an_element_whose_expectation_overflows_is_not_finite_and_silent():
+    omega = State(AlgebraShape((2,)), [1.0], (np.full((2, 2), 0.5),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = evaluate(omega, AlgebraElement(omega.shape, (np.full((2, 2), 1.5e308),)))
+    assert not cmath.isfinite(value)
+
+
 def test_evaluate_unitality_and_linearity():
     shape = AlgebraShape((2, 3))
     omega = _random_state(shape, 0)
@@ -132,8 +141,8 @@ def test_a_support_keeps_a_weighted_eigenvalue_above_the_threshold(factor, kept)
 
 def test_a_zero_weight_block_has_the_zero_support_without_an_eigh_call(monkeypatch):
     shapes = []
-    eigh = linalg.eigh
-    monkeypatch.setattr(linalg, "eigh", lambda h: shapes.append(h.shape) or eigh(h))
+    hermitian_eigh = linalg.hermitian_eigh
+    monkeypatch.setattr(linalg, "hermitian_eigh", lambda m: shapes.append(m.shape) or hermitian_eigh(m))
     omega = State(AlgebraShape((2, 3)), [1.0, 0.0], (sample_density(2, np.random.default_rng(0)), sample_density(3, np.random.default_rng(1))))
     blocks = support(omega).blocks
     assert shapes == [(2, 2)]
