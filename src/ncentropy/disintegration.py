@@ -216,7 +216,8 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
     Only where that bound exceeds the threshold are E and the dense R
     formed; a NaN residual fails.  Each field must first be an array of the
     shape ``f`` gives it: one weight and one ``n_y x n_y`` density per domain
-    block, one ``c x c`` ``tau`` block per key, each key a pair with ``c > 0``.
+    block, one ``c x c`` ``tau`` block per key, each key a pair with ``c > 0``;
+    the weights of real numbers, the densities and ``tau`` blocks of numbers.
     """
     sizes = {(y, x): copies for x, segments in enumerate(f.segments) for y, _, copies, _ in segments}
     for key in data.tau:
@@ -225,14 +226,16 @@ def _verify_witness(f: Morphism, omega: State, data: QuantumDisintegrationData) 
     q, sigmas = data.pullback_weights, data.pullback_densities
     if len(sigmas) != len(f.domain):
         raise InconsistentData(f"witness holds {len(sigmas)} pullback densities for {len(f.domain)} domain blocks")
-    fields = [("pullback_weights", q, (len(f.domain),))]
-    fields += [(f"pullback density {y}", s, (n, n)) for y, (s, n) in enumerate(zip(sigmas, f.domain.blocks))]
-    fields += [(f"tau block {key}", t, (sizes[key],) * 2) for key, t in data.tau.items()]
-    for name, value, shape in fields:
+    fields = [("pullback_weights", q, (len(f.domain),), "iuf")]
+    fields += [(f"pullback density {y}", s, (n, n), "iufc") for y, (s, n) in enumerate(zip(sigmas, f.domain.blocks))]
+    fields += [(f"tau block {key}", t, (sizes[key],) * 2, "iufc") for key, t in data.tau.items()]
+    for name, value, shape, kinds in fields:
         if not isinstance(value, np.ndarray):
             raise InconsistentData(f"{name} is a {type(value).__name__}, expected an array of shape {shape}")
         if value.shape != shape:
             raise InconsistentData(f"{name} has shape {value.shape}, expected {shape}")
+        if value.dtype.kind not in kinds:
+            raise InconsistentData(f"{name} has dtype {value.dtype}, expected {'numbers' if 'c' in kinds else 'real numbers'}")
     for x, (p, rho, u) in enumerate(zip(omega.weights, omega.densities, f.unitaries)):
         weighted = p * rho
         m = len(u)

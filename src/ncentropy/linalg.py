@@ -77,8 +77,22 @@ def check_block_index(block, count: int) -> None:
         raise IndexOutOfRange(f"block index {block!r} is not an integer in 0..{count - 1}")
 
 
+def as_numbers(a, kinds: str, what: str) -> np.ndarray:
+    """``np.asarray(a)``; ShapeMismatch, before any cast, for a ragged nesting or a dtype kind outside ``kinds``.
+
+    ``kinds`` is ``"iuf"`` (real numbers) or ``"iufc"``: text, booleans and objects (Python integers beyond int64) are refused.
+    """
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # numpy refuses a ragged nesting
+        raise ShapeMismatch(f"{what} must form a regular array: {exc}") from exc
+    if a.dtype.kind not in kinds:
+        raise ShapeMismatch(f"{what} must be {'numbers' if 'c' in kinds else 'real numbers'}, got dtype {a.dtype}")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+    a = as_numbers(m, "iufc", "matrix entries").astype(np.complex128, copy=False)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.logical_and.reduce(np.isfinite(a), axis=None):  # a complex entry is finite iff both parts are
@@ -201,10 +215,7 @@ def check_probability_vector(p) -> np.ndarray:
 
     Entries that are not real numbers (text, booleans, complex) raise ShapeMismatch before any cast.
     Overflow rule: the sum is of Python floats, so finite entries that overflow fail it at inf, silently."""
-    p = np.asarray(p)
-    if p.dtype.kind not in "iuf":
-        raise ShapeMismatch(f"probability vector entries must be real numbers, got dtype {p.dtype}")
-    p = p.astype(np.float64, copy=False)
+    p = as_numbers(p, "iuf", "probability vector entries").astype(np.float64, copy=False)
     if p.ndim != 1 or p.size == 0:
         raise NotProbabilityVector(f"expected a nonempty vector, got shape {p.shape}")
     total = sum(p.tolist())  # finite unless an entry is not, or the sum overflows

@@ -21,7 +21,7 @@ segment: ``pullback`` forms only the diagonal copy blocks, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,9 @@ class Morphism:
 
     It bounds ``||U_x^dag U_x - I||_2`` and equals ``||U_x U_x^dag - I||_F``, so
     ``||U_x||_2^2 <= 1 + DEFAULT_TOL``.  The shared identity is taken as 0.0 without a product.
-    ``compose`` and ``external_sum_morphism`` record a proven bound instead (``_composite_bound``).
+    ``compose`` and ``external_sum_morphism`` pass a proven bound per unitary as ``_bounds``
+    (``_composite_bound``); only a unitary whose bound exceeds ``DEFAULT_TOL`` is measured,
+    and the others keep their bound.
     """
 
     domain: AlgebraShape
@@ -57,24 +59,17 @@ class Morphism:
     unitaries: tuple[np.ndarray, ...]
     segments: tuple[tuple[tuple[int, slice, int, int], ...], ...] = field(init=False, repr=False)
     unitarity_deviations: tuple[float, ...] = field(init=False, repr=False)
+    _bounds: InitVar[tuple | None] = None
 
-    def __post_init__(self, bounds=None):
-        """Check the fields and fill in ``segments`` and ``unitarity_deviations``.
-
-        ``bounds``, passed by ``_bounded_morphism`` only, holds a proven bound
-        on each unitary's deviation; then only a unitary whose bound exceeds
-        ``DEFAULT_TOL`` is measured, and the others keep their bound.
-        """
-        c = np.asarray(self.multiplicities)
+    def __post_init__(self, bounds):
+        """Check the fields and fill in ``segments`` and ``unitarity_deviations``."""
+        c = linalg.as_numbers(self.multiplicities, "iuf", "multiplicities")
         if c.shape != (len(self.codomain), len(self.domain)):
             raise ShapeMismatch(
                 f"multiplicity matrix of shape {c.shape} does not match "
                 f"{len(self.codomain)} codomain x {len(self.domain)} domain blocks"
             )
-        kind = c.dtype.kind
-        if kind not in "iuf":  # signed, unsigned, float: no bool, complex or object
-            raise ShapeMismatch(f"multiplicities must be real numbers, got dtype {c.dtype}")
-        if (kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or np.logical_or.reduce(c < 0, axis=None):
+        if (c.dtype.kind == "f" and (not np.isfinite(c).all() or (c != np.floor(c)).any())) or np.logical_or.reduce(c < 0, axis=None):
             raise ShapeMismatch("multiplicities must be nonnegative integers")
         segments = []
         for x, (m, row) in enumerate(zip(self.codomain.blocks, c.tolist())):
@@ -120,15 +115,6 @@ def _unitarity_deviation(u: np.ndarray) -> float:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         return linalg.frobenius_norm(u.conj().T @ u - eye)
-
-
-def _bounded_morphism(domain, codomain, c, unitaries, bounds) -> Morphism:
-    """``Morphism(domain, codomain, c, unitaries)``, given a proven deviation bound per unitary (see ``__post_init__``)."""
-    f = object.__new__(Morphism)
-    for name, value in (("domain", domain), ("codomain", codomain), ("multiplicities", c), ("unitaries", unitaries)):
-        object.__setattr__(f, name, value)
-    f.__post_init__(bounds)
-    return f
 
 
 def apply(f: Morphism, b: AlgebraElement) -> AlgebraElement:
@@ -245,8 +231,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     c = f.multiplicities @ g.multiplicities
     unitaries = tuple(_composition_data(f, g, x) for x in range(len(f.codomain)))
     d_v = max(g.unitarity_deviations)
-    bounds = [_composite_bound(d_u, d_v, m) for d_u, m in zip(f.unitarity_deviations, f.codomain.blocks)]
-    return _bounded_morphism(g.domain, f.codomain, c, unitaries, bounds)
+    bounds = tuple(_composite_bound(d_u, d_v, m) for d_u, m in zip(f.unitarity_deviations, f.codomain.blocks))
+    return Morphism(g.domain, f.codomain, c, unitaries, bounds)
 
 
 def _composite_bound(d_u: float, d_v: float, m: int) -> float:
@@ -358,7 +344,7 @@ def external_sum_morphism(f: Morphism, g: Morphism) -> Morphism:
     c = np.zeros((len(codomain), len(domain)), dtype=np.int64)
     c[: len(f.codomain), : len(f.domain)] = f.multiplicities
     c[len(f.codomain) :, len(f.domain) :] = g.multiplicities
-    return _bounded_morphism(domain, codomain, c, f.unitaries + g.unitaries, f.unitarity_deviations + g.unitarity_deviations)
+    return Morphism(domain, codomain, c, f.unitaries + g.unitaries, f.unitarity_deviations + g.unitarity_deviations)
 
 
 def morphism_to_json(f: Morphism) -> dict:

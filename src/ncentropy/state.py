@@ -19,6 +19,7 @@ of the density ``(+)_x p_x rho_x``; orthogonality and purity read it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +48,12 @@ class State:
     spectra: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights)
+        w = linalg.as_numbers(self.weights, "iuf", "probability vector entries")
         if w.shape != (len(self.shape),):
             raise ShapeMismatch(f"expected {len(self.shape)} weights, got shape {w.shape}")
         w = linalg.check_probability_vector(w)
         # non-finite entries are caught by check_density
-        mats = tuple(np.asarray(r, dtype=np.complex128) for r in self.densities)
+        mats = tuple(linalg.as_numbers(r, "iufc", "density entries").astype(np.complex128, copy=False) for r in self.densities)
         if len(mats) != len(self.shape):
             raise ShapeMismatch(f"expected {len(self.shape)} densities, got {len(mats)}")
         spectra = []
@@ -69,7 +70,7 @@ class State:
 
 def classical_state(p) -> State:
     """State on the commutative algebra with one 1-dim block per outcome."""
-    p = np.asarray(p)
+    p = linalg.as_numbers(p, "iuf", "probability vector entries")
     shape = AlgebraShape((1,) * len(p))
     ones = tuple(np.ones((1, 1), dtype=np.complex128) for _ in p)
     return State(shape, p, ones)
@@ -78,7 +79,7 @@ def classical_state(p) -> State:
 def block_pure_state(shape: AlgebraShape, block: int, vector) -> State:
     """Dirac weight on ``block`` with the rank-1 density of ``vector``."""
     linalg.check_block_index(block, len(shape))
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    v = linalg.as_numbers(vector, "iufc", "vector entries").astype(np.complex128).reshape(-1)
     if v.shape[0] != shape.blocks[block]:
         raise ShapeMismatch(f"vector of length {v.shape[0]} does not fit block of dimension {shape.blocks[block]}")
     largest = np.maximum.reduce(np.abs(v))  # the norm too when it is 0, inf or nan
@@ -140,10 +141,18 @@ def are_orthogonal(omega: State, xi: State) -> bool:
     return all(max_abs(a @ b) <= DEFAULT_TOL for a, b in zip(p_omega.blocks, p_xi.blocks))
 
 
-def convex_combine(lam: float, omega: State, xi: State) -> State:
-    """Mixture ``lam*omega + (1-lam)*xi`` on a common algebra."""
+def _mixing_weight(lam) -> float:
+    """``lam`` as a float: ShapeMismatch unless it is a real number (not a bool), OutOfRange outside [0, 1]."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise ShapeMismatch(f"mixing weight must be a real number, got {type(lam).__name__}")
     if not 0.0 <= lam <= 1.0:
         raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
+    return float(lam)
+
+
+def convex_combine(lam: float, omega: State, xi: State) -> State:
+    """Mixture ``lam*omega + (1-lam)*xi`` on a common algebra."""
+    lam = _mixing_weight(lam)
     if omega.shape != xi.shape:
         raise ShapeMismatch("mixing requires states on the same algebra")
     weights = lam * omega.weights + (1.0 - lam) * xi.weights
@@ -165,8 +174,7 @@ def is_pure(omega: State) -> bool:
 
 def external_sum_state(lam: float, omega: State, xi: State) -> State:
     """State on the direct sum weighting ``omega`` by ``lam`` and ``xi`` by ``1-lam``."""
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"mixing weight {lam!r} outside [0, 1]")
+    lam = _mixing_weight(lam)
     shape = direct_sum_shape(omega.shape, xi.shape)
     weights = np.concatenate([lam * omega.weights, (1.0 - lam) * xi.weights])
     return State(shape, weights, omega.densities + xi.densities)

@@ -181,8 +181,13 @@ def test_witness_with_a_wrong_size_tau_block_is_inconsistent():
         ("pullback_densities", (np.eye(3) / 3,), r"pullback density 0 has shape \(3, 3\), expected \(2, 2\)"),
         ("pullback_densities", (), "witness holds 0 pullback densities for 1 domain blocks"),
         ("tau", {(0, 0): [[0.5, 0.0], [0.0, 0.5]]}, r"tau block \(0, 0\) is a list, expected an array of shape \(2, 2\)"),
+        ("pullback_weights", np.array([1.0 + 0j]), "pullback_weights has dtype complex128, expected real numbers"),
+        ("pullback_weights", np.array(["1.0"]), "pullback_weights has dtype <U3, expected real numbers"),
+        ("pullback_weights", np.array([True]), "pullback_weights has dtype bool, expected real numbers"),
+        ("pullback_densities", (np.array([["0.5", "0"], ["0", "0.5"]]),), "pullback density 0 has dtype <U3, expected numbers"),
+        ("tau", {(0, 0): np.array([[0.5, 0.0], [0.0, 0.5]], dtype=object)}, r"tau block \(0, 0\) has dtype object, expected numbers"),
     ],
-    ids=["no-weight", "two-weights", "sigma-3x3", "no-sigma", "tau-nested-list"],
+    ids=["no-weight", "two-weights", "sigma-3x3", "no-sigma", "tau-nested-list", "complex-weight", "text-weight", "boolean-weight", "text-sigma", "object-tau"],
 )
 def test_witness_with_a_malformed_field_is_inconsistent(field, value, message):
     omega = State(INCLUSION.codomain, np.ones(1), (np.eye(4) / 4,))

@@ -25,10 +25,12 @@ from ncentropy import (
     convex_combine,
     evaluate,
     external_sum_state,
+    holevo_change,
     initial,
     measurement_morphism,
     pullback,
     shannon,
+    von_neumann,
 )
 from ncentropy.errors import NotDensity, NotHermitian, NotProbabilityVector, OutOfRange, ShapeMismatch
 from ncentropy.linalg import as_matrix
@@ -100,6 +102,22 @@ CHECKS = [
     ("disintegrate-non-commutative", lambda: classical_disintegrate(_doubling(), _mixed_qubit()), ShapeMismatch, "between commutative algebras"),
     ("disintegrate-state-shape", lambda: classical_disintegrate(initial(LINE), classical_state([0.5, 0.5])), ShapeMismatch, "through morphism with codomain"),
     ("as-matrix-3d", lambda: as_matrix(np.zeros((2, 2, 2))), ShapeMismatch, "ndim 3"),
+    ("as-matrix-text", lambda: as_matrix("a"), ShapeMismatch, "matrix entries must be numbers, got dtype <U1"),
+    ("as-matrix-ragged", lambda: as_matrix([[0.5, 0], [0]]), ShapeMismatch, "matrix entries must form a regular array"),
+    ("state-text-density", lambda: State(QUBIT, [1.0], (np.array([["0.5", "0"], ["0", "0.5"]]),)), ShapeMismatch, "density entries must be numbers, got dtype <U3"),
+    ("state-boolean-density", lambda: State(QUBIT, [1.0], (np.array([[True, False], [False, False]]),)), ShapeMismatch, "density entries must be numbers, got dtype bool"),
+    ("state-ragged-density", lambda: State(QUBIT, [1.0], ([[0.5, 0], [0]],)), ShapeMismatch, "density entries must form a regular array"),
+    ("state-ragged-weights", lambda: State(AlgebraShape((1, 1)), [[0.5], [0.5, 0]], (EYE1, EYE1)), ShapeMismatch, "probability vector entries must form a regular array"),
+    ("classical-state-ragged-weights", lambda: classical_state([[0.5], [0.5, 0]]), ShapeMismatch, "probability vector entries must form a regular array"),
+    ("morphism-text-unitary", lambda: Morphism(QUBIT, QUBIT, np.array([[1]]), (np.array([["1", "0"], ["0", "1"]]),)), ShapeMismatch, "matrix entries must be numbers, got dtype <U1"),
+    ("morphism-multiplicity-beyond-int64", lambda: Morphism(LINE, QUBIT, [[2**64]], (EYE2,)), ShapeMismatch, "multiplicities must be real numbers, got dtype object"),
+    ("von-neumann-text", lambda: von_neumann([["1", "0"], ["0", "0"]]), ShapeMismatch, "matrix entries must be numbers, got dtype <U1"),
+    ("pure-state-text-vector", lambda: block_pure_state(QUBIT, 0, ["1", "0"]), ShapeMismatch, "vector entries must be numbers, got dtype <U1"),
+    ("combine-text-weight", lambda: convex_combine("0.5", _mixed_qubit(), _mixed_qubit()), ShapeMismatch, "mixing weight must be a real number, got str"),
+    ("combine-complex-weight", lambda: convex_combine(0.5 + 0j, _mixed_qubit(), _mixed_qubit()), ShapeMismatch, "mixing weight must be a real number, got complex"),
+    ("combine-boolean-weight", lambda: convex_combine(True, _mixed_qubit(), _mixed_qubit()), ShapeMismatch, "mixing weight must be a real number, got bool"),
+    ("external-sum-none-weight", lambda: external_sum_state(None, _point(), _point()), ShapeMismatch, "mixing weight must be a real number, got NoneType"),
+    ("holevo-text-weight", lambda: holevo_change(_doubling(), "0.5", _mixed_qubit(), _mixed_qubit()), ShapeMismatch, "mixing weight must be a real number, got str"),
 ]
 
 
