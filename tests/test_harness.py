@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncentropy import AlgebraShape, InstanceFamily, Seed, are_orthogonal, entropy_change, generate_instance, run_all, run_suite
+from ncentropy import AlgebraShape, InstanceFamily, Seed, State, are_orthogonal, entropy_change, generate_instance, run_all, run_suite
 from ncentropy import harness
 from ncentropy.cli import _worked_examples
 from ncentropy.errors import UnknownSuite
@@ -146,7 +146,7 @@ PULLBACKS_PER_TRIAL = {
     "orthogonal-affinity": 5,
     "external-affinity": 3,
     "k-counterexample": 4,
-    "continuity": 6,
+    "continuity": 3,
 }
 
 
@@ -207,29 +207,30 @@ def test_characterization_fit_reports_a_raising_trial_and_fits_the_others(monkey
     assert abs(report.fitted_constant - 1.0) < 1e-9
 
 
-def test_continuity_passes_where_the_entropy_change_is_not_monotone(monkeypatch):
-    # On this seed |dS| grows along the schedule in trial 14: from n = 10 to
-    # n = 100 it rises about 25-fold, from 1.7e-8 to 4.2e-7, as the first- and
-    # second-order terms of the change cancel at n = 10.  The continuity bound
-    # holds all the same.  The floor on diffs[0] rules out a trial with
-    # dS = 0, where every |dS| is rounding noise of a few ulps.
-    from ncentropy import entropy
+def test_continuity_rate_matches_a_central_difference(monkeypatch):
+    # D, the first-order rate the suite checks the change against, agrees
+    # with (dS(omega + h Delta) - dS(omega - h Delta)) / 2h built here from
+    # the same directions
+    exact = harness._change_rate
+    calls = []
 
-    exact = entropy._change_and_pullback
-    changes = {}  # id(f) -> [f, base change, change at each schedule point]
+    def recorded(f, omega, pulled, w_dir, dirs):
+        calls.append((f, omega, w_dir, dirs, exact(f, omega, pulled, w_dir, dirs)))
+        return calls[-1][-1]
 
-    def recorded(f, omega):
-        change, pulled = exact(f, omega)
-        changes.setdefault(id(f), [f]).append(change)
-        return change, pulled
+    monkeypatch.setattr(harness, "_change_rate", recorded)
+    assert run_suite("continuity", 200, Seed(42), 1e-9).passed
+    assert len(calls) == 200
+    h = 1e-3
 
-    monkeypatch.setattr(entropy, "_change_and_pullback", recorded)
-    report = run_suite("continuity", 16, Seed(2775), 1e-9)
-    assert report.passed, report.failures[:3]
-    _, base, *moved = list(changes.values())[14]
-    assert len(moved) == len(harness._CONTINUITY_SCHEDULE)
-    diffs = [abs(change - base) for change in moved]
-    assert diffs[1] > 10 * diffs[0] > 1e-12
+    def moved(omega, w_dir, dirs, t):
+        densities = tuple(rho + t * d for rho, d in zip(omega.densities, dirs))
+        return State(omega.shape, omega.weights + t * w_dir, densities)
+
+    for f, omega, w_dir, dirs, rate in calls:
+        central = (entropy_change(f, moved(omega, w_dir, dirs, h)) - entropy_change(f, moved(omega, w_dir, dirs, -h))) / (2 * h)
+        assert abs(central - rate) < 1e-9
+    assert max(abs(rate) for *_, rate in calls) > 1e-3
 
 
 def test_continuity_rejects_an_offset_away_from_the_base_state(monkeypatch):

@@ -45,11 +45,13 @@ def _change(h):
 MUTANTS = {
     # Scaling the functor is invisible to every check whose both sides
     # scale alike; only the suites that compare against an independent
-    # reference entropy (coboundary's potential, the characterization fit)
-    # or a closed form see it.
+    # reference entropy (coboundary's potential, the characterization fit),
+    # a closed form or continuity's first-order rate see it.  That rate is
+    # computed from the exact pullback's logarithms, so continuity catches
+    # every mutant of this table on all of seeds 1-30.
     "doubled": (
         lambda f, omega: 2.0 * EXACT(f, omega)[0],
-        ["coboundary", "disintegration", "characterization-fit"],
+        ["coboundary", "continuity", "disintegration", "characterization-fit"],
     ),
     "half-pullback": (
         lambda f, omega: entropy.segal(omega) - 0.5 * entropy.segal(pullback(f, omega)),
@@ -61,6 +63,7 @@ MUTANTS = {
             "orthogonal-affinity",
             "external-affinity",
             "k-counterexample",
+            "continuity",
             "disintegration",
             "characterization-fit",
         ],
@@ -72,6 +75,7 @@ MUTANTS = {
             "holevo-nonneg",
             "orthogonal-affinity",
             "external-affinity",
+            "continuity",
             "disintegration",
             "characterization-fit",
         ],
@@ -83,6 +87,7 @@ MUTANTS = {
             "holevo-nonneg",
             "orthogonal-affinity",
             "external-affinity",
+            "continuity",
             "disintegration",
             "characterization-fit",
         ],
@@ -96,6 +101,7 @@ MUTANTS = {
             "holevo-nonneg",
             "commutative-positivity",
             "negative-existence",
+            "continuity",
             "disintegration",
             "characterization-fit",
         ],
@@ -107,6 +113,7 @@ MUTANTS = {
             "coboundary",
             "orthogonal-affinity",
             "k-counterexample",
+            "continuity",
             "disintegration",
             "characterization-fit",
         ],
@@ -138,7 +145,8 @@ def _diagonal_spectrum(m):
 
 # A pure state off the standard basis gets positive entropy, and every
 # entropy but a diagonal state's grows, so the suites with a closed form or
-# an inequality that the dephased spectrum breaks report it.
+# an inequality that the dephased spectrum breaks report it, and so does
+# continuity, whose first-order rate takes its logarithms from hermitian_eigh.
 DIAGONAL_SPECTRUM_SUITES = [
     "iso-invariance",
     "adjoin-zero",
@@ -147,6 +155,7 @@ DIAGONAL_SPECTRUM_SUITES = [
     "orthogonal-affinity",
     "pure-vanishing",
     "negative-existence",
+    "continuity",
     "disintegration",
 ]
 
@@ -167,10 +176,11 @@ def _pullback_with_unitaries(block_unitary):
 
 # coboundary and characterization-fit check the duality omega(f(a)) = (f* omega)(a)
 # through apply; support-image pushes the pullback's support forward through
-# apply; disintegration compares the entropy change with the production of a
-# witness built from the exact whole-block pullback.  Each catches both mutants
-# on all of seeds 1-30.
-PULLBACK_SUITES = ["coboundary", "support-image", "disintegration", "characterization-fit"]
+# apply; continuity's first-order rate pushes the pullback's logarithm forward
+# through apply; disintegration compares the entropy change with the production
+# of a witness built from the exact whole-block pullback.  Each catches both
+# mutants on all of seeds 1-30.
+PULLBACK_SUITES = ["coboundary", "support-image", "continuity", "disintegration", "characterization-fit"]
 PULLBACK_MUTANTS = {
     "conjugation-skipped": _pullback_with_unitaries(lambda u: linalg.identity_matrix(len(u))),
     # U^T (p rho) conj(U): the adjoint taken without its complex conjugation
@@ -236,6 +246,7 @@ KERNEL_MUTANTS = {
             "orthogonal-affinity",
             "negative-existence",
             "k-counterexample",
+            "continuity",
             "disintegration",
             "characterization-fit",
         ],
