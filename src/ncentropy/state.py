@@ -71,6 +71,8 @@ class State:
 def classical_state(p) -> State:
     """State on the commutative algebra with one 1-dim block per outcome."""
     p = linalg.as_numbers(p, "iuf", "probability vector entries")
+    if p.ndim != 1:
+        raise ShapeMismatch(f"expected a vector of outcome probabilities, got array of ndim {p.ndim}")
     shape = AlgebraShape((1,) * len(p))
     ones = tuple(np.ones((1, 1), dtype=np.complex128) for _ in p)
     return State(shape, p, ones)

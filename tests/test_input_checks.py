@@ -108,6 +108,9 @@ CHECKS = [
     ("state-boolean-density", lambda: State(QUBIT, [1.0], (np.array([[True, False], [False, False]]),)), ShapeMismatch, "density entries must be numbers, got dtype bool"),
     ("state-ragged-density", lambda: State(QUBIT, [1.0], ([[0.5, 0], [0]],)), ShapeMismatch, "density entries must form a regular array"),
     ("state-ragged-weights", lambda: State(AlgebraShape((1, 1)), [[0.5], [0.5, 0]], (EYE1, EYE1)), ShapeMismatch, "probability vector entries must form a regular array"),
+    ("classical-state-float", lambda: classical_state(0.5), ShapeMismatch, "expected a vector of outcome probabilities, got array of ndim 0"),
+    ("classical-state-numpy-scalar", lambda: classical_state(np.float64(0.5)), ShapeMismatch, "expected a vector of outcome probabilities, got array of ndim 0"),
+    ("classical-state-0d-array", lambda: classical_state(np.array(0.5)), ShapeMismatch, "expected a vector of outcome probabilities, got array of ndim 0"),
     ("classical-state-ragged-weights", lambda: classical_state([[0.5], [0.5, 0]]), ShapeMismatch, "probability vector entries must form a regular array"),
     ("morphism-text-unitary", lambda: Morphism(QUBIT, QUBIT, np.array([[1]]), (np.array([["1", "0"], ["0", "1"]]),)), ShapeMismatch, "matrix entries must be numbers, got dtype <U1"),
     ("morphism-multiplicity-beyond-int64", lambda: Morphism(LINE, QUBIT, [[2**64]], (EYE2,)), ShapeMismatch, "multiplicities must be real numbers, got dtype object"),
