@@ -230,11 +230,14 @@ def check_probability_vector(p) -> np.ndarray:
 
 
 def placeholder(n: int) -> np.ndarray:
-    """The shared ``eye(n) / n``, kept with its ``check_density`` spectrum."""
+    """The shared ``eye(n) / n``, kept with its spectrum ``n`` times ``1 / n``, written down and not decomposed.
+
+    That is ``hermitian_spectrum``'s answer bit for bit: LAPACK splits a scaled identity into 1x1 blocks.
+    """
     if n not in _placeholders:
         rho = np.eye(n, dtype=np.complex128) / n
         rho.flags.writeable = False
-        vals = check_density(rho)
+        vals = np.full(n, 1.0 / n)
         vals.flags.writeable = False
         _placeholders[n] = rho, vals
     return _placeholders[n][0]

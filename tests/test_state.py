@@ -284,22 +284,25 @@ def _count_eigvalsh(monkeypatch):
 
 
 def test_placeholder_is_one_read_only_object_per_dimension(monkeypatch):
-    for n in (1, 2, 3, 7):
+    monkeypatch.setattr(linalg, "_placeholders", {})  # every dimension is fresh
+    calls = _count_eigvalsh(monkeypatch)
+    sizes = (1, 2, 3, 4, 7, 16, 64, 257)
+    kept = []
+    for n in sizes:
         rho = linalg.placeholder(n)
         assert rho is linalg.placeholder(n)
         assert np.array_equal(rho, np.eye(n) / n)
         assert not rho.flags.writeable
         with pytest.raises(ValueError):
             rho[0, 0] = 0.0
-        kept = linalg.check_density(rho)
-        assert kept is linalg.check_density(rho) and not kept.flags.writeable
-        assert kept.tobytes() == linalg.check_density(np.eye(n, dtype=complex) / n).tobytes()
-    calls = _count_eigvalsh(monkeypatch)
+        kept.append(linalg.check_density(rho))
+        assert kept[-1] is linalg.check_density(rho) and not kept[-1].flags.writeable
     omega = State(AlgebraShape((3, 7)), [1.0, 0.0], (linalg.placeholder(3), linalg.placeholder(7)))
-    assert calls == []
+    assert calls == []  # the spectrum is written down, not decomposed
     assert omega.densities[1] is linalg.placeholder(7)
     assert omega.spectra[1] is linalg.check_density(linalg.placeholder(7))
-    assert calls == []
+    for n, vals in zip(sizes, kept):  # with LAPACK's bits
+        assert vals.tobytes() == linalg.hermitian_spectrum(np.eye(n, dtype=complex) / n)[1].tobytes()
 
 
 def test_library_zero_weight_blocks_share_the_placeholder():
