@@ -298,3 +298,33 @@ def test_gate_report_keeps_the_haswell_reference_bytes():
         pytest.skip("this CPU cannot run the Haswell kernel")
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == expected
+
+
+def _openblas_core(env) -> str | None:
+    """The core that the bundled OpenBLAS of a fresh process under ``env`` picks, or None where numpy bundles none."""
+    probe = (
+        "import ctypes, glob, os, numpy as np\n"
+        "for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, 'numpy.libs', 'libscipy_openblas*')):\n"
+        "    fn = getattr(ctypes.CDLL(path), 'scipy_openblas_get_corename64_', None)\n"
+        "    if fn is not None:\n"
+        "        fn.restype = ctypes.c_char_p\n"
+        "        print(fn().decode())\n"
+    )
+    names = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60).stdout.split()
+    return names[0] if names else None
+
+
+def test_gate_report_keeps_the_skylakex_reference_bytes():
+    # the default kernel's row of tests/gate_references.txt, where OpenBLAS picks one of the AVX-512 cores it stands for
+    if np.__version__ != "2.4.6":
+        pytest.skip(f"the references were made with numpy 2.4.6, not {np.__version__}")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    core = _openblas_core(env)
+    if core not in ("SkylakeX", "Cooperlake", "SapphireRapids"):
+        pytest.skip(f"OpenBLAS picks the {core} core here, which the SkylakeX row does not stand for")
+    rows = (line.split() for line in (Path(__file__).parent / "gate_references.txt").read_text().splitlines())
+    expected = next(row[3] for row in rows if row[:3] == ["SkylakeX", "42", "-"])
+    argv = [sys.executable, "-m", "ncentropy.cli", "verify", "--suite", "all", "--trials", "200", "--seed", "42", "--tol", "1e-9"]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == expected
